@@ -179,43 +179,14 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
-    from itertools import product
-    from .complexes import cbot, ceta, cfull, ctop, moore
-    from .smash import _decompose_pair_full
+    from .smash import _decompose_pair_full, classified_pairs
     counts: dict[str, int] = {}
-    P = (1, 2, 3)
-    pairs_iter = []
-    for p in (2, 3, 5):
-        for u, v in product(P, P):
-            pairs_iter.append((moore(p, u, 3), moore(2, v, 3)))
-            if p != 2:
-                pairs_iter.append((moore(p, u, 3), moore(p, v, 3)))
-        for u in P:
-            pairs_iter.append((moore(p, u, 3), ceta(5)))
-            for r in P:
-                pairs_iter.append((moore(p, u, 3), cbot(r, 5)))
-                pairs_iter.append((moore(p, u, 3), ctop(5, r)))
-            for r, s in product(P, P):
-                pairs_iter.append((moore(p, u, 3), cfull(r, 5, s)))
-    pairs_iter.append((ceta(5), ceta(5)))
-    for r in P:
-        pairs_iter.append((ceta(5), cbot(r, 5)))
-        pairs_iter.append((ceta(5), ctop(5, r)))
-    for r, s in product(P, P):
-        pairs_iter.append((ceta(5), cfull(r, 5, s)))
-        pairs_iter.append((cbot(r, 5), cbot(s, 5)))
-        pairs_iter.append((cbot(r, 5), ctop(5, s)))
-        pairs_iter.append((ctop(5, r), ctop(5, s)))
-    for u, r, s in product(P, P, P):
-        pairs_iter.append((cbot(u, 5), cfull(r, 5, s)))
-        pairs_iter.append((ctop(5, u), cfull(r, 5, s)))
-    for r, s, rp, sp in product(P, P, P, P):
-        pairs_iter.append((cfull(r, 5, s), cfull(rp, 5, sp)))
-    for a, b in pairs_iter:
+    grid = classified_pairs()
+    for a, b in grid:
         _, branches = _decompose_pair_full(a, b)
         counts[branches[0][1]] = counts.get(branches[0][1], 0) + 1
     lines = [f"{rule}: {n}" for rule, n in sorted(counts.items())]
-    lines.append(f"total pairs: {len(pairs_iter)}; rules hit: {len(counts)}")
+    lines.append(f"total pairs: {len(grid)}; rules hit: {len(counts)}")
     pairs = [("command", "table")] + [(k, str(v))
                                       for k, v in sorted(counts.items())]
     return 0, _emit(lines, args.format, pairs)

@@ -6,31 +6,80 @@ smash products of two such pieces that are certified indecomposable
 ("atoms").  Everything is immutable and canonicalized, so equality of
 wedges is equality of stable homotopy types within this universe.
 
-Naming convention for Chang complexes with bottom cell in dimension k-2:
-
-    ceta(k)        -- cells k-2, k       attached by eta
-    ctop(k, s)     -- cells k-2, k-1, k  (torsion Z/2^s on the k-1 cell)
-    cbot(r, k)     -- cells k-2, k-1, k  (torsion Z/2^r on the k-2 cell)
-    cfull(r, k, s) -- cells k-2, k-1, k-1, k
+FAMILIES states, once, everything known about each kind of piece; the
+Chang families are anchored at their top cell k, with bottom cell k-2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 __all__ = [
-    "ElementaryComplex", "SmashAtom", "WedgeComplex", "Summand",
-    "POINT", "sphere", "moore", "ceta", "ctop", "cbot", "cfull",
+    "ElementaryComplex", "SmashAtom", "WedgeComplex", "Summand", "Family",
+    "FAMILIES", "POINT", "sphere", "moore", "ceta", "ctop", "cbot", "cfull",
     "smash_atom", "wedge", "canonicalize", "suspend", "dual",
     "dual_elementary", "cells_of", "base_form", "WindowError",
 ]
 
-_KIND_RANK = {"sphere": 0, "moore": 1, "ceta": 2, "ctop": 3, "cbot": 4,
-              "cfull": 5, "point": 6}
 
-# bottom cell of the stable range for each family
-_MIN_DIM = {"sphere": 3, "moore": 3, "ceta": 5, "ctop": 5, "cbot": 5, "cfull": 5}
+@dataclass(frozen=True)
+class Family:
+    """Everything the library knows about one kind of elementary piece.
+
+    Cells are (offset from the anchor dimension, cohomology label prefix)
+    in chain order; boundary maps (from_cell, to_cell) indices to the degree
+    of the attaching map, written "base^exponent" over the parameters; eta
+    lists (bottom_cell, top_cell) pairs joined by eta.  The dual is the
+    dual's kind plus, per dual parameter, the parameter of this piece it
+    takes.  Spelling is the printed and parsed form.
+    """
+
+    rank: int                       # position in the canonical wedge order
+    min_dim: int                    # smallest anchor in the stable range
+    cells: tuple[tuple[int, str], ...]
+    dual: tuple[str, dict[str, str]]
+    spelling: str
+    hom_name: str = ""              # row name in the hom tables
+    noun: str = ""                  # used in parameter error messages
+    params: dict[str, str] = field(default_factory=dict)  # name -> message word
+    boundary: dict[tuple[int, int], str] = field(default_factory=dict)
+    eta: tuple[tuple[int, int], ...] = ()
+
+
+FAMILIES: dict[str, Family] = {
+    "sphere": Family(
+        rank=0, min_dim=3, cells=((0, "u"),), dual=("sphere", {}),
+        spelling="S({dim})", hom_name="S"),
+    "moore": Family(
+        rank=1, min_dim=3, cells=((0, "u"), (1, "u")), boundary={(1, 0): "p^r"},
+        dual=("moore", {"p": "p", "r": "r"}), spelling="M({p}^{r},{dim})",
+        hom_name="M{prime}", noun="Moore space",
+        params={"p": "prime", "r": "exponent"}),
+    "ceta": Family(
+        rank=2, min_dim=5, cells=((-2, "u"), (0, "u")), eta=((0, 1),),
+        dual=("ceta", {}), spelling="Ceta({dim})", hom_name="Ceta"),
+    "ctop": Family(
+        rank=3, min_dim=5, cells=((-2, "u"), (-1, "u"), (0, "u")),
+        boundary={(2, 1): "2^s"}, eta=((0, 2),), dual=("cbot", {"r": "s"}),
+        spelling="Ctop({dim},{s})", hom_name="Ctop", noun="Chang complex",
+        params={"s": "exponent s"}),
+    "cbot": Family(
+        rank=4, min_dim=5, cells=((-2, "u"), (-1, "u"), (0, "u")),
+        boundary={(1, 0): "2^r"}, eta=((0, 2),), dual=("ctop", {"s": "r"}),
+        spelling="Cbot({r},{dim})", hom_name="Cbot", noun="Chang complex",
+        params={"r": "exponent r"}),
+    # of the two middle cells, v(k-1) carries the bottom torsion and the
+    # top cell attaches to vb(k-1)
+    "cfull": Family(
+        rank=5, min_dim=5, cells=((-2, "v"), (-1, "v"), (-1, "vb"), (0, "v")),
+        boundary={(1, 0): "2^r", (3, 2): "2^s"}, eta=((0, 3),),
+        dual=("cfull", {"r": "s", "s": "r"}), spelling="C({r},{dim},{s})",
+        hom_name="Cfull", noun="Chang complex",
+        params={"r": "exponent r", "s": "exponent s"}),
+    "point": Family(rank=6, min_dim=0, cells=(), dual=("point", {}),
+                    spelling="*"),
+}
 
 
 class WindowError(ValueError):
@@ -53,7 +102,8 @@ class ElementaryComplex:
     """One indecomposable piece: kind plus integer parameters.
 
     dim is the anchor dimension (n for spheres and Moore spaces, k for the
-    Chang families).  p/r/s are 0 when the kind does not use them.
+    Chang families).  p/r/s must be 0 when the kind does not use them, so
+    that equal pieces compare equal.
     """
 
     kind: str
@@ -63,71 +113,55 @@ class ElementaryComplex:
     s: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANK:
+        fam = FAMILIES.get(self.kind)
+        if fam is None:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "point":
-            return
-        if self.dim < _MIN_DIM[self.kind]:
+        if self.dim < fam.min_dim:
             raise ValueError(
                 f"{self.kind} at dimension {self.dim} is below the stable range")
-        if self.kind == "moore":
-            if not _is_prime(self.p):
-                raise ValueError(f"Moore space needs a prime, got {self.p}")
-            if self.r < 1:
-                raise ValueError("Moore space exponent must be >= 1")
-        if self.kind in ("cbot", "cfull") and self.r < 1:
-            raise ValueError("Chang complex exponent r must be >= 1")
-        if self.kind in ("ctop", "cfull") and self.s < 1:
-            raise ValueError("Chang complex exponent s must be >= 1")
+        for name, word in fam.params.items():
+            value = getattr(self, name)
+            if name == "p" and not _is_prime(value):
+                raise ValueError(f"{fam.noun} needs a {word}, got {value}")
+            if name != "p" and value < 1:
+                raise ValueError(f"{fam.noun} {word} must be >= 1")
+        for name in ("p", "r", "s"):
+            if name not in fam.params and getattr(self, name):
+                raise ValueError(f"{self.kind} does not use parameter {name}")
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.kind]
 
     @property
     def sort_key(self):
-        return (_KIND_RANK[self.kind], self.dim, self.r, self.s, self.p)
+        return (self.family.rank, self.dim, self.r, self.s, self.p)
 
     @property
     def bottom(self) -> int:
         """Dimension of the bottom cell."""
-        if self.kind == "point":
-            return 0
-        return self.dim if self.kind in ("sphere", "moore") else self.dim - 2
+        return min(self.cells(), default=self.dim)
 
     @property
     def top(self) -> int:
-        if self.kind == "point":
-            return 0
-        if self.kind == "sphere":
-            return self.dim
-        if self.kind == "moore":
-            return self.dim + 1
-        return self.dim
+        return max(self.cells(), default=self.dim)
 
     def cells(self) -> list[int]:
-        """Cell dimensions with multiplicity."""
-        k = self.dim
-        return {
-            "point": [],
-            "sphere": [k],
-            "moore": [k, k + 1],
-            "ceta": [k - 2, k],
-            "ctop": [k - 2, k - 1, k],
-            "cbot": [k - 2, k - 1, k],
-            "cfull": [k - 2, k - 1, k - 1, k],
-        }[self.kind]
+        """Cell dimensions with multiplicity, in chain order."""
+        return [self.dim + off for off, _ in self.family.cells]
+
+    def boundary(self) -> dict[tuple[int, int], int]:
+        """Integral cellular boundary: (from_cell, to_cell) -> degree."""
+        out = {}
+        for edge, degree in self.family.boundary.items():
+            base, exp = degree.split("^")
+            base = int(base) if base.isdigit() else getattr(self, base)
+            out[edge] = base ** getattr(self, exp)
+        return out
 
     def __str__(self) -> str:
-        if self.kind == "point":
-            return "*"
-        if self.kind == "sphere":
-            return f"S({self.dim})"
-        if self.kind == "moore":
-            return f"M({self.p}^{self.r},{self.dim})"
-        if self.kind == "ceta":
-            return f"Ceta({self.dim})"
-        if self.kind == "ctop":
-            return f"Ctop({self.dim},{self.s})"
-        if self.kind == "cbot":
-            return f"Cbot({self.r},{self.dim})"
-        return f"C({self.r},{self.dim},{self.s})"
+        return self.family.spelling.format(dim=self.dim, p=self.p, r=self.r,
+                                           s=self.s)
 
 
 POINT = ElementaryComplex("point", 0)
@@ -159,9 +193,7 @@ def cfull(r: int, k: int, s: int) -> ElementaryComplex:
 
 def base_form(c: ElementaryComplex) -> tuple[ElementaryComplex, int]:
     """Desuspend to the table dimension (n=3 resp. k=5); return (base, shift)."""
-    if c.kind == "point":
-        return c, 0
-    base_dim = 3 if c.kind in ("sphere", "moore") else 5
+    base_dim = c.family.min_dim
     return replace(c, dim=base_dim), c.dim - base_dim
 
 
@@ -347,19 +379,21 @@ def cells_of(x: Summand | WedgeComplex) -> list[tuple[int, int]]:
 # decomposition output) lives at m = 16 plus twice the suspension.
 
 def _natural_sdims(c: Summand) -> set[int] | None:
-    """Candidate duality dimensions for one summand (None = unconstrained)."""
+    """Candidate duality dimensions for one summand (None = unconstrained).
+
+    A piece lives in the window A_n^2 (m = 2n+2) when its cells lie in
+    degrees n..n+2, and is dualizable there when the dual is in range."""
     if isinstance(c, SmashAtom):
         return {16 + 2 * c.shift}
-    if c.kind == "point":
+    if not c.cells():
         return None
-    d = c.dim
-    if c.kind == "sphere":
-        cands = {2 * d - 2, 2 * d, 2 * d + 2}
-        return {m for m in cands if m - d >= 3}
-    if c.kind == "moore":
-        cands = {2 * d, 2 * d + 2}
-        return {m for m in cands if m - d - 1 >= 3}
-    return {2 * d - 2}
+    return {2 * n + 2 for n in range(c.top - 2, c.bottom + 1)
+            if _dualizable_at(c, 2 * n + 2)}
+
+
+def _dual_dim(c: ElementaryComplex, m: int) -> int:
+    """Anchor of the m-dual: the cells reflect d -> m - d."""
+    return m - c.bottom - c.top + c.dim
 
 
 def _dualizable_at(c: Summand, m: int) -> bool:
@@ -367,31 +401,16 @@ def _dualizable_at(c: Summand, m: int) -> bool:
         _, sl = base_form(dual_elementary(c.left, 8))
         _, sr = base_form(dual_elementary(c.right, 8))
         return m - 16 - c.shift + sl + sr >= 0
-    if c.kind == "point":
-        return True
-    if c.kind == "sphere":
-        return m - c.dim >= 3
-    if c.kind == "moore":
-        return m - c.dim - 1 >= 3
-    return m - c.dim + 2 >= 5
+    return not c.cells() or _dual_dim(c, m) >= c.family.min_dim
 
 
 def dual_elementary(c: ElementaryComplex, m: int) -> ElementaryComplex:
     """m-dual of one elementary piece."""
-    if c.kind == "point":
+    if not c.cells():
         return c
-    if c.kind == "sphere":
-        return sphere(m - c.dim)
-    if c.kind == "moore":
-        return moore(c.p, c.r, m - c.dim - 1)
-    k = m - c.dim + 2
-    if c.kind == "ceta":
-        return ceta(k)
-    if c.kind == "cbot":
-        return ctop(k, c.r)
-    if c.kind == "ctop":
-        return cbot(c.s, k)
-    return cfull(c.s, k, c.r)
+    kind, params = c.family.dual
+    return ElementaryComplex(kind, _dual_dim(c, m),
+                             **{k: getattr(c, v) for k, v in params.items()})
 
 
 def _dual_atom(a: SmashAtom, m: int) -> SmashAtom:

@@ -210,12 +210,8 @@ def _classify(c: Summand) -> tuple[str, dict[str, int]] | None:
         if lk == "ceta" and rk == "cfull":
             return "AEF", {"r": c.right.r, "s": c.right.s}
         return None
-    if c.kind == "sphere":
-        return "S", {"r": 0, "s": 0}
-    if c.kind == "moore":
-        return ("M2" if c.p == 2 else "Mp"), {"r": c.r, "s": 0}
-    return {"ceta": "Ceta", "ctop": "Ctop", "cbot": "Cbot",
-            "cfull": "Cfull"}[c.kind], {"r": c.r, "s": c.s}
+    name = c.family.hom_name.format(prime=2 if c.p == 2 else "p")
+    return name, {"r": c.r, "s": c.s}
 
 
 def _subst(name: str, env: dict[str, int]) -> str:

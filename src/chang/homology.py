@@ -136,20 +136,15 @@ def kunneth(A: GradedAbelianGroup, B: GradedAbelianGroup) -> GradedAbelianGroup:
 
 
 def _elementary_homology(c: ElementaryComplex) -> GradedAbelianGroup:
-    k = c.dim
-    if c.kind == "point":
-        return _ZERO
-    if c.kind == "sphere":
-        return GradedAbelianGroup({k: [0]})
-    if c.kind == "moore":
-        return GradedAbelianGroup({k: [c.p ** c.r]})
-    if c.kind == "ceta":
-        return GradedAbelianGroup({k - 2: [0], k: [0]})
-    if c.kind == "ctop":
-        return GradedAbelianGroup({k - 2: [0], k - 1: [2 ** c.s]})
-    if c.kind == "cbot":
-        return GradedAbelianGroup({k - 2: [2 ** c.r], k: [0]})
-    return GradedAbelianGroup({k - 2: [2 ** c.r], k - 1: [2 ** c.s]})
+    # each cell is a Z; an attaching map of degree q kills its source cell
+    # and cuts its target cell down to Z/q
+    orders = [0] * len(c.cells())
+    for (a, b), q in c.boundary().items():
+        orders[a], orders[b] = 1, q
+    out: dict[int, list[int]] = {}
+    for d, q in zip(c.cells(), orders):
+        out.setdefault(d, []).append(q)
+    return GradedAbelianGroup(out)
 
 
 def integral_homology(x: Summand | WedgeComplex) -> GradedAbelianGroup:

@@ -11,16 +11,15 @@ anything it does not know raises UnknownComposition instead of guessing.
 from __future__ import annotations
 
 import json
-import os
 import re
 from math import gcd
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from .complexes import (ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, cbot, ceta, cfull, ctop, moore,
                         sphere, suspend, wedge)
+from .homgroups import _table_path
 from .homology import GradedAbelianGroup, primary_factors
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
@@ -257,15 +256,6 @@ class FormalMorphism:
 
 # --- the relation table -----------------------------------------------------
 
-def _table_file(name: str) -> str:
-    override = os.environ.get("CHANG_TABLE_PATH")
-    if override:
-        cand = os.path.join(override, name)
-        if os.path.exists(cand):
-            return cand
-    return str(resources.files("chang").joinpath("data", name))
-
-
 class RelationTable:
     """Composition fragment, generator orders and basis rewrites."""
 
@@ -274,7 +264,7 @@ class RelationTable:
 
     @classmethod
     def load(cls, path: str | None = None) -> "RelationTable":
-        path = path or _table_file("relations.txt")
+        path = path or _table_path("relations.txt")
         rules: dict[tuple[str, str], tuple] = {}
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -662,20 +652,7 @@ def _summand_chain(c: Summand):
     """(cell dims, boundary dict (from,to)->int) for one wedge summand."""
     if isinstance(c, SmashAtom):
         raise ValueError("matrix summands must be elementary pieces")
-    k = c.dim
-    if c.kind == "sphere":
-        return [k], {}
-    if c.kind == "moore":
-        return [k, k + 1], {(1, 0): c.p ** c.r}
-    if c.kind == "ceta":
-        return [k - 2, k], {}
-    if c.kind == "cbot":
-        return [k - 2, k - 1, k], {(1, 0): 2 ** c.r}
-    if c.kind == "ctop":
-        return [k - 2, k - 1, k], {(2, 1): 2 ** c.s}
-    if c.kind == "cfull":
-        return [k - 2, k - 1, k - 1, k], {(1, 0): 2 ** c.r, (3, 2): 2 ** c.s}
-    return [], {}
+    return c.cells(), c.boundary()
 
 
 def _gen_chain(gen: str, src: Summand, tgt: Summand):

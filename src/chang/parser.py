@@ -45,7 +45,15 @@ class Expr:
 
 
 _TOKEN = re.compile(r"(\d+|[A-Za-z]+|[\^+(),*])")
-_KEYWORDS = {"S", "M", "Ceta", "Ctop", "Cbot", "C", "D", "susp", "v"}
+
+# surface head -> (kind, spelling after the head as (parameter, literal)
+# parts); the parameters come out in spelling order, which is Expr.args
+_ATOMS = {
+    fam.spelling.split("(")[0]: (kind, re.findall(
+        r"\{(\w+)\}|([^{}])", fam.spelling[fam.spelling.index("("):]))
+    for kind, fam in cx.FAMILIES.items() if fam.cells
+}
+_KEYWORDS = set(_ATOMS) | {"D", "susp", "v"}
 
 
 def _tokenize(text: str):
@@ -118,43 +126,19 @@ class _Parser:
         if tok == "*":
             self.take()
             return Expr("point")
-        if tok == "S":
-            self.take(); self.take("(")
-            n = self.int_()
-            self.take(")")
-            return Expr("S", (n,))
-        if tok == "M":
-            self.take(); self.take("(")
-            p = self.int_()
-            r = 1
-            if self.peek() == "^":
-                self.take()
-                r = self.int_()
-            self.take(",")
-            n = self.int_()
-            self.take(")")
-            return Expr("M", (p, r, n))
-        if tok == "Ceta":
-            self.take(); self.take("(")
-            k = self.int_()
-            self.take(")")
-            return Expr("Ceta", (k,))
-        if tok == "Ctop":
-            self.take(); self.take("(")
-            k = self.int_(); self.take(","); s = self.int_()
-            self.take(")")
-            return Expr("Ctop", (k, s))
-        if tok == "Cbot":
-            self.take(); self.take("(")
-            r = self.int_(); self.take(","); k = self.int_()
-            self.take(")")
-            return Expr("Cbot", (r, k))
-        if tok == "C":
-            self.take(); self.take("(")
-            r = self.int_(); self.take(","); k = self.int_()
-            self.take(","); s = self.int_()
-            self.take(")")
-            return Expr("C", (r, k, s))
+        if tok in _ATOMS:
+            self.take()
+            args = []
+            parts = iter(_ATOMS[tok][1])
+            for name, lit in parts:
+                if lit == "^" and self.peek() != "^":
+                    next(parts)         # M(p,n) is M(p^1,n)
+                    args.append(1)
+                elif name:
+                    args.append(self.int_())
+                else:
+                    self.take(lit)
+            return Expr(tok, tuple(args))
         if tok == "D":
             self.take(); self.take("(")
             e = self.wedge()
@@ -168,8 +152,7 @@ class _Parser:
             self.take(")")
             return Expr("susp", (m,), (e,))
         raise ParseError(f"got {tok!r}", off,
-                         ("S", "M", "Ceta", "Ctop", "Cbot", "C", "D",
-                          "susp", "*", "("))
+                         (*_ATOMS, "D", "susp", "*", "("))
 
 
 def parse_expression(text: str) -> Expr:
@@ -183,19 +166,9 @@ def parse_expression(text: str) -> Expr:
 def print_expression(e: Expr) -> str:
     if e.head == "point":
         return "*"
-    if e.head == "S":
-        return f"S({e.args[0]})"
-    if e.head == "M":
-        p, r, n = e.args
-        return f"M({p}^{r},{n})"
-    if e.head == "Ceta":
-        return f"Ceta({e.args[0]})"
-    if e.head == "Ctop":
-        return f"Ctop({e.args[0]},{e.args[1]})"
-    if e.head == "Cbot":
-        return f"Cbot({e.args[0]},{e.args[1]})"
-    if e.head == "C":
-        return f"C({e.args[0]},{e.args[1]},{e.args[2]})"
+    if e.head in _ATOMS:
+        kind, params = _atom_params(e)
+        return cx.FAMILIES[kind].spelling.format(**params)
     if e.head == "susp":
         return f"susp({e.args[0]},{print_expression(e.kids[0])})"
     if e.head == "dual":
@@ -211,24 +184,20 @@ def print_expression(e: Expr) -> str:
     raise ValueError(f"unknown node {e.head!r}")
 
 
+def _atom_params(e: Expr) -> tuple[str, dict[str, int]]:
+    kind, parts = _ATOMS[e.head]
+    return kind, dict(zip([name for name, _ in parts if name], e.args))
+
+
 def _atom_complex(e: Expr) -> ElementaryComplex:
-    try:
-        if e.head == "point":
-            return cx.POINT
-        if e.head == "S":
-            return cx.sphere(*e.args)
-        if e.head == "M":
-            return cx.moore(*e.args)
-        if e.head == "Ceta":
-            return cx.ceta(*e.args)
-        if e.head == "Ctop":
-            return cx.ctop(*e.args)
-        if e.head == "Cbot":
-            return cx.cbot(*e.args)
-        if e.head == "C":
-            return cx.cfull(*e.args)
-    except ValueError as exc:
-        raise SemanticError(f"{print_expression(e)}: {exc}") from None
+    if e.head == "point":
+        return cx.POINT
+    if e.head in _ATOMS:
+        kind, params = _atom_params(e)
+        try:
+            return ElementaryComplex(kind, **params)
+        except ValueError as exc:
+            raise SemanticError(f"{print_expression(e)}: {exc}") from None
     raise SemanticError(f"{print_expression(e)} is not an elementary piece")
 
 

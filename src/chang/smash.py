@@ -21,13 +21,14 @@ of it fails the homology check and is rejected).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .complexes import (ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, base_form, cbot, ceta, cfull, ctop,
                         dual, moore, smash_atom, suspend, wedge)
 from .verify import VerificationReport, check_decomposition
 
-__all__ = ["smash_decompose", "decompose_pair", "normalize_pair",
+__all__ = ["smash_decompose", "decompose_pair", "classified_pairs",
            "DecompositionResult", "UnclassifiedPair", "VerificationFailure",
            "Branch"]
 
@@ -172,40 +173,46 @@ def _solve_full_full(a: ElementaryComplex, b: ElementaryComplex,
     return list(out.summands), [_br(a, b, "cfull-cfull/dual")] + brs
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """How a pair was moved onto a canonical table row."""
-    swapped: bool = False
-    dualized: bool = False
-    sdim: int = 16
-
-    def map_back(self, w: WedgeComplex) -> WedgeComplex:
-        return dual(w, self.sdim) if self.dualized else w
-
-
-def normalize_pair(a: ElementaryComplex, b: ElementaryComplex
-                   ) -> tuple[ElementaryComplex, ElementaryComplex, NormalizationRecord]:
-    """Commutativity swap and/or global duality onto a canonical row.
-
-    Expects base-form pieces.  For the four-cell ^ four-cell family the
-    answer row requires max(r,s,r',s') in the s-slot of the first factor;
-    the record says how to map the row's answer back.
-    """
-    swapped = False
-    if a.sort_key > b.sort_key:
-        a, b = b, a
-        swapped = True
-    if a.kind == b.kind == "cfull":
-        mx = max(a.r, a.s, b.r, b.s)
-        if a.s == mx:
-            return a, b, NormalizationRecord(swapped, False)
-        if b.s == mx:
-            return b, a, NormalizationRecord(not swapped, False)
-        da, db = cfull(a.s, 5, a.r), cfull(b.s, 5, b.r)
-        if da.s != mx:
-            da, db, swapped = db, da, not swapped
-        return da, db, NormalizationRecord(swapped, True)
-    return a, b, NormalizationRecord(swapped, False)
+def classified_pairs() -> list[tuple[ElementaryComplex, ElementaryComplex]]:
+    """Every base pair type the rules above classify, over the exponent
+    grid {1,2,3}, one ordering each."""
+    P = (1, 2, 3)
+    pairs = []
+    for u, v in product(P, P):
+        pairs.append((moore(2, u, 3), moore(2, v, 3)))
+    for u in P:
+        pairs.append((moore(2, u, 3), ceta(5)))
+    for u, r in product(P, P):
+        pairs.append((moore(2, u, 3), cbot(r, 5)))
+        pairs.append((moore(2, u, 3), ctop(5, r)))
+    for u, r, s in product(P, P, P):
+        pairs.append((moore(2, u, 3), cfull(r, 5, s)))
+    pairs.append((ceta(5), ceta(5)))
+    for r in P:
+        pairs.append((ceta(5), cbot(r, 5)))
+        pairs.append((ceta(5), ctop(5, r)))
+    for r, s in product(P, P):
+        pairs.append((ceta(5), cfull(r, 5, s)))
+        pairs.append((cbot(r, 5), cbot(s, 5)))
+        pairs.append((cbot(r, 5), ctop(5, s)))
+        pairs.append((ctop(5, r), ctop(5, s)))
+    for u, r, s in product(P, P, P):
+        pairs.append((cbot(u, 5), cfull(r, 5, s)))
+        pairs.append((ctop(5, u), cfull(r, 5, s)))
+    for r, s, rp, sp in product(P, P, P, P):
+        pairs.append((cfull(r, 5, s), cfull(rp, 5, sp)))
+    for p in (3, 5):
+        for u in P:
+            for v in P:
+                pairs.append((moore(p, u, 3), moore(p, v, 3)))
+                pairs.append((moore(p, u, 3), moore(2, v, 3)))
+            pairs.append((moore(p, u, 3), ceta(5)))
+            for r in P:
+                pairs.append((moore(p, u, 3), cbot(r, 5)))
+                pairs.append((moore(p, u, 3), ctop(5, r)))
+            for r, s in product(P, P):
+                pairs.append((moore(p, u, 3), cfull(r, 5, s)))
+    return pairs
 
 
 def decompose_pair(a: ElementaryComplex, b: ElementaryComplex

@@ -176,41 +176,30 @@ class SqModule:
 _EMPTY = SqModule()
 
 
-def _single(labels_by_deg, sq1=(), sq2=()) -> SqModule:
-    return SqModule(labels_by_deg, dict(sq1), dict(sq2))
-
-
 def _elementary_sq(c: ElementaryComplex) -> SqModule:
-    k = c.dim
-    if c.kind == "point":
-        return _EMPTY
-    if c.kind == "sphere":
-        return SqModule({k: (f"u{k}",)})
-    if c.kind == "moore":
-        if c.p != 2:
-            return _EMPTY
-        sq1 = {k: (1,)} if c.r == 1 else {}
-        return SqModule({k: (f"u{k}",), k + 1: (f"u{k+1}",)}, sq1)
-    if c.kind == "ceta":
-        return SqModule({k - 2: (f"u{k-2}",), k: (f"u{k}",)}, sq2={k - 2: (1,)})
-    if c.kind == "ctop":
-        sq1 = {k - 1: (1,)} if c.s == 1 else {}
-        return SqModule({k - 2: (f"u{k-2}",), k - 1: (f"u{k-1}",), k: (f"u{k}",)},
-                        sq1, {k - 2: (1,)})
-    if c.kind == "cbot":
-        sq1 = {k - 2: (1,)} if c.r == 1 else {}
-        return SqModule({k - 2: (f"u{k-2}",), k - 1: (f"u{k-1}",), k: (f"u{k}",)},
-                        sq1, {k - 2: (1,)})
-    # cfull: two middle classes; only vb{k-1} can support Sq^1 into the top
-    sq1 = {}
-    if c.r == 1:
-        sq1[k - 2] = (0b01,)            # v -> v(k-1), never the barred class
-    if c.s == 1:
-        sq1[k - 1] = (0, 1)             # vb(k-1) -> v(k)
-    return SqModule({k - 2: (f"v{k-2}",),
-                     k - 1: (f"v{k-1}", f"vb{k-1}"),
-                     k: (f"v{k}",)},
-                    sq1, {k - 2: (1,)})
+    # mod 2, an odd attaching degree cancels both its cells, a degree
+    # 2 mod 4 is Sq^1 from its target cell to its source cell, and each
+    # eta attachment is Sq^2
+    dims = c.cells()
+    alive = set(range(len(dims)))
+    sq1 = []
+    for (a, b), q in c.boundary().items():
+        if q % 2:
+            alive -= {a, b}
+        elif q % 4 == 2:
+            sq1.append((b, a))
+    basis: dict[int, list[str]] = {}
+    index = {}
+    for i in sorted(alive):
+        d, prefix = dims[i], c.family.cells[i][1]
+        index[i] = len(basis.setdefault(d, []))
+        basis[d].append(f"{prefix}{d}")
+    ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}}
+    for k, edges in ((1, sq1), (2, c.family.eta)):
+        for src, tgt in edges:
+            masks = ops[k].setdefault(dims[src], [0] * len(basis[dims[src]]))
+            masks[index[src]] |= 1 << index[tgt]
+    return SqModule(basis, ops[1], ops[2])
 
 
 def cartan_smash_sq(A: SqModule, B: SqModule) -> SqModule:

@@ -1,9 +1,9 @@
 import sys
-from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from chang import smash
 from chang.complexes import cbot, ceta, cfull, ctop, moore, sphere
 
 PARAMS = (1, 2, 3)
@@ -11,47 +11,14 @@ PARAMS = (1, 2, 3)
 
 def classified_pairs():
     """Every classified pair type over the {1,2,3} parameter grid (one
-    ordering each; the suite commutes them where needed)."""
-    pairs = []
-    for u, v in product(PARAMS, PARAMS):
-        pairs.append((moore(2, u, 3), moore(2, v, 3)))
-    for u in PARAMS:
-        pairs.append((moore(2, u, 3), ceta(5)))
-    for u, r in product(PARAMS, PARAMS):
-        pairs.append((moore(2, u, 3), cbot(r, 5)))
-        pairs.append((moore(2, u, 3), ctop(5, r)))
-    for u, r, s in product(PARAMS, PARAMS, PARAMS):
-        pairs.append((moore(2, u, 3), cfull(r, 5, s)))
-    pairs.append((ceta(5), ceta(5)))
-    for r in PARAMS:
-        pairs.append((ceta(5), cbot(r, 5)))
-        pairs.append((ceta(5), ctop(5, r)))
-    for r, s in product(PARAMS, PARAMS):
-        pairs.append((ceta(5), cfull(r, 5, s)))
-        pairs.append((cbot(r, 5), cbot(s, 5)))
-        pairs.append((cbot(r, 5), ctop(5, s)))
-        pairs.append((ctop(5, r), ctop(5, s)))
-    for u, r, s in product(PARAMS, PARAMS, PARAMS):
-        pairs.append((cbot(u, 5), cfull(r, 5, s)))
-        pairs.append((ctop(5, u), cfull(r, 5, s)))
-    for r, s, rp, sp in product(PARAMS, PARAMS, PARAMS, PARAMS):
-        pairs.append((cfull(r, 5, s), cfull(rp, 5, sp)))
-    for p in (3, 5):
-        for u in PARAMS:
-            for v in PARAMS:
-                pairs.append((moore(p, u, 3), moore(p, v, 3)))
-                pairs.append((moore(p, u, 3), moore(2, v, 3)))
-            pairs.append((moore(p, u, 3), ceta(5)))
-            for r in PARAMS:
-                pairs.append((moore(p, u, 3), cbot(r, 5)))
-                pairs.append((moore(p, u, 3), ctop(5, r)))
-            for r, s in product(PARAMS, PARAMS):
-                pairs.append((moore(p, u, 3), cfull(r, 5, s)))
-    pairs.append((moore(3, 1, 3), moore(5, 2, 3)))
-    pairs.append((sphere(3), cbot(2, 5)))
-    pairs.append((sphere(4), moore(2, 2, 3)))
-    pairs.append((sphere(3), sphere(5)))
-    return pairs
+    ordering each; the suite commutes them where needed), then a coprime
+    odd Moore pair and three sphere pairs."""
+    return smash.classified_pairs() + [
+        (moore(3, 1, 3), moore(5, 2, 3)),
+        (sphere(3), cbot(2, 5)),
+        (sphere(4), moore(2, 2, 3)),
+        (sphere(3), sphere(5)),
+    ]
 
 
 def elementary_samples():

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chang.complexes import (POINT, SmashAtom, WindowError, canonicalize,
-                             cbot, ceta, cells_of, cfull, ctop, dual,
-                             dual_elementary, moore, smash_atom, sphere,
+from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WindowError,
+                             canonicalize, cbot, ceta, cells_of, cfull, ctop,
+                             dual, dual_elementary, moore, smash_atom, sphere,
                              suspend, wedge)
 from chang.homology import integral_homology, kunneth
 
@@ -157,6 +157,11 @@ def test_stable_range_enforced():
         cfull(0, 5, 1)
     with pytest.raises(ValueError):
         ceta(4)
+    # parameters a family does not use would make equal pieces unequal
+    with pytest.raises(ValueError):
+        ElementaryComplex("moore", 3, p=2, r=1, s=7)
+    with pytest.raises(ValueError):
+        ElementaryComplex("sphere", 5, r=2)
 
 
 def test_elementary_samples_have_cells_matching_homology_support():

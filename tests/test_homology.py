@@ -111,6 +111,10 @@ def test_kunneth_associative(a, b, c):
 def test_universal_coefficients_consistency():
     # dim H^d(-;Z/2) = (# Z and 2-power factors of H_d) + (# 2-power of H_{d-1})
     samples = [wedge(a) for a in elementary_samples()]
+    exps = range(1, 6)
+    samples += [wedge(moore(p, u, 3)) for p in (2, 3, 5) for u in exps]
+    samples += [wedge(c) for u in exps for c in (cbot(u, 5), ctop(5, u))]
+    samples += [wedge(cfull(r, 5, s)) for r, s in product(exps, exps)]
     samples.append(wedge(moore(2, 1, 3), cfull(2, 5, 1), sphere(4)))
     from chang.complexes import smash_atom
     samples.append(wedge(smash_atom(moore(2, 2, 3), ceta(5)), moore(2, 2, 7)))

@@ -166,6 +166,7 @@ def test_cli_table_coverage(capsys):
     assert code == 0
     assert "cfull-cfull/dual" in out
     assert "moore-moore/coprime" in out
+    assert "total pairs: 367; rules hit: 35" in out.splitlines()
 
 
 def test_cli_cohomology_sq(capsys):

@@ -3,8 +3,7 @@ import pytest
 from chang.complexes import (POINT, cbot, ceta, cfull, ctop, dual, moore,
                              smash_atom, sphere, suspend, wedge)
 from chang.homology import integral_homology, kunneth
-from chang.smash import (UnclassifiedPair, decompose_pair, normalize_pair,
-                         smash_decompose)
+from chang.smash import UnclassifiedPair, decompose_pair, smash_decompose
 
 from conftest import classified_pairs
 
@@ -140,17 +139,6 @@ def test_provenance_names_rules():
     rules = [r for _, r in res.branches]
     assert rules[0] == "moore2-cfull/r<u<=s"
     assert "moore2-cbot/u>r" in rules
-
-
-def test_normalize_pair_records():
-    a, b, rec = normalize_pair(cfull(2, 5, 1), cfull(1, 5, 3))
-    assert (a, b) == (cfull(1, 5, 3), cfull(2, 5, 1))
-    assert rec.swapped and not rec.dualized
-    a, b, rec = normalize_pair(cfull(3, 5, 1), cfull(2, 5, 1))
-    assert rec.dualized and (a.s == 3 or a.s == max(a.r, a.s, b.r, b.s))
-    # mapping a result back through the record is an involution on wedges
-    w = out(a, b)
-    assert rec.map_back(rec.map_back(w)) == w
 
 
 def test_decomposition_result_fields():
