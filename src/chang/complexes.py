@@ -116,6 +116,10 @@ class ElementaryComplex:
         fam = FAMILIES.get(self.kind)
         if fam is None:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not fam.cells and self.dim != fam.min_dim:
+            # a point has no cells to place; any dim would make it unequal
+            # to POINT
+            raise ValueError(f"{self.kind} takes no dimension, got {self.dim}")
         if self.dim < fam.min_dim:
             raise ValueError(
                 f"{self.kind} at dimension {self.dim} is below the stable range")

@@ -8,10 +8,12 @@ tuples.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import cache
 from math import gcd
 from typing import Iterable, Mapping
 
-from .complexes import ElementaryComplex, SmashAtom, Summand, WedgeComplex, wedge
+from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
 
 __all__ = ["GradedAbelianGroup", "integral_homology", "kunneth",
            "primary_factors", "cyclic_label"]
@@ -147,16 +149,22 @@ def _elementary_homology(c: ElementaryComplex) -> GradedAbelianGroup:
     return GradedAbelianGroup(out)
 
 
+@cache
+def _summand_homology(c: Summand) -> GradedAbelianGroup:
+    """Homology of one summand, computed once per process and shared by
+    every caller; an atom's suspension shifts the homology of its base pair."""
+    if isinstance(c, ElementaryComplex):
+        return _elementary_homology(c)
+    if c.shift:
+        return _summand_homology(replace(c, shift=0)).shift(c.shift)
+    return kunneth(_summand_homology(c.left), _summand_homology(c.right))
+
+
 def integral_homology(x: Summand | WedgeComplex) -> GradedAbelianGroup:
     """Reduced integral homology; atoms go through the Kunneth formula."""
     if not isinstance(x, WedgeComplex):
         x = wedge(x)
     total = _ZERO
     for c in x.summands:
-        if isinstance(c, SmashAtom):
-            h = kunneth(_elementary_homology(c.left),
-                        _elementary_homology(c.right)).shift(c.shift)
-        else:
-            h = _elementary_homology(c)
-        total = total.direct_sum(h)
+        total = total.direct_sum(_summand_homology(c))
     return total

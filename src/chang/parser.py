@@ -249,14 +249,9 @@ def homology_of_expression(e: Expr):
 
 def sqmodule_of_expression(e: Expr):
     """Mod-2 cohomology along the structure: smashes by the Cartan formula."""
-    from .steenrod import cartan_smash_sq, mod2_cohomology
+    from .steenrod import cartan_smash_sq, mod2_cohomology, wedge_sum
     if e.head == "wedge":
-        out = sqmodule_of_expression(e.kids[0]).relabel(lambda s: "0." + s)
-        for i, kid in enumerate(e.kids[1:], start=1):
-            part = sqmodule_of_expression(kid).relabel(
-                lambda s, i=i: f"{i}." + s)
-            out = out.direct_sum(part)
-        return out
+        return wedge_sum([sqmodule_of_expression(kid) for kid in e.kids])
     if e.head == "smash":
         out = sqmodule_of_expression(e.kids[0])
         for kid in e.kids[1:]:

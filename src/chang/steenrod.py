@@ -8,12 +8,14 @@ cross terms in the Sq^4 expansion.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import ElementaryComplex, SmashAtom, Summand, WedgeComplex, wedge
+from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
 
-__all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "poincare_mod2",
-           "f2_rank"]
+__all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
+           "poincare_mod2", "f2_rank"]
 
 
 def f2_rank(vectors: Iterable[int]) -> int:
@@ -27,15 +29,15 @@ def f2_rank(vectors: Iterable[int]) -> int:
     return len(basis)
 
 
-def _compose_masks(first: Sequence[int], mid_dim: int,
-                   second: Sequence[int]) -> list[int]:
-    """Masks of (second o first); first: V->W (dim W = mid_dim), second: W->U."""
+def _compose_masks(first: Sequence[int], second: Sequence[int]) -> list[int]:
+    """Masks of (second o first); first: V->W, second: W->U."""
     out = []
     for v in first:
         acc = 0
-        for j in range(mid_dim):
-            if v >> j & 1:
-                acc ^= second[j]
+        while v:
+            low = v & -v
+            acc ^= second[low.bit_length() - 1]
+            v ^= low
         out.append(acc)
     return out
 
@@ -57,7 +59,8 @@ class SqModule:
                 masks = tuple(masks)
                 if len(masks) != self.dim(d):
                     raise ValueError(f"Sq^{k} at degree {d}: bad source size")
-                if any(m >> self.dim(d + k) for m in masks):
+                width = self.dim(d + k)
+                if any(m >> width for m in masks):
                     raise ValueError(f"Sq^{k} at degree {d}: image out of range")
                 if any(masks):
                     self.ops[k][d] = masks
@@ -66,12 +69,11 @@ class SqModule:
     def _check_relations(self):
         for d in self.degrees():
             one = self.op(1, d)
-            if any(_compose_masks(one, self.dim(d + 1), self.op(1, d + 1))):
+            if any(_compose_masks(one, self.op(1, d + 1))):
                 raise ValueError(f"Sq^1 Sq^1 != 0 at degree {d}")
-            lhs = _compose_masks(self.op(2, d), self.dim(d + 2), self.op(2, d + 2))
-            rhs = _compose_masks(
-                _compose_masks(one, self.dim(d + 1), self.op(2, d + 1)),
-                self.dim(d + 3), self.op(1, d + 3))
+            lhs = _compose_masks(self.op(2, d), self.op(2, d + 2))
+            rhs = _compose_masks(_compose_masks(one, self.op(2, d + 1)),
+                                 self.op(1, d + 3))
             if lhs != rhs:
                 raise ValueError(f"Sq^2 Sq^2 != Sq^1 Sq^2 Sq^1 at degree {d}")
 
@@ -92,7 +94,7 @@ class SqModule:
 
     def sq3(self, d: int) -> list[int]:
         """Sq^3 = Sq^1 Sq^2 (the only decomposition available here)."""
-        return _compose_masks(self.op(2, d), self.dim(d + 2), self.op(1, d + 2))
+        return _compose_masks(self.op(2, d), self.op(1, d + 2))
 
     def rank(self, k: int, d: int) -> int:
         return f2_rank(self.op(k, d))
@@ -109,24 +111,6 @@ class SqModule:
                         {d + m: v for d, v in self.ops[1].items()},
                         {d + m: v for d, v in self.ops[2].items()},
                         {d + m: v for d, v in self.ops[4].items()})
-
-    def relabel(self, fn) -> "SqModule":
-        return SqModule({d: tuple(fn(x) for x in v) for d, v in self.basis.items()},
-                        self.ops[1], self.ops[2], self.ops[4])
-
-    def direct_sum(self, other: "SqModule") -> "SqModule":
-        basis: dict[int, tuple[str, ...]] = {}
-        for d in set(self.basis) | set(other.basis):
-            basis[d] = self.labels(d) + other.labels(d)
-        ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
-        for k in (1, 2, 4):
-            for d in basis:
-                mine = self.op(k, d)
-                theirs = [m << self.dim(d + k) for m in other.op(k, d)]
-                masks = list(mine) + theirs
-                if any(masks):
-                    ops[k][d] = masks
-        return SqModule(basis, ops[1], ops[2], ops[4])
 
     def permuted(self, perms: Mapping[int, Sequence[int]]) -> "SqModule":
         """Reorder the basis in selected degrees (perm[i] = old index of new i)."""
@@ -173,9 +157,6 @@ class SqModule:
         return f"SqModule(dims={self.dims()})"
 
 
-_EMPTY = SqModule()
-
-
 def _elementary_sq(c: ElementaryComplex) -> SqModule:
     # mod 2, an odd attaching degree cancels both its cells, a degree
     # 2 mod 4 is Sq^1 from its target cell to its source cell, and each
@@ -202,82 +183,96 @@ def _elementary_sq(c: ElementaryComplex) -> SqModule:
     return SqModule(basis, ops[1], ops[2])
 
 
+
+
+def _sq_rows(m: SqModule, d: int) -> list[list[tuple[int, int]]]:
+    """Nonzero rows (index, mask) of Sq^0..Sq^4 on degree d of m."""
+    tables = ([1 << i for i in range(m.dim(d))], m.op(1, d), m.op(2, d),
+              m.sq3(d), m.op(4, d))
+    return [[(i, mask) for i, mask in enumerate(t) if mask] for t in tables]
+
+
 def cartan_smash_sq(A: SqModule, B: SqModule) -> SqModule:
-    """Tensor module with Sq^n(x@y) = sum of Sq^i x @ Sq^j y over i+j=n."""
-    pairs: dict[int, list[tuple[int, int, int, int]]] = {}
-    index: dict[tuple[int, int, int, int], int] = {}
+    """Tensor module with Sq^n(x@y) = sum of Sq^i x @ Sq^j y over i+j=n.
+
+    Degree d of the tensor lists one block per (da, db) with da + db = d,
+    da rising; in block (da, db), x_i @ y_j sits at the block's offset plus
+    i * dim_B(db) + j.  So Sq^p x_i @ Sq^q y_j is the mask of Sq^q y_j
+    shifted into block (da+p, db+q), once for each set bit k of Sq^p x_i.
+    """
     basis: dict[int, list[str]] = {}
+    offset: dict[tuple[int, int], int] = {}
     for da in A.degrees():
         for db in B.degrees():
-            d = da + db
-            for i, la in enumerate(A.labels(da)):
-                for j, lb in enumerate(B.labels(db)):
-                    key = (da, i, db, j)
-                    index[key] = len(pairs.setdefault(d, []))
-                    pairs[d].append(key)
-                    basis.setdefault(d, []).append(f"{la}⊗{lb}")
-
-    def component(masks_a, ia, da2, masks_b, ib, db2, d_out) -> int:
-        """Bit contribution of (Sq^i x)(Sq^j y) to degree d_out."""
-        ma = masks_a[ia]
-        mb = masks_b[ib]
-        out = 0
-        for na in range(len(A.labels(da2))):
-            if not (ma >> na & 1):
-                continue
-            for nb in range(len(B.labels(db2))):
-                if mb >> nb & 1:
-                    out ^= 1 << index[(da2, na, db2, nb)]
-        return out
-
-    def identity_masks(m: SqModule, d: int) -> list[int]:
-        return [1 << i for i in range(m.dim(d))]
-
-    ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
-    for d, keys in pairs.items():
+            labels = basis.setdefault(da + db, [])
+            offset[da, db] = len(labels)
+            labels.extend(f"{la}⊗{lb}" for la in A.labels(da)
+                          for lb in B.labels(db))
+    rows_a = {da: _sq_rows(A, da) for da in A.degrees()}
+    rows_b = {db: _sq_rows(B, db) for db in B.degrees()}
+    ops = {n: {d: [0] * len(labels) for d, labels in basis.items()}
+           for n in (1, 2, 4)}
+    for (da, db), start in offset.items():
+        width = B.dim(db)
         for n in (1, 2, 4):
-            masks = []
-            for (da, i, db, j) in keys:
-                acc = 0
-                splits = [(p, n - p) for p in range(n + 1)]
-                for (p, q) in splits:
-                    if p == 3:
-                        am = A.sq3(da)
-                    else:
-                        am = A.op(p, da) if p else identity_masks(A, da)
-                    if q == 3:
-                        bm = B.sq3(db)
-                    else:
-                        bm = B.op(q, db) if q else identity_masks(B, db)
-                    acc ^= component(am, i, da + p, bm, j, db + q, d + n)
-                masks.append(acc)
-            if any(masks):
-                ops[n][d] = masks
-    return SqModule({d: tuple(v) for d, v in basis.items()},
-                    ops[1], ops[2], ops[4])
+            masks = ops[n][da + db]
+            for p in range(n + 1):
+                q = n - p
+                tgt = offset.get((da + p, db + q))
+                if tgt is None:
+                    continue
+                tgt_width = B.dim(db + q)
+                for i, ma in rows_a[da][p]:
+                    shifts = [tgt + k * tgt_width
+                              for k in range(ma.bit_length()) if ma >> k & 1]
+                    row = start + i * width
+                    for j, mb in rows_b[db][q]:
+                        for shift in shifts:
+                            masks[row + j] ^= mb << shift
+    return SqModule(basis, ops[1], ops[2], ops[4])
+
+
+def wedge_sum(parts: Sequence[SqModule]) -> SqModule:
+    """Direct sum of the parts, built in one pass; the labels of part i get
+    the prefix "i." so that the bases stay disjoint."""
+    basis: dict[int, list[str]] = {}
+    offsets = []
+    for i, m in enumerate(parts):
+        at = {}
+        for d, labels in m.basis.items():
+            row = basis.setdefault(d, [])
+            at[d] = len(row)
+            row.extend(f"{i}.{lab}" for lab in labels)
+        offsets.append(at)
+    ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
+    for k in (1, 2, 4):
+        for m, at in zip(parts, offsets):
+            for d, masks in m.ops[k].items():
+                row = ops[k].setdefault(d, [0] * len(basis[d]))
+                row[at[d]:at[d] + len(masks)] = [x << at[d + k] for x in masks]
+    return SqModule(basis, ops[1], ops[2], ops[4])
+
+
+@cache
+def _summand_sq(c: Summand) -> SqModule:
+    """Sq-module of one summand, built once per process and shared by every
+    caller; an atom's suspension shifts the module of its base pair."""
+    if isinstance(c, ElementaryComplex):
+        return _elementary_sq(c)
+    if c.shift:
+        return _summand_sq(replace(c, shift=0)).shift(c.shift)
+    return cartan_smash_sq(_summand_sq(c.left), _summand_sq(c.right))
 
 
 def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:
-    """Sq-module of a wedge; labels carry the summand index."""
+    """Sq-module of a wedge; labels carry the summand index when there is
+    more than one summand.  A single summand's module is the memoised one,
+    so callers must not mutate the result."""
     if not isinstance(x, WedgeComplex):
         x = wedge(x)
-    total = _EMPTY
-    solo = len(x.summands) == 1
-    for i, c in enumerate(x.summands):
-        if isinstance(c, SmashAtom):
-            part = cartan_smash_sq(_elementary_sq(c.left),
-                                   _elementary_sq(c.right)).shift(c.shift)
-        else:
-            part = _elementary_sq(c)
-        if not solo:
-            part = part.relabel(lambda lab, i=i: f"{i}.{lab}")
-        total = total.direct_sum(part)
-    return total
-
-
-def sq_module_of_factors(a, b) -> SqModule:
-    """Cartan module of a smash given the two factors (wedges allowed)."""
-    return cartan_smash_sq(mod2_cohomology(a), mod2_cohomology(b))
+    if len(x.summands) == 1:
+        return _summand_sq(x.summands[0])
+    return wedge_sum([_summand_sq(c) for c in x.summands])
 
 
 def poincare_mod2(x: Summand | WedgeComplex) -> dict[int, int]:

@@ -162,6 +162,9 @@ def test_stable_range_enforced():
         ElementaryComplex("moore", 3, p=2, r=1, s=7)
     with pytest.raises(ValueError):
         ElementaryComplex("sphere", 5, r=2)
+    # a point has no dimension: POINT is the only point
+    with pytest.raises(ValueError):
+        ElementaryComplex("point", 3)
 
 
 def test_elementary_samples_have_cells_matching_homology_support():

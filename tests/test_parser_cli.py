@@ -145,6 +145,11 @@ def test_cli_exit_codes(capsys):
     code, _ = run_cli("verify", "M(2^2,3)", "C(2,5,1)",
                       "C(2,8,1) v C(2,9,1)", capsys=capsys)
     assert code == 0
+    # same homology and mod-2 dimensions, but the Sq invariants differ
+    code, out = run_cli("verify", "M(2,3)", "Ceta(5)", "M(2,6) v M(2,8)",
+                        capsys=capsys)
+    assert "sq invariants: FAIL" in out
+    assert code == 1
     # smashing an atom against a non-sphere is outside the table
     code, _ = run_cli("smash", "M(2^2,3)^Cbot(3,5)", "M(2,3)", capsys=capsys)
     assert code == 3

@@ -1,6 +1,10 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from chang.complexes import cbot, ceta, cfull, ctop, moore, smash_atom, sphere, wedge
+import pytest
+
+from chang.complexes import (cbot, ceta, cfull, ctop, moore, smash_atom,
+                             sphere, suspend, wedge)
+from chang.homology import integral_homology
 from chang.steenrod import (SqModule, cartan_smash_sq, mod2_cohomology,
                             poincare_mod2)
 
@@ -140,3 +144,130 @@ def test_atom_module_inside_wedge_gets_prefixed_labels():
     assert m.dim(6) == 1 and m.dim(7) == 2
     # summand index prefixes keep wedge bases disjoint (atoms sort last)
     assert all("." in lab for lab in m.labels(6) + m.labels(7))
+
+
+# --- reference implementations the library's fast paths must agree with ---
+
+EXPONENTS = (1, 2, 3, 4, 5)
+# the 41 pieces of the benchmark's wide workload
+WIDE_PIECES = ([moore(2, u, 3) for u in EXPONENTS] + [ceta(5)]
+               + [cbot(r, 5) for r in EXPONENTS]
+               + [ctop(5, s) for s in EXPONENTS]
+               + [cfull(r, 5, s) for r in EXPONENTS for s in EXPONENTS])
+
+
+def _cartan_oracle(A: SqModule, B: SqModule) -> SqModule:
+    """The Cartan formula component by component: every x_i @ y_j indexed
+    through a dict, every output bit looked up separately."""
+    index: dict[tuple[int, int, int, int], int] = {}
+    keys: dict[int, list[tuple[int, int, int, int]]] = {}
+    basis: dict[int, list[str]] = {}
+    for da in A.degrees():
+        for db in B.degrees():
+            for i, la in enumerate(A.labels(da)):
+                for j, lb in enumerate(B.labels(db)):
+                    index[da, i, db, j] = len(keys.setdefault(da + db, []))
+                    keys[da + db].append((da, i, db, j))
+                    basis.setdefault(da + db, []).append(f"{la}⊗{lb}")
+
+    def masks_of(m: SqModule, k: int, d: int) -> list[int]:
+        if k == 0:
+            return [1 << i for i in range(m.dim(d))]
+        return m.sq3(d) if k == 3 else list(m.op(k, d))
+
+    ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
+    for d, ks in keys.items():
+        for n in (1, 2, 4):
+            masks = []
+            for da, i, db, j in ks:
+                acc = 0
+                for p in range(n + 1):
+                    ma = masks_of(A, p, da)[i]
+                    mb = masks_of(B, n - p, db)[j]
+                    for na in range(A.dim(da + p)):
+                        for nb in range(B.dim(db + n - p)):
+                            if ma >> na & 1 and mb >> nb & 1:
+                                acc ^= 1 << index[da + p, na, db + n - p, nb]
+                masks.append(acc)
+            ops[n][d] = masks
+    return SqModule(basis, ops[1], ops[2], ops[4])
+
+
+def _direct_sum(a: SqModule, b: SqModule) -> SqModule:
+    """Pairwise direct sum, b's basis after a's in each degree."""
+    basis = {d: a.labels(d) + b.labels(d) for d in set(a.basis) | set(b.basis)}
+    ops = {k: {d: list(a.op(k, d)) + [m << a.dim(d + k) for m in b.op(k, d)]
+               for d in basis} for k in (1, 2, 4)}
+    return SqModule(basis, ops[1], ops[2], ops[4])
+
+
+def _fold(parts) -> SqModule:
+    """Direct sum of the parts by a pairwise fold, with "i." label prefixes."""
+    total = SqModule()
+    for i, m in enumerate(parts):
+        prefixed = SqModule({d: tuple(f"{i}.{x}" for x in v)
+                             for d, v in m.basis.items()},
+                            m.ops[1], m.ops[2], m.ops[4])
+        total = _direct_sum(total, prefixed)
+    return total
+
+
+def _same_module(got: SqModule, want: SqModule) -> bool:
+    return (got == want and got.action_lines() == want.action_lines()
+            and all(got.labels(d) == want.labels(d) for d in want.degrees()))
+
+
+def test_cartan_kernel_matches_componentwise_oracle():
+    for a, b in combinations_with_replacement(WIDE_PIECES, 2):
+        A, B = mod2_cohomology(a), mod2_cohomology(b)
+        assert _same_module(cartan_smash_sq(A, B), _cartan_oracle(A, B)), (a, b)
+    wedges = [(wedge(moore(2, 1, 3), cfull(1, 5, 2)), wedge(ceta(5), cbot(1, 5))),
+              (wedge(cfull(2, 5, 1), ctop(5, 1), moore(2, 3, 3)),
+               wedge(cfull(1, 5, 1), cbot(2, 5))),
+              (wedge(sphere(3), cbot(1, 5), cfull(3, 5, 1)),
+               wedge(smash_atom(moore(2, 1, 3), ceta(5)), moore(2, 2, 4)))]
+    for x, y in wedges:
+        for X, Y in ((x, y), (y, x)):
+            A, B = mod2_cohomology(X), mod2_cohomology(Y)
+            assert _same_module(cartan_smash_sq(A, B), _cartan_oracle(A, B))
+
+
+def _shifted(m: SqModule, k: int, label) -> SqModule:
+    """m suspended k times, labels renamed by label(old label, new degree)."""
+    return SqModule({d + k: tuple(label(x, d + k) for x in v)
+                     for d, v in m.basis.items()},
+                    *({d + k: v for d, v in m.ops[n].items()} for n in (1, 2, 4)))
+
+
+def test_suspended_and_wedge_modules_match_a_fold():
+    atom = smash_atom(moore(2, 1, 3), ceta(5))
+    for k in (1, 3):
+        # an atom's labels keep the base degrees of its factors
+        want = _shifted(mod2_cohomology(atom), k, lambda x, d: x)
+        assert _same_module(mod2_cohomology(suspend(atom, k)), want)
+        # an elementary piece's labels carry the suspended degree
+        for c in (cbot(2, 5), cfull(1, 5, 3), moore(2, 1, 3)):
+            want = _shifted(mod2_cohomology(c), k,
+                            lambda x, d: x.rstrip("0123456789") + str(d))
+            assert _same_module(mod2_cohomology(suspend(c, k)), want)
+    for pieces in ((cfull(1, 9, 2), moore(2, 2, 6)),
+                   (suspend(atom, 2), cbot(1, 8), ceta(7)),
+                   (moore(3, 1, 4), sphere(5), cfull(2, 5, 1))):
+        w = wedge(*pieces)
+        parts = [mod2_cohomology(c) for c in w.summands]
+        assert _same_module(mod2_cohomology(w), _fold(parts))
+        total = integral_homology(w.summands[0])
+        for c in w.summands[1:]:
+            total = total.direct_sum(integral_homology(c))
+        assert integral_homology(w) == total
+
+
+def test_constructor_rejects_broken_relations():
+    with pytest.raises(ValueError, match="Sq\\^1 Sq\\^1"):
+        SqModule({3: ("a",), 4: ("b",), 5: ("c",)}, sq1={3: [1], 4: [1]})
+    with pytest.raises(ValueError, match="Sq\\^2 Sq\\^2"):
+        SqModule({3: ("a",), 5: ("b",), 7: ("c",)}, sq2={3: [1], 5: [1]})
+    with pytest.raises(ValueError, match="bad source size"):
+        SqModule({3: ("a",), 4: ("b",)}, sq1={3: [1, 0]})
+    with pytest.raises(ValueError, match="out of range"):
+        SqModule({3: ("a",), 4: ("b",)}, sq1={3: [2]})
