@@ -250,7 +250,7 @@ class SmashAtom:
         if self.shift < 0:
             raise ValueError("atom shift must be >= 0")
         for c in (self.left, self.right):
-            if base_form(c)[1] != 0:
+            if c.dim != c.family.min_dim:
                 raise ValueError(f"atom factor {c} is not in base form")
         if self.left.sort_key > self.right.sort_key:
             raise ValueError("atom factors out of canonical order")

@@ -20,7 +20,7 @@ from .complexes import (ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, cbot, ceta, cfull, ctop, moore,
                         sphere, suspend, wedge)
 from .homgroups import _table_path
-from .homology import GradedAbelianGroup, primary_factors
+from .homology import GradedAbelianGroup, _prime_powers
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
            "UnknownComposition", "NegateRow", "NegateCol", "ColCompose",
@@ -840,8 +840,7 @@ def _recognize_block(rows, cols, entries) -> list[Summand] | None:
             if r.kind == "sphere" and abs(cid) > 1:
                 # cone of a degree map is the corresponding Moore space,
                 # split into its primary pieces
-                return [moore(_pf(q), _exp_of(q, _pf(q)), r.dim)
-                        for q in primary_factors(abs(cid))]
+                return [moore(p, e, r.dim) for p, e in _prime_powers(abs(cid))]
             if r.kind == "moore" and r.p == 2:
                 if r.r == 1 and cid % 4 == 2:
                     return [cfull(1, r.dim + 2, 1)]
@@ -923,24 +922,6 @@ def _recognize_block(rows, cols, entries) -> list[Summand] | None:
                 return [cfull(r0.r, d + 1, a)]
         return None
     return None
-
-
-def _pf(q: int) -> int:
-    """Smallest prime factor of a prime power."""
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
-
-
-def _exp_of(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def split_cone(M: MorphismMatrix,

@@ -2,8 +2,9 @@
 
 decompose_pair knows one rule per (unordered, duality-normalized) pair of
 elementary pieces; smash_decompose distributes over wedges, reduces every
-decomposable summand the rules emit, and will not hand back a result whose
-homology differs from the Kunneth value of the input.
+decomposable summand the rules emit, and will not hand back a result that an
+independent cross-check refutes (homology against the Kunneth value, mod-2
+dimensions, Sq invariants, or a search that finds no Sq-isomorphism).
 
 The four-cell ^ four-cell family is normalized so that the largest torsion
 exponent sits in the s-slot of the first factor (swapping factors and/or
@@ -40,7 +41,7 @@ class UnclassifiedPair(Exception):
 
 
 class VerificationFailure(Exception):
-    """A decomposition failed its independent homology cross-check."""
+    """A decomposition failed one of its independent cross-checks."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,8 @@ def smash_decompose(x, y) -> DecompositionResult:
 
     An atom is accepted as input only against spheres (smashing with S^m is
     suspension); anything else outside the table raises UnclassifiedPair.
-    The homology cross-check is mandatory.
+    Every definite mismatch of the cross-checks raises VerificationFailure;
+    an Sq-isomorphism search "skipped" for size does not.
     """
     X = x if isinstance(x, WedgeComplex) else wedge(x)
     Y = y if isinstance(y, WedgeComplex) else wedge(y)
@@ -265,7 +267,12 @@ def smash_decompose(x, y) -> DecompositionResult:
             branches.extend(brs)
     output = wedge(*pieces)
     report = check_decomposition(X, Y, output)
-    if not report.homology_match:
-        raise VerificationFailure(
-            f"homology mismatch decomposing {X} ^ {Y} -> {output}")
+    checks = (("homology", report.homology_match),
+              ("mod-2 dimension", report.mod2_match),
+              ("Sq invariant", report.sq_invariants_match),
+              ("Sq isomorphism", report.sq_iso_found is not False))
+    for name, ok in checks:
+        if not ok:
+            raise VerificationFailure(
+                f"{name} mismatch decomposing {X} ^ {Y} -> {output}")
     return DecompositionResult((X, Y), output, tuple(branches), report)

@@ -1,45 +1,23 @@
 """Mod-2 cohomology as a module over Sq^1, Sq^2 and Sq^4.
 
 Bases are labelled; the operations are F2 matrices stored as bitmask rows
-(entry j of the image of basis element i is bit j of masks[i]).  Smash
-products get the Cartan formula, with Sq^3 = Sq^1 Sq^2 supplying the odd
-cross terms in the Sq^4 expansion.
+(entry j of the image of basis element i is bit j of masks[i]), and their
+ranks and composites come from `f2`.  Smash products get the Cartan
+formula, with Sq^3 = Sq^1 Sq^2 supplying the odd cross terms in the Sq^4
+expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from . import f2
 from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
-           "poincare_mod2", "f2_rank"]
-
-
-def f2_rank(vectors: Iterable[int]) -> int:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
-def _compose_masks(first: Sequence[int], second: Sequence[int]) -> list[int]:
-    """Masks of (second o first); first: V->W, second: W->U."""
-    out = []
-    for v in first:
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= second[low.bit_length() - 1]
-            v ^= low
-        out.append(acc)
-    return out
+           "poincare_mod2"]
 
 
 class SqModule:
@@ -69,11 +47,11 @@ class SqModule:
     def _check_relations(self):
         for d in self.degrees():
             one = self.op(1, d)
-            if any(_compose_masks(one, self.op(1, d + 1))):
+            if any(f2.compose(one, self.op(1, d + 1))):
                 raise ValueError(f"Sq^1 Sq^1 != 0 at degree {d}")
-            lhs = _compose_masks(self.op(2, d), self.op(2, d + 2))
-            rhs = _compose_masks(_compose_masks(one, self.op(2, d + 1)),
-                                 self.op(1, d + 3))
+            lhs = f2.compose(self.op(2, d), self.op(2, d + 2))
+            rhs = f2.compose(f2.compose(one, self.op(2, d + 1)),
+                             self.op(1, d + 3))
             if lhs != rhs:
                 raise ValueError(f"Sq^2 Sq^2 != Sq^1 Sq^2 Sq^1 at degree {d}")
 
@@ -94,10 +72,10 @@ class SqModule:
 
     def sq3(self, d: int) -> list[int]:
         """Sq^3 = Sq^1 Sq^2 (the only decomposition available here)."""
-        return _compose_masks(self.op(2, d), self.op(1, d + 2))
+        return f2.compose(self.op(2, d), self.op(1, d + 2))
 
     def rank(self, k: int, d: int) -> int:
-        return f2_rank(self.op(k, d))
+        return f2.rank(self.op(k, d))
 
     def is_iso(self, k: int, d: int) -> bool:
         n = self.dim(d)
@@ -114,26 +92,23 @@ class SqModule:
 
     def permuted(self, perms: Mapping[int, Sequence[int]]) -> "SqModule":
         """Reorder the basis in selected degrees (perm[i] = old index of new i)."""
-        def remap_mask(m: int, d: int) -> int:
-            perm = perms.get(d)
-            if perm is None:
-                return m
-            out = 0
-            for new_i, old_i in enumerate(perm):
-                if m >> old_i & 1:
-                    out |= 1 << new_i
-            return out
-
-        basis = {}
-        for d, v in self.basis.items():
-            perm = perms.get(d)
-            basis[d] = tuple(v[i] for i in perm) if perm is not None else v
-        ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
+        # back[d] sends old basis vector i of degree d to its new position;
+        # composing with it rewrites images in the new basis of the target
+        back = {}
+        for d, perm in perms.items():
+            back[d] = [0] * len(perm)
+            for new, old in enumerate(perm):
+                back[d][old] = 1 << new
+        basis = {d: tuple(v[i] for i in perms[d]) if d in perms else v
+                 for d, v in self.basis.items()}
+        ops: dict[int, dict[int, Sequence[int]]] = {1: {}, 2: {}, 4: {}}
         for k in (1, 2, 4):
             for d, masks in self.ops[k].items():
-                perm = perms.get(d)
-                src = [masks[i] for i in perm] if perm is not None else list(masks)
-                ops[k][d] = [remap_mask(m, d + k) for m in src]
+                if d in perms:
+                    masks = [masks[i] for i in perms[d]]
+                if d + k in back:
+                    masks = f2.compose(masks, back[d + k])
+                ops[k][d] = masks
         return SqModule(basis, ops[1], ops[2], ops[4])
 
     def action_lines(self) -> list[str]:

@@ -2,17 +2,18 @@
 
 Nothing here trusts the decision table: homology goes through the Kunneth
 formula, mod-2 data through the Cartan formula, and module isomorphism is
-decided by invariant vectors plus a bounded exhaustive search.
+decided by invariant vectors plus a bounded exhaustive search.  The F2
+ranks, composites and invertible maps behind those come from `f2`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
+from . import f2
 from .complexes import SmashAtom, WedgeComplex, wedge
 from .homology import GradedAbelianGroup, integral_homology, kunneth
-from .steenrod import SqModule, cartan_smash_sq, f2_rank, mod2_cohomology
+from .steenrod import SqModule, cartan_smash_sq, mod2_cohomology
 
 __all__ = ["graded_iso", "sq_module_compare", "moore_split_obstruction",
            "check_decomposition", "VerificationReport", "ObstructionReport",
@@ -34,47 +35,12 @@ def _invariant_vector(m: SqModule):
     vec = []
     for d in range(lo, hi + 1):
         one, two = m.op(1, d), m.op(2, d)
-        comp12 = _masks_compose(m, two, d + 2, 1)       # Sq1 Sq2
-        comp21 = _masks_compose(m, one, d + 1, 2)       # Sq2 Sq1
-        comp22 = _masks_compose(m, two, d + 2, 2)       # Sq2 Sq2
-        vec.append((d, m.dim(d), f2_rank(one), f2_rank(two), f2_rank(m.op(4, d)),
-                    f2_rank(comp12), f2_rank(comp21), f2_rank(comp22)))
+        comp12 = m.sq3(d)                                   # Sq1 Sq2
+        comp21 = f2.compose(one, m.op(2, d + 1))            # Sq2 Sq1
+        comp22 = f2.compose(two, m.op(2, d + 2))            # Sq2 Sq2
+        vec.append((d, m.dim(d), f2.rank(one), f2.rank(two), f2.rank(m.op(4, d)),
+                    f2.rank(comp12), f2.rank(comp21), f2.rank(comp22)))
     return tuple(vec)
-
-
-def _masks_compose(m: SqModule, first, mid_deg: int, k: int) -> list[int]:
-    second = m.op(k, mid_deg)
-    nmid = m.dim(mid_deg)
-    out = []
-    for v in first:
-        acc = 0
-        for j in range(nmid):
-            if v >> j & 1:
-                acc ^= second[j]
-        out.append(acc)
-    return out
-
-
-def _invertible_matrices(n: int):
-    """All invertible n x n F2 matrices as mask tuples (small n only)."""
-    if n == 0:
-        yield ()
-        return
-    for cand in product(range(1, 1 << n), repeat=n):
-        if f2_rank(cand) == n:
-            yield cand
-
-
-def _apply(masks, phi, tgt_dim):
-    """phi o masks, where phi is given on the target space."""
-    out = []
-    for v in masks:
-        acc = 0
-        for j in range(tgt_dim):
-            if v >> j & 1:
-                acc ^= phi[j]
-        out.append(acc)
-    return out
 
 
 def sq_module_compare(m1: SqModule, m2: SqModule):
@@ -96,38 +62,17 @@ def sq_module_compare(m1: SqModule, m2: SqModule):
         if idx == len(degs):
             return True
         d = degs[idx]
-        for phi in _invertible_matrices(m1.dim(d)):
+        for phi in f2.invertible(m1.dim(d)):
             chosen[d] = phi
-            ok = True
-            for k in (1, 2):
-                # constraint with the lower endpoint d-k, if already chosen
-                if d - k in chosen and m1.dim(d - k):
-                    lhs = _apply(m1.op(k, d - k), phi, m1.dim(d))
-                    rhs = _masks_via(chosen[d - k], m2.op(k, d - k))
-                    if lhs != rhs:
-                        ok = False
-                        break
-                # constraint upward only if the target degree was chosen
-                if d + k in chosen and m1.dim(d + k):
-                    lhs = _apply(m1.op(k, d), chosen[d + k], m1.dim(d + k))
-                    rhs = _masks_via(phi, m2.op(k, d))
-                    if lhs != rhs:
-                        ok = False
-                        break
+            # phi must commute with each Sq^k between d and a chosen d -/+ k
+            ok = all(f2.compose(m1.op(k, lo), chosen[lo + k])
+                     == f2.compose(chosen[lo], m2.op(k, lo))
+                     for k in (1, 2) for lo in (d - k, d)
+                     if lo in chosen and lo + k in chosen)
             if ok and extend(idx + 1, chosen):
                 return True
             del chosen[d]
         return False
-
-    def _masks_via(phi, masks2):
-        out = []
-        for row in phi:
-            acc = 0
-            for j in range(len(masks2)):
-                if row >> j & 1:
-                    acc ^= masks2[j]
-            out.append(acc)
-        return out
 
     return True, extend(0, {})
 
@@ -172,19 +117,12 @@ def moore_split_obstruction(m: SqModule, bottom: int, top: int) -> ObstructionRe
         return ObstructionReport(False, sq2_middle_iso=mid_iso,
                                  excluded_moore_degrees=tuple(sorted(excluded)),
                                  notes=("Sq^4 bottom -> top vanishes",) + tuple(notes))
-    # classes x in degree top-2 with Sq^2 x = top class
-    sols = []
-    masks = m.op(2, top - 2)
-    for bits in range(1, 1 << m.dim(top - 2)):
-        img = 0
-        for j in range(m.dim(top - 2)):
-            if bits >> j & 1:
-                img ^= masks[j]
-        if img == 1:
-            sols.append(bits)
-    two_hit = len(sols) >= 2
+    # with H^top one-dimensional, Sq^2 on degree top-2 is a linear form; the
+    # classes it sends to the top class are a coset of its kernel, 2^(n-1)
+    # of them whenever it is nonzero
+    two_hit = m.dim(top - 2) >= 2 and any(m.op(2, top - 2))
     v = m.op(2, bottom)[0]
-    bottom_ok = v != 0 and _masks_compose(m, (v,), bottom + 2, 2)[0] == 0
+    bottom_ok = v != 0 and f2.compose((v,), m.op(2, bottom + 2))[0] == 0
     applicable = sq4_hit and two_hit and bottom_ok
     if applicable:
         notes.append("any splitting keeps the bottom, top and top-1 homology "

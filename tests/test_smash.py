@@ -3,7 +3,9 @@ import pytest
 from chang.complexes import (POINT, cbot, ceta, cfull, ctop, dual, moore,
                              smash_atom, sphere, suspend, wedge)
 from chang.homology import integral_homology, kunneth
-from chang.smash import UnclassifiedPair, decompose_pair, smash_decompose
+from chang import smash
+from chang.smash import (UnclassifiedPair, VerificationFailure, decompose_pair,
+                         smash_decompose)
 
 from conftest import classified_pairs
 
@@ -215,3 +217,16 @@ def test_every_rule_fires_over_the_grid():
         "cfull-cfull/swap", "cfull-cfull/dual",
     }
     assert seen == expected
+
+
+def test_gate_rejects_wrong_splits(monkeypatch):
+    # same homology and mod-2 dimensions as the true C(1,8,1), wrong Sq^2
+    monkeypatch.setattr(smash, "_solve", lambda a, b, depth=0: (
+        [moore(2, 1, 6), moore(2, 1, 7)], [("fake", "fake")]))
+    with pytest.raises(VerificationFailure, match="^Sq invariant mismatch"):
+        smash_decompose(wedge(moore(2, 1, 3)), wedge(moore(2, 1, 3)))
+    # wrong homology
+    monkeypatch.setattr(smash, "_solve", lambda a, b, depth=0: (
+        [sphere(6), sphere(7)], [("fake", "fake")]))
+    with pytest.raises(VerificationFailure, match="^homology mismatch"):
+        smash_decompose(wedge(cbot(1, 5)), wedge(cbot(2, 5)))

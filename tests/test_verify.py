@@ -1,15 +1,17 @@
 import random
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from chang.complexes import (cbot, ceta, cfull, ctop, moore, smash_atom,
                              sphere, wedge)
 from chang.homology import GradedAbelianGroup
-from chang.steenrod import cartan_smash_sq, mod2_cohomology
+from chang.smash import smash_decompose
+from chang.steenrod import SqModule, cartan_smash_sq, mod2_cohomology
 from chang.verify import (check_decomposition, graded_iso,
                           moore_split_obstruction, sq_module_compare)
 
-from conftest import PARAMS
+from conftest import PARAMS, classified_pairs
 
 
 def G(comps):
@@ -124,6 +126,45 @@ def test_check_decomposition_negative_controls():
                               wedge(moore(2, 1, 6), moore(2, 1, 7)))
     assert rep.homology_match and rep.mod2_match
     assert not rep.sq_invariants_match
+
+
+def _two_classes_hit_top_by_enumeration(m, bottom, top):
+    # the field as the obstruction reports it: False unless the window has
+    # single bottom/top classes four apart and Sq^4 joins them
+    if (top - bottom != 4 or m.dim(bottom) != 1 or m.dim(top) != 1
+            or m.op(4, bottom)[0] != 1):
+        return False
+    n, masks = m.dim(top - 2), m.op(2, top - 2)
+    hits = 0
+    for bits in range(1, 1 << n):
+        img = 0
+        for j in range(n):
+            if bits >> j & 1:
+                img ^= masks[j]
+        hits += img == 1
+    return hits >= 2
+
+
+def test_two_classes_hit_top_matches_enumeration_over_grid_atoms():
+    seen = []
+    for a, b in classified_pairs():
+        for c in smash_decompose(wedge(a), wedge(b)).output.summands:
+            m = mod2_cohomology(wedge(c))
+            for lo in (c.bottom - 1, c.bottom, c.bottom + 1):
+                for hi in (c.top - 1, c.top, c.top + 1):
+                    expect = _two_classes_hit_top_by_enumeration(m, lo, hi)
+                    rep = moore_split_obstruction(m, lo, hi)
+                    assert rep.two_classes_hit_top == expect, (str(c), lo, hi)
+                    seen.append(expect)
+    assert True in seen and False in seen
+    # every Sq^2 from up to three middle classes to the top class, where
+    # the grid only has Sq^2 nonzero on two or more classes
+    for n in range(4):
+        for masks in product((0, 1), repeat=n):
+            m = SqModule({0: ["b"], 2: [f"x{i}" for i in range(n)], 4: ["t"]},
+                         sq2={2: masks}, sq4={0: [1]})
+            assert moore_split_obstruction(m, 0, 4).two_classes_hit_top == \
+                _two_classes_hit_top_by_enumeration(m, 0, 4)
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
