@@ -13,6 +13,7 @@ Chang families are anchored at their top cell k, with bottom cell k-2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Union
 
 __all__ = [
@@ -195,8 +196,10 @@ def cfull(r: int, k: int, s: int) -> ElementaryComplex:
     return ElementaryComplex("cfull", k, r=r, s=s)
 
 
+@cache
 def base_form(c: ElementaryComplex) -> tuple[ElementaryComplex, int]:
-    """Desuspend to the table dimension (n=3 resp. k=5); return (base, shift)."""
+    """Desuspend to the table dimension (n=3 resp. k=5); return (base, shift).
+    Memoised, so that each piece is validated once at its base dimension."""
     base_dim = c.family.min_dim
     return replace(c, dim=base_dim), c.dim - base_dim
 

@@ -13,10 +13,10 @@ from functools import cache
 from math import gcd
 from typing import Iterable, Mapping
 
-from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
+from .complexes import ElementaryComplex, Summand, WedgeComplex
 
 __all__ = ["GradedAbelianGroup", "integral_homology", "kunneth",
-           "primary_factors", "cyclic_label"]
+           "wedge_homology", "primary_factors", "cyclic_label"]
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -104,9 +104,6 @@ class GradedAbelianGroup:
         return f"GradedAbelianGroup({self.components!r})"
 
 
-_ZERO = GradedAbelianGroup()
-
-
 def _tensor(a: int, b: int) -> int:
     # Z x Z -> Z; Z x Z/b -> Z/b; Z/a x Z/b -> Z/gcd
     if a == 0:
@@ -163,11 +160,21 @@ def _summand_homology(c: Summand) -> GradedAbelianGroup:
     return kunneth(_summand_homology(c.left), _summand_homology(c.right))
 
 
-def integral_homology(x: Summand | WedgeComplex) -> GradedAbelianGroup:
-    """Reduced integral homology; atoms go through the Kunneth formula."""
-    if not isinstance(x, WedgeComplex):
-        x = wedge(x)
-    total = _ZERO
-    for c in x.summands:
-        total = total.direct_sum(_summand_homology(c))
+def wedge_homology(parts: Iterable[GradedAbelianGroup]) -> GradedAbelianGroup:
+    """Direct sum of the parts in one pass.  Their factors are already
+    prime powers, so the sum only merges and sorts them."""
+    out: dict[int, list[int]] = {}
+    for g in parts:
+        for d, orders in g.components.items():
+            out.setdefault(d, []).extend(orders)
+    total = GradedAbelianGroup()
+    total.components = {d: tuple(sorted(v)) for d, v in out.items()}
     return total
+
+
+def integral_homology(x: Summand | WedgeComplex) -> GradedAbelianGroup:
+    """Reduced integral homology; atoms go through the Kunneth formula.
+    A single summand's homology is the memoised one."""
+    if not isinstance(x, WedgeComplex):
+        return _summand_homology(x)
+    return wedge_homology(_summand_homology(c) for c in x.summands)

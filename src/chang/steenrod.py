@@ -17,7 +17,7 @@ from . import f2
 from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
-           "poincare_mod2"]
+           "module_id", "poincare_mod2"]
 
 
 class SqModule:
@@ -158,8 +158,6 @@ def _elementary_sq(c: ElementaryComplex) -> SqModule:
     return SqModule(basis, ops[1], ops[2])
 
 
-
-
 def _sq_rows(m: SqModule, d: int) -> list[list[tuple[int, int]]]:
     """Nonzero rows (index, mask) of Sq^0..Sq^4 on degree d of m."""
     tables = ([1 << i for i in range(m.dim(d))], m.op(1, d), m.op(2, d),
@@ -237,6 +235,24 @@ def _summand_sq(c: Summand) -> SqModule:
     if c.shift:
         return _summand_sq(replace(c, shift=0)).shift(c.shift)
     return cartan_smash_sq(_summand_sq(c.left), _summand_sq(c.right))
+
+
+_MODULE_IDS: dict[tuple, int] = {}
+
+
+@cache
+def module_id(c: Summand) -> int:
+    """Small id of the summand's Sq-module, interned once per process: equal
+    ids mean equal modules (labels and masks), so work on a module can be
+    shared by every summand that has it.  A piece is keyed by its module's
+    content, an atom by its factors' ids and its shift."""
+    if isinstance(c, ElementaryComplex):
+        m = _summand_sq(c)
+        key = (tuple(sorted(m.basis.items())),
+               tuple(tuple(sorted(m.ops[k].items())) for k in (1, 2, 4)))
+    else:
+        key = (module_id(c.left), module_id(c.right), c.shift)
+    return _MODULE_IDS.setdefault(key, len(_MODULE_IDS))
 
 
 def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:

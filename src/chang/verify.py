@@ -2,18 +2,32 @@
 
 Nothing here trusts the decision table: homology goes through the Kunneth
 formula, mod-2 data through the Cartan formula, and module isomorphism is
-decided by invariant vectors plus a bounded exhaustive search.  The F2
+decided by invariant profiles plus a bounded exhaustive search.  The F2
 ranks, composites and invertible maps behind those come from `f2`.
+
+Certification works summand by summand.  Homology and the invariant
+profile (per degree: dimension and the ranks of Sq1, Sq2, Sq4, Sq1Sq2,
+Sq2Sq1, Sq2Sq2) add over wedges, and the tensor product distributes over
+them, so the values for X ^ Y are sums over the summand pairs of X and Y,
+and those for W sums over its summands.  Each pair and summand is worked
+out once per process, keyed by Sq-module type (`steenrod.module_id`) where
+only the module matters.  Whole-op modules are built only for the
+exhaustive isomorphism search, whose outcome is memoised by the modules of
+X, Y and W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import count
+from typing import Iterator
 
 from . import f2
-from .complexes import SmashAtom, WedgeComplex, wedge
-from .homology import GradedAbelianGroup, integral_homology, kunneth
-from .steenrod import SqModule, cartan_smash_sq, mod2_cohomology
+from .complexes import SmashAtom, Summand, WedgeComplex, wedge
+from .homology import (GradedAbelianGroup, integral_homology, kunneth,
+                       wedge_homology)
+from .steenrod import SqModule, cartan_smash_sq, mod2_cohomology, module_id
 
 __all__ = ["graded_iso", "sq_module_compare", "moore_split_obstruction",
            "check_decomposition", "VerificationReport", "ObstructionReport",
@@ -21,48 +35,73 @@ __all__ = ["graded_iso", "sq_module_compare", "moore_split_obstruction",
 
 SEARCH_BUDGET_BITS = 24     # exhaustive isomorphism search cap: 2**24 maps
 
+Profile = dict[int, tuple[int, ...]]
+
 
 def graded_iso(g1: GradedAbelianGroup, g2: GradedAbelianGroup) -> bool:
     """Equality of canonical primary-decomposed forms."""
     return g1 == g2
 
 
-def _invariant_vector(m: SqModule):
-    degs = m.degrees()
-    if not degs:
-        return ()
-    lo, hi = min(degs), max(degs)
-    vec = []
-    for d in range(lo, hi + 1):
+def _profile(m: SqModule) -> Profile:
+    """Per degree of m: (dim, rk Sq1, rk Sq2, rk Sq4, rk Sq1Sq2, rk Sq2Sq1,
+    rk Sq2Sq2).  Every entry adds over direct sums."""
+    out = {}
+    for d in m.degrees():
         one, two = m.op(1, d), m.op(2, d)
-        comp12 = m.sq3(d)                                   # Sq1 Sq2
-        comp21 = f2.compose(one, m.op(2, d + 1))            # Sq2 Sq1
-        comp22 = f2.compose(two, m.op(2, d + 2))            # Sq2 Sq2
-        vec.append((d, m.dim(d), f2.rank(one), f2.rank(two), f2.rank(m.op(4, d)),
-                    f2.rank(comp12), f2.rank(comp21), f2.rank(comp22)))
-    return tuple(vec)
+        out[d] = (m.dim(d), f2.rank(one), f2.rank(two), f2.rank(m.op(4, d)),
+                  f2.rank(m.sq3(d)),                               # Sq1 Sq2
+                  f2.rank(f2.compose(one, m.op(2, d + 1))),        # Sq2 Sq1
+                  f2.rank(f2.compose(two, m.op(2, d + 2))))        # Sq2 Sq2
+    return out
+
+
+def _profile_sum(parts) -> Profile:
+    """Profile of the direct sum of modules with the given profiles."""
+    rows: dict[int, list[tuple[int, ...]]] = {}
+    for part in parts:
+        for d, row in part.items():
+            rows.setdefault(d, []).append(row)
+    return {d: rs[0] if len(rs) == 1 else tuple(map(sum, zip(*rs)))
+            for d, rs in rows.items()}
 
 
 def sq_module_compare(m1: SqModule, m2: SqModule):
     """(invariants_match, iso_found) with iso_found possibly "skipped".
 
-    The invariant vector holds per-degree dimensions and the ranks of Sq1,
-    Sq2, Sq4, Sq1Sq2, Sq2Sq1 and Sq2Sq2.  When it matches and the search
-    space of degreewise-invertible maps is at most 2**24, an exhaustive
-    backtracking search looks for a map commuting with Sq1 and Sq2.
+    The invariants are the profiles of the two modules.  When they match
+    and the search space of degreewise-invertible maps is at most 2**24, an
+    exhaustive backtracking search looks for a map commuting with Sq1 and
+    Sq2.
     """
-    if _invariant_vector(m1) != _invariant_vector(m2):
+    if _profile(m1) != _profile(m2):
         return False, None
     dims = [m1.dim(d) for d in m1.degrees()]
     if sum(n * n for n in dims) > SEARCH_BUDGET_BITS:
         return True, "skipped"
     degs = m1.degrees()
+    # each f2.invertible(n) runs once per search; every later visit of a
+    # degree of that size replays the candidates drawn so far, in order,
+    # and draws further ones only as it needs them
+    drawn: dict[int, tuple[list, Iterator]] = {}
+
+    def candidates(n: int) -> Iterator[tuple[int, ...]]:
+        if n not in drawn:
+            drawn[n] = ([], f2.invertible(n))
+        seen, fresh = drawn[n]
+        for i in count():
+            if i == len(seen):
+                phi = next(fresh, None)
+                if phi is None:
+                    return
+                seen.append(phi)
+            yield seen[i]
 
     def extend(idx: int, chosen: dict[int, tuple[int, ...]]) -> bool:
         if idx == len(degs):
             return True
         d = degs[idx]
-        for phi in f2.invertible(m1.dim(d)):
+        for phi in candidates(m1.dim(d)):
             chosen[d] = phi
             # phi must commute with each Sq^k between d and a chosen d -/+ k
             ok = all(f2.compose(m1.op(k, lo), chosen[lo + k])
@@ -145,23 +184,91 @@ class VerificationReport:
         return self.homology_match and self.mod2_match and self.sq_invariants_match
 
 
+@cache
+def _pair_homology(a: Summand, b: Summand) -> GradedAbelianGroup:
+    return kunneth(integral_homology(a), integral_homology(b))
+
+
+def _smash_homology(X: WedgeComplex, Y: WedgeComplex) -> GradedAbelianGroup:
+    """H(X ^ Y) by the Kunneth formula, summed over the summand pairs; the
+    formula is symmetric, so each unordered pair is one memo entry."""
+    return wedge_homology(
+        _pair_homology(a, b) if a.sort_key <= b.sort_key else _pair_homology(b, a)
+        for a in X.summands for b in Y.summands)
+
+
+# memos keyed by Sq-module ids (`module_id`): profiles of A @ B per
+# unordered pair of modules, profiles per module, obstruction reports per
+# (module, bottom, top), search outcomes per (modules of X, of Y, of W)
+_PAIR_PROFILES: dict[tuple[int, int], Profile] = {}
+_PROFILES: dict[int, Profile] = {}
+_OBSTRUCTIONS: dict[tuple[int, int, int], ObstructionReport] = {}
+_SEARCHES: dict[tuple[tuple[int, ...], ...], object] = {}
+
+
+def _smash_profile(X: WedgeComplex, Y: WedgeComplex) -> Profile:
+    """Profile of H*(X) @ H*(Y), summed over the summand pairs; A @ B and
+    B @ A are isomorphic, so they share an entry."""
+    parts = []
+    for a in X.summands:
+        for b in Y.summands:
+            ia, ib = module_id(a), module_id(b)
+            key = (min(ia, ib), max(ia, ib))
+            if key not in _PAIR_PROFILES:
+                _PAIR_PROFILES[key] = _profile(
+                    cartan_smash_sq(mod2_cohomology(a), mod2_cohomology(b)))
+            parts.append(_PAIR_PROFILES[key])
+    return _profile_sum(parts)
+
+
+def _wedge_profile(W: WedgeComplex) -> Profile:
+    """Profile of H*(W), summed over its summands."""
+    parts = []
+    for c in W.summands:
+        key = module_id(c)
+        if key not in _PROFILES:
+            _PROFILES[key] = _profile(mod2_cohomology(c))
+        parts.append(_PROFILES[key])
+    return _profile_sum(parts)
+
+
+def _search(X: WedgeComplex, Y: WedgeComplex, W: WedgeComplex) -> object:
+    """Outcome of the exhaustive Sq-isomorphism search for X ^ Y ~ W.  It
+    depends only on the modules, so it is kept per module ids."""
+    key = tuple(tuple(module_id(c) for c in v.summands) for v in (X, Y, W))
+    if key not in _SEARCHES:
+        tensor = cartan_smash_sq(mod2_cohomology(X), mod2_cohomology(Y))
+        _SEARCHES[key] = sq_module_compare(tensor, mod2_cohomology(W))[1]
+    return _SEARCHES[key]
+
+
+def _obstruction_note(c: SmashAtom) -> str:
+    key = (module_id(c), c.bottom, c.top)
+    if key not in _OBSTRUCTIONS:
+        _OBSTRUCTIONS[key] = moore_split_obstruction(mod2_cohomology(c),
+                                                     c.bottom, c.top)
+    rep = _OBSTRUCTIONS[key]
+    status = "hold" if rep.applicable else "not applicable"
+    return (f"{c}: split obstructions {status}; "
+            f"excluded Moore degrees {list(rep.excluded_moore_degrees)}")
+
+
 def check_decomposition(x, y, w) -> VerificationReport:
     """Cross-check the claim X ^ Y ~ W without consulting the rule table."""
     X = x if isinstance(x, WedgeComplex) else wedge(x)
     Y = y if isinstance(y, WedgeComplex) else wedge(y)
     W = w if isinstance(w, WedgeComplex) else wedge(w)
-    expected_h = kunneth(integral_homology(X), integral_homology(Y))
-    homology_ok = graded_iso(expected_h, integral_homology(W))
-    tensor = cartan_smash_sq(mod2_cohomology(X), mod2_cohomology(Y))
-    module = mod2_cohomology(W)
-    mod2_ok = tensor.dims() == module.dims()
-    inv_ok, iso = sq_module_compare(tensor, module)
-    notes: list[str] = []
-    for c in W.summands:
-        if isinstance(c, SmashAtom):
-            rep = moore_split_obstruction(mod2_cohomology(wedge(c)),
-                                          c.bottom, c.top)
-            status = "hold" if rep.applicable else "not applicable"
-            notes.append(f"{c}: split obstructions {status}; "
-                         f"excluded Moore degrees {list(rep.excluded_moore_degrees)}")
-    return VerificationReport(homology_ok, mod2_ok, inv_ok, iso, tuple(notes))
+    homology_ok = graded_iso(_smash_homology(X, Y), integral_homology(W))
+    tensor, module = _smash_profile(X, Y), _wedge_profile(W)
+    dims = {d: row[0] for d, row in tensor.items()}
+    mod2_ok = dims == {d: row[0] for d, row in module.items()}
+    inv_ok = tensor == module
+    if not inv_ok:
+        iso = None
+    elif sum(n * n for n in dims.values()) > SEARCH_BUDGET_BITS:
+        iso = "skipped"
+    else:
+        iso = _search(X, Y, W)
+    notes = tuple(_obstruction_note(c) for c in W.summands
+                  if isinstance(c, SmashAtom))
+    return VerificationReport(homology_ok, mod2_ok, inv_ok, iso, notes)

@@ -7,6 +7,12 @@ from chang import smash
 from chang.complexes import cbot, ceta, cfull, ctop, moore, sphere
 
 PARAMS = (1, 2, 3)
+EXPONENTS = (1, 2, 3, 4, 5)
+# the 41 pieces of the benchmark's wide workload
+WIDE_PIECES = ([moore(2, u, 3) for u in EXPONENTS] + [ceta(5)]
+               + [cbot(r, 5) for r in EXPONENTS]
+               + [ctop(5, s) for s in EXPONENTS]
+               + [cfull(r, 5, s) for r in EXPONENTS for s in EXPONENTS])
 
 
 def classified_pairs():

@@ -230,3 +230,21 @@ def test_gate_rejects_wrong_splits(monkeypatch):
         [sphere(6), sphere(7)], [("fake", "fake")]))
     with pytest.raises(VerificationFailure, match="^homology mismatch"):
         smash_decompose(wedge(cbot(1, 5)), wedge(cbot(2, 5)))
+
+
+def test_gate_rejects_a_wrong_split_inside_a_wedge(monkeypatch):
+    x = wedge(moore(2, 1, 3), cbot(2, 5))
+    y = wedge(moore(2, 1, 3), ctop(5, 1))
+    right = smash_decompose(x, y)       # fills every memo for these modules
+    assert right.verification.all_true()
+    solve = smash._solve
+
+    def one_wrong_pair(a, b, depth=0):
+        # M(2,3) ^ M(2,3) is C(1,8,1): same homology and mod-2 dimensions
+        # as this Moore wedge, different Sq^2
+        if a == b == moore(2, 1, 3):
+            return [moore(2, 1, 6), moore(2, 1, 7)], [("fake", "fake")]
+        return solve(a, b, depth)
+    monkeypatch.setattr(smash, "_solve", one_wrong_pair)
+    with pytest.raises(VerificationFailure, match="^Sq invariant mismatch"):
+        smash_decompose(x, y)

@@ -5,10 +5,11 @@ import pytest
 from chang.complexes import (cbot, ceta, cfull, ctop, moore, smash_atom,
                              sphere, suspend, wedge)
 from chang.homology import integral_homology
-from chang.steenrod import (SqModule, cartan_smash_sq, mod2_cohomology,
-                            poincare_mod2)
+from chang.smash import smash_decompose
+from chang.steenrod import (SqModule, _summand_sq, cartan_smash_sq,
+                            mod2_cohomology, module_id, poincare_mod2)
 
-from conftest import PARAMS
+from conftest import PARAMS, WIDE_PIECES, classified_pairs
 
 
 def _action(m: SqModule, k: int, label: str) -> set[str]:
@@ -148,14 +149,6 @@ def test_atom_module_inside_wedge_gets_prefixed_labels():
 
 # --- reference implementations the library's fast paths must agree with ---
 
-EXPONENTS = (1, 2, 3, 4, 5)
-# the 41 pieces of the benchmark's wide workload
-WIDE_PIECES = ([moore(2, u, 3) for u in EXPONENTS] + [ceta(5)]
-               + [cbot(r, 5) for r in EXPONENTS]
-               + [ctop(5, s) for s in EXPONENTS]
-               + [cfull(r, 5, s) for r in EXPONENTS for s in EXPONENTS])
-
-
 def _cartan_oracle(A: SqModule, B: SqModule) -> SqModule:
     """The Cartan formula component by component: every x_i @ y_j indexed
     through a dict, every output bit looked up separately."""
@@ -271,3 +264,33 @@ def test_constructor_rejects_broken_relations():
         SqModule({3: ("a",), 4: ("b",)}, sq1={3: [1, 0]})
     with pytest.raises(ValueError, match="out of range"):
         SqModule({3: ("a",), 4: ("b",)}, sq1={3: [2]})
+
+
+def test_module_ids_are_module_equality():
+    pairs = (list(combinations_with_replacement(WIDE_PIECES, 2))
+             + classified_pairs())
+    found = set(WIDE_PIECES)
+    for a, b in pairs:
+        found.update((a, b))
+        found.update(smash_decompose(wedge(a), wedge(b)).output.summands)
+    summands = set()
+    for c in found:
+        for k in (0, 1, 2):
+            summands.update(suspend(c, k).summands)
+    summands = sorted(summands, key=lambda c: c.sort_key)
+    assert sum(hasattr(c, "shift") for c in summands) > 50     # atoms
+    by_id: dict[int, list] = {}
+    for c in summands:
+        by_id.setdefault(module_id(c), []).append(c)
+    for first, *rest in by_id.values():
+        for c in rest:
+            assert _summand_sq(c) == _summand_sq(first), (str(c), str(first))
+    firsts = [members[0] for members in by_id.values()]
+    for i, c in enumerate(firsts):
+        for d in firsts[i + 1:]:
+            assert _summand_sq(c) != _summand_sq(d), (str(c), str(d))
+    # exponents >= 2 look alike mod 2; exponent 1 is a Sq^1
+    assert module_id(cfull(2, 5, 3)) == module_id(cfull(3, 5, 2))
+    assert module_id(cfull(1, 5, 2)) != module_id(cfull(2, 5, 2))
+    # every module that is zero shares one id
+    assert module_id(moore(3, 1, 3)) == module_id(moore(5, 2, 4))

@@ -1,17 +1,19 @@
 import random
-from itertools import product
+from collections import Counter, defaultdict
+from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings, strategies as st
 
-from chang.complexes import (cbot, ceta, cfull, ctop, moore, smash_atom,
-                             sphere, wedge)
-from chang.homology import GradedAbelianGroup
+from chang import f2, verify
+from chang.complexes import (SmashAtom, cbot, ceta, cfull, ctop, moore,
+                             smash_atom, sphere, wedge)
+from chang.homology import GradedAbelianGroup, integral_homology, kunneth
 from chang.smash import smash_decompose
 from chang.steenrod import SqModule, cartan_smash_sq, mod2_cohomology
-from chang.verify import (check_decomposition, graded_iso,
+from chang.verify import (VerificationReport, check_decomposition, graded_iso,
                           moore_split_obstruction, sq_module_compare)
 
-from conftest import PARAMS, classified_pairs
+from conftest import PARAMS, WIDE_PIECES, classified_pairs
 
 
 def G(comps):
@@ -175,3 +177,188 @@ def test_obstruction_matches_indecomposable_branches(r, rp):
                         mod2_cohomology(wedge(ctop(5, rp))))
     rep = moore_split_obstruction(m, 6, 10)
     assert rep.sq2_middle_iso
+
+
+# --- summed certification against whole-op oracles -------------------------
+
+def _invariant_vector(m: SqModule):
+    """Per degree from the lowest to the highest class: (d, dim, rk Sq1,
+    rk Sq2, rk Sq4, rk Sq1Sq2, rk Sq2Sq1, rk Sq2Sq2) of the whole module."""
+    degs = m.degrees()
+    if not degs:
+        return ()
+    vec = []
+    for d in range(min(degs), max(degs) + 1):
+        one, two = m.op(1, d), m.op(2, d)
+        vec.append((d, m.dim(d), f2.rank(one), f2.rank(two),
+                    f2.rank(m.op(4, d)), f2.rank(m.sq3(d)),
+                    f2.rank(f2.compose(one, m.op(2, d + 1))),
+                    f2.rank(f2.compose(two, m.op(2, d + 2)))))
+    return tuple(vec)
+
+
+def _dense(profile):
+    """A summed profile laid out like _invariant_vector."""
+    if not profile:
+        return ()
+    return tuple((d,) + profile.get(d, (0,) * 7)
+                 for d in range(min(profile), max(profile) + 1))
+
+
+def _folded_homology(w):
+    total = GradedAbelianGroup()
+    for c in w.summands:
+        total = total.direct_sum(integral_homology(c))
+    return total
+
+
+def _content(m: SqModule):
+    return (tuple(sorted(m.basis.items())),
+            tuple(tuple(sorted(m.ops[k].items())) for k in (1, 2, 4)))
+
+
+_WHOLE_OP_SEARCHES: dict = {}
+
+
+def _whole_op_report(X, Y, W) -> VerificationReport:
+    """The claim checked on whole-op modules: one Kunneth over the wedges,
+    one tensor module of the wedges, one module of W.  Only identical
+    module pairs share a search."""
+    expected = kunneth(_folded_homology(X), _folded_homology(Y))
+    tensor = cartan_smash_sq(mod2_cohomology(X), mod2_cohomology(Y))
+    module = mod2_cohomology(W)
+    key = (_content(tensor), _content(module))
+    if key not in _WHOLE_OP_SEARCHES:
+        _WHOLE_OP_SEARCHES[key] = sq_module_compare(tensor, module)
+    inv_ok, iso = _WHOLE_OP_SEARCHES[key]
+    assert inv_ok == (_invariant_vector(tensor) == _invariant_vector(module))
+    notes = []
+    for c in W.summands:
+        if isinstance(c, SmashAtom):
+            rep = moore_split_obstruction(mod2_cohomology(wedge(c)),
+                                          c.bottom, c.top)
+            status = "hold" if rep.applicable else "not applicable"
+            notes.append(f"{c}: split obstructions {status}; excluded Moore "
+                         f"degrees {list(rep.excluded_moore_degrees)}")
+    return VerificationReport(expected == _folded_homology(W),
+                              tensor.dims() == module.dims(), inv_ok, iso,
+                              tuple(notes))
+
+
+def _assert_sums_match_whole_op(X, Y, W, report=True):
+    tensor = cartan_smash_sq(mod2_cohomology(X), mod2_cohomology(Y))
+    assert _dense(verify._smash_profile(X, Y)) == _invariant_vector(tensor)
+    assert _dense(verify._wedge_profile(W)) == \
+        _invariant_vector(mod2_cohomology(W))
+    assert verify._smash_homology(X, Y) == \
+        kunneth(_folded_homology(X), _folded_homology(Y))
+    assert integral_homology(W) == _folded_homology(W)
+    if report:
+        assert repr(check_decomposition(X, Y, W)) == \
+            repr(_whole_op_report(X, Y, W))
+
+
+def test_summed_invariants_match_whole_modules_on_wide_pairs():
+    for a, b in combinations_with_replacement(WIDE_PIECES, 2):
+        X, Y = wedge(a), wedge(b)
+        W = smash_decompose(X, Y).output
+        _assert_sums_match_whole_op(X, Y, W)
+        _assert_sums_match_whole_op(Y, X, W, report=False)
+
+
+def test_summed_invariants_match_whole_modules_on_wide_ops():
+    rng = random.Random(2016)
+    ops = []
+    for _ in range(360):
+        X, Y = (wedge(*rng.choices(WIDE_PIECES, k=rng.randint(1, 3)))
+                for _side in range(2))
+        ops.append((X, Y, smash_decompose(X, Y).output))
+    isos = Counter()
+    for i, (X, Y, W) in enumerate(ops):
+        _assert_sums_match_whole_op(X, Y, W)
+        isos[check_decomposition(X, Y, W).sq_iso_found] += 1
+        if i % 3 == 0:              # a wrong claim: another op's output
+            _assert_sums_match_whole_op(X, Y, ops[i - 1][2])
+    assert isos[True] and isos["skipped"]
+    # mismatching claims, where some profiles agree and others do not
+    claims = [(moore(2, 1, 3), ceta(5), wedge(moore(2, 1, 6), moore(2, 1, 8))),
+              (moore(2, 1, 3), moore(2, 1, 3),
+               wedge(moore(2, 1, 6), moore(2, 1, 7))),
+              (cbot(1, 5), cbot(2, 5), wedge(sphere(6), sphere(7))),
+              (wedge(moore(2, 2, 3), ceta(5)), cfull(1, 5, 2),
+               wedge(cfull(1, 8, 2), cfull(1, 9, 2), cfull(1, 10, 2)))]
+    for x, y, w in claims:
+        rep = check_decomposition(x, y, w)
+        assert not rep.all_true()
+        _assert_sums_match_whole_op(wedge(x), wedge(y), w)
+
+
+def _search_by_visit(m1: SqModule, m2: SqModule) -> bool:
+    """The backtracking search drawing a fresh f2.invertible(n) on every
+    visit of a degree."""
+    degs = m1.degrees()
+
+    def extend(idx, chosen):
+        if idx == len(degs):
+            return True
+        d = degs[idx]
+        for phi in f2.invertible(m1.dim(d)):
+            chosen[d] = phi
+            ok = all(f2.compose(m1.op(k, lo), chosen[lo + k])
+                     == f2.compose(chosen[lo], m2.op(k, lo))
+                     for k in (1, 2) for lo in (d - k, d)
+                     if lo in chosen and lo + k in chosen)
+            if ok and extend(idx + 1, chosen):
+                return True
+            del chosen[d]
+        return False
+    return extend(0, {})
+
+
+def _random_modules(rng, count):
+    """Valid Sq-modules with up to two classes in each of degrees 0..4."""
+    out = []
+    while len(out) < count:
+        dims = [rng.randint(0, 2) for _ in range(5)]
+        basis = {d: [f"x{d}.{i}" for i in range(n)]
+                 for d, n in enumerate(dims) if n}
+        ops = [{d: [rng.randrange(1 << dims[d + k]) for _ in range(n)]
+                for d, n in enumerate(dims) if n and d + k < 5}
+               for k in (1, 2)]
+        try:
+            out.append(SqModule(basis, *ops))
+        except ValueError:
+            continue
+    return out
+
+
+def test_search_draws_each_candidate_list_once_per_call(monkeypatch):
+    rng = random.Random(11)
+    groups = defaultdict(list)
+    for m in _random_modules(rng, 1500):
+        groups[repr(sorted(verify._profile(m).items()))].append(m)
+    cases = [(a, b) for g in groups.values() for a in g[:4] for b in g[:4]]
+    for a, b in classified_pairs()[::3]:
+        tensor = cartan_smash_sq(mod2_cohomology(a), mod2_cohomology(b))
+        perms = {d: rng.sample(range(tensor.dim(d)), tensor.dim(d))
+                 for d in tensor.degrees()}
+        cases.append((tensor, tensor.permuted(perms)))
+        cases.append((tensor, mod2_cohomology(smash_decompose(a, b).output)))
+    real, calls = f2.invertible, Counter()
+
+    def counting(n):
+        calls[n] += 1
+        return real(n)
+    outcomes = Counter()
+    for m1, m2 in cases:
+        calls.clear()
+        monkeypatch.setattr(f2, "invertible", counting)
+        ok, iso = sq_module_compare(m1, m2)
+        monkeypatch.setattr(f2, "invertible", real)
+        if not ok or iso == "skipped":
+            continue
+        outcomes[iso] += 1
+        assert all(n == 1 for n in calls.values())
+        assert set(calls) == {m1.dim(d) for d in m1.degrees()}
+        assert iso == _search_by_visit(m1, m2)
+    assert outcomes[True] > 100 and outcomes[False] > 5, outcomes
