@@ -12,7 +12,7 @@ import json
 import sys
 
 from .complexes import WindowError, dual
-from .homology import cyclic_label
+from .homology import group_label
 from .homgroups import UntabulatedHom, hom_group, wedge_hom_order
 from .matrix import (UnknownComposition, matrix_from_json, render_matrix,
                      run_script, split_cone, steps_from_json)
@@ -29,12 +29,6 @@ def _emit(lines, fmt, pairs):
     if fmt == "structured":
         return [f"{k} = {v}" for k, v in pairs]
     return lines
-
-
-def _group_str(orders) -> str:
-    if not orders:
-        return "0"
-    return " ⊕ ".join(cyclic_label(q) for q in orders)
 
 
 def _cmd_smash(args) -> tuple[int, list[str]]:
@@ -61,9 +55,9 @@ def _cmd_smash(args) -> tuple[int, list[str]]:
 def _cmd_homology(args):
     h = homology_of_expression(parse_expression(args.expr))
     degs = h.degrees()
-    lines = [f"H_{d} = " + _group_str(h[d]) for d in degs] or ["0"]
+    lines = [f"H_{d} = " + group_label(h[d]) for d in degs] or ["0"]
     pairs = [("command", "homology"), ("input", args.expr.strip())]
-    pairs += [(f"H.{d}", _group_str(h[d])) for d in degs]
+    pairs += [(f"H.{d}", group_label(h[d])) for d in degs]
     return 0, _emit(lines, args.format, pairs)
 
 
@@ -100,12 +94,12 @@ def _cmd_pi(args):
             desc = hom_group(sphere(args.n), c)
             orders.extend(desc.cyclic)
             gens.extend(desc.generators)
-    lines = [_group_str(orders)]
+    lines = [group_label(orders)]
     for name, order, note in gens:
         lines.append(f"generator {name} of order {order or 'infinite'}"
                      + (f"  [{note}]" if note else ""))
     pairs = [("command", "pi"), ("degree", str(args.n)), ("input", str(w)),
-             ("group", _group_str(orders))]
+             ("group", group_label(orders))]
     pairs += [(f"generator.{i}", f"{n}:{o}") for i, (n, o, _) in enumerate(gens)]
     return 0, _emit(lines, args.format, pairs)
 
@@ -125,9 +119,9 @@ def _cmd_homgroup(args):
                   for i, (n, o, _) in enumerate(desc.generators)]
         return 0, _emit(lines, args.format, pairs)
     orders = wedge_hom_order(X, Y, args.deg)
-    lines = [_group_str(orders)]
+    lines = [group_label(orders)]
     pairs = [("command", "homgroup"), ("source", str(X)), ("target", str(Y)),
-             ("degree", str(args.deg)), ("group", _group_str(orders))]
+             ("degree", str(args.deg)), ("group", group_label(orders))]
     return 0, _emit(lines, args.format, pairs)
 
 

@@ -204,39 +204,6 @@ def base_form(c: ElementaryComplex) -> tuple[ElementaryComplex, int]:
     return replace(c, dim=base_dim), c.dim - base_dim
 
 
-def _pair_is_atom(a: ElementaryComplex, b: ElementaryComplex) -> bool:
-    """Whether the base pair a ^ b (a <= b in the fixed order) stays in one
-    piece.  Mirrors the decision table; only such pairs may be stored as atoms."""
-    ka, kb = a.kind, b.kind
-    if ka == "moore":
-        if a.p != 2:
-            return False
-        if kb == "ceta":
-            return True
-        if kb == "cbot":
-            return a.r > b.r
-        if kb == "ctop":
-            return a.r > b.s
-        return False
-    if ka == "ceta":
-        return kb in ("ceta", "ctop", "cbot", "cfull")
-    if ka == "ctop":
-        if kb in ("ctop", "cbot"):
-            return True
-        if kb == "cfull":
-            u, r, s = a.s, b.r, b.s
-            return not (u >= r and u >= s) and not (u == r < s)
-        return False
-    if ka == "cbot":
-        if kb == "cbot":
-            return True
-        if kb == "cfull":
-            u, r, s = a.r, b.r, b.s
-            return not (u >= r and u >= s) and not (u == s < r)
-        return False
-    return False
-
-
 @dataclass(frozen=True)
 class SmashAtom:
     """Smash of two elementary pieces that does not split further.
@@ -257,16 +224,9 @@ class SmashAtom:
                 raise ValueError(f"atom factor {c} is not in base form")
         if self.left.sort_key > self.right.sort_key:
             raise ValueError("atom factors out of canonical order")
-        if not (_pair_is_atom(self.left, self.right) or self._is_torsion_square()):
+        if not smash.stays_whole(self.left, self.right):
             raise ValueError(
                 f"{self.left} ^ {self.right} splits; it cannot be an atom")
-
-    def _is_torsion_square(self) -> bool:
-        # M(2,3)^M(2,3) is indecomposable but equals C(1,8,1); canonicalize
-        # rewrites it, so the stored form is transient only.
-        return (self.left.kind == "moore" and self.right.kind == "moore"
-                and self.left.p == self.right.p == 2
-                and self.left.r == self.right.r == 1)
 
     @property
     def sort_key(self):
@@ -293,15 +253,13 @@ Summand = Union[ElementaryComplex, SmashAtom]
 
 
 def smash_atom(a: ElementaryComplex, b: ElementaryComplex) -> Summand:
-    """Build the canonical atom for an indecomposable pair (any dimensions)."""
+    """The canonical form of the atom a ^ b (any dimensions) for a pair the
+    decision table keeps whole."""
     a0, sa = base_form(a)
     b0, sb = base_form(b)
     if a0.sort_key > b0.sort_key:
         a0, b0 = b0, a0
-    if (a0.kind == b0.kind == "moore" and a0.p == b0.p == 2
-            and a0.r == b0.r == 1):
-        return cfull(1, 8 + sa + sb, 1)
-    return SmashAtom(a0, b0, sa + sb)
+    return wedge(SmashAtom(a0, b0, sa + sb)).summands[0]
 
 
 @dataclass(frozen=True)
@@ -336,19 +294,22 @@ def wedge(*pieces: Summand | WedgeComplex) -> WedgeComplex:
     return canonicalize(WedgeComplex(tuple(flat)))
 
 
+# M(2,3) ^ M(2,3) stays whole in the decision table but is the four-cell
+# C(1,8,1); canonicalize rewrites it, so that atom is transient only.
+_M2 = moore(2, 1, 3)
+
+
 def canonicalize(w: WedgeComplex) -> WedgeComplex:
-    """Unique normal form: points absorbed, M(2,a)^M(2,b) rewritten to the
-    four-cell Chang complex it equals, summands sorted."""
+    """Unique normal form: points absorbed, the torsion square
+    M(2,3)^M(2,3) rewritten to C(1,8,1), summands sorted."""
     out: list[Summand] = []
     for c in w.summands:
-        if isinstance(c, ElementaryComplex):
-            if c.kind != "point":
-                out.append(c)
-        else:
-            if c._is_torsion_square():
-                out.append(cfull(1, 8 + c.shift, 1))
-            else:
-                out.append(c)
+        if isinstance(c, SmashAtom):
+            if c.left == c.right == _M2:
+                c = cfull(1, 8 + c.shift, 1)
+        elif c.kind == "point":
+            continue
+        out.append(c)
     out.sort(key=lambda c: c.sort_key)
     return WedgeComplex(tuple(out))
 
@@ -461,3 +422,10 @@ def dual(x: Summand | WedgeComplex, sdim: int | None = None) -> WedgeComplex:
         else:
             out.append(dual_elementary(c, m))
     return canonicalize(WedgeComplex(tuple(out)))
+
+
+# The decision table in smash says which base pairs stay whole, so it is
+# what SmashAtom validates against.  Bound here, after every name smash
+# imports from this module exists, so that either module can be imported
+# first.
+from . import smash  # noqa: E402

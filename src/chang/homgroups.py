@@ -16,7 +16,7 @@ from importlib import resources
 
 from .complexes import (SmashAtom, Summand, WedgeComplex, sphere,
                         suspend, wedge)
-from .homology import primary_factors
+from .homology import group_label, primary_factors
 
 __all__ = ["HomGroupDescriptor", "UntabulatedHom", "hom_group",
            "atom_homotopy", "wedge_hom_order", "pi9_smash_extension",
@@ -38,11 +38,7 @@ class HomGroupDescriptor:
     note: str = ""
 
     def pretty(self) -> str:
-        if not self.cyclic:
-            return "0"
-        def lab(q):
-            return "Z" if q == 0 else f"Z/{q}"
-        return " ⊕ ".join(lab(q) for q in self.cyclic)
+        return group_label(self.cyclic)
 
 
 # --- tiny arithmetic/predicate evaluator for the table file ----------------
@@ -237,14 +233,17 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _cyclic_orders(group: str, env: dict[str, int]) -> tuple[int, ...]:
+    """Orders stated by a GROUP field such as "Z + Z/2^(ts+1)" (0 = Z)."""
+    if group.strip() == "0":
+        return ()
+    return tuple(0 if p.strip() == "Z" else _eval_int(p.strip()[2:], env)
+                 for p in _split_top(group, "+"))
+
+
 def _build_descriptor(rec: _Record, env: dict[str, int],
                       source: Summand, target: Summand) -> HomGroupDescriptor:
-    if rec.group.strip() == "0":
-        cyclic: tuple[int, ...] = ()
-    else:
-        cyclic = tuple(
-            0 if p.strip() == "Z" else _eval_int(p.strip()[2:], env)
-            for p in _split_top(rec.group, "+"))
+    cyclic = _cyclic_orders(rec.group, env)
     primary: list[int] = []
     for q in cyclic:
         primary.extend(primary_factors(q))
@@ -317,8 +316,6 @@ def pi9_smash_extension(r: int, s: int, rp: int, sp: int
             continue
         if not _eval_pred(rec.when, env):
             continue
-        sub = tuple(0 if p.strip() == "Z" else _eval_int(p.strip()[2:], env)
-                    for p in _split_top(rec.group, "+"))
-        return sub, (2, 2)
+        return _cyclic_orders(rec.group, env), (2, 2)
     raise UntabulatedHom(
         f"pi_9 extension for parameters ({r},{s},{rp},{sp}) is not tabulated")

@@ -16,7 +16,8 @@ from typing import Iterable, Mapping
 from .complexes import ElementaryComplex, Summand, WedgeComplex
 
 __all__ = ["GradedAbelianGroup", "integral_homology", "kunneth",
-           "wedge_homology", "primary_factors", "cyclic_label"]
+           "wedge_homology", "primary_factors", "cyclic_label",
+           "group_label"]
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -45,6 +46,11 @@ def primary_factors(n: int) -> list[int]:
 
 def cyclic_label(q: int) -> str:
     return "Z" if q == 0 else f"Z/{q}"
+
+
+def group_label(orders: Iterable[int]) -> str:
+    """A direct sum of cyclic groups (order 0 is Z); "0" when empty."""
+    return " ⊕ ".join(cyclic_label(q) for q in orders) or "0"
 
 
 class GradedAbelianGroup:

@@ -567,6 +567,13 @@ def _coerce_morphism(f, source, target, table) -> FormalMorphism:
     return table.normalize(f)
 
 
+def _index(i, size: int, what: str) -> int:
+    """0-based position of a 1-based step index, checked against the grid."""
+    if not isinstance(i, int) or not 1 <= i <= size:
+        raise ValueError(f"{what} index {i!r} is outside 1..{size}")
+    return i - 1
+
+
 def apply_step(M: MorphismMatrix, step,
                table: RelationTable | None = None) -> MorphismMatrix:
     """One elementary transformation; invertible by construction."""
@@ -574,30 +581,32 @@ def apply_step(M: MorphismMatrix, step,
     grid = [list(line) for line in M.entries]
     add = lambda a, b: table.normalize(
         FormalMorphism(a.source, a.target, a.terms + b.terms))
+    row = lambda i: _index(i, len(M.rows), "row")
+    col = lambda j: _index(j, len(M.cols), "column")
     try:
         if isinstance(step, NegateRow):
-            i = step.n - 1
+            i = row(step.n)
             grid[i] = [m.negate() for m in grid[i]]
         elif isinstance(step, NegateCol):
-            j = step.n - 1
+            j = col(step.n)
             for i in range(len(grid)):
                 grid[i][j] = grid[i][j].negate()
         elif isinstance(step, ColCompose):
-            m_, n_ = step.m - 1, step.n - 1
+            m_, n_ = col(step.m), col(step.n)
             if m_ == n_:
                 raise ValueError("column indices must differ")
             f = _coerce_morphism(step.f, M.cols[n_], M.cols[m_], table)
             for i in range(len(grid)):
                 grid[i][n_] = add(table.compose(grid[i][m_], f), grid[i][n_])
         elif isinstance(step, RowCompose):
-            m_, n_ = step.m - 1, step.n - 1
+            m_, n_ = row(step.m), row(step.n)
             if m_ == n_:
                 raise ValueError("row indices must differ")
             g = _coerce_morphism(step.g, M.rows[m_], M.rows[n_], table)
             for j in range(len(grid[0]) if grid else 0):
                 grid[n_][j] = add(table.compose(g, grid[m_][j]), grid[n_][j])
         elif isinstance(step, ScaleAddRow):
-            m_, n_ = step.m - 1, step.n - 1
+            m_, n_ = row(step.m), row(step.n)
             if m_ == n_:
                 raise ValueError("row indices must differ")
             if M.rows[m_] != M.rows[n_]:
@@ -605,7 +614,7 @@ def apply_step(M: MorphismMatrix, step,
             for j in range(len(grid[0]) if grid else 0):
                 grid[n_][j] = add(grid[m_][j].scale(step.k), grid[n_][j])
         elif isinstance(step, ScaleAddCol):
-            m_, n_ = step.m - 1, step.n - 1
+            m_, n_ = col(step.m), col(step.n)
             if m_ == n_:
                 raise ValueError("column indices must differ")
             if M.cols[m_] != M.cols[n_]:
@@ -1033,13 +1042,27 @@ def split_cone(M: MorphismMatrix,
 
 # --- file formats and rendering ----------------------------------------------
 
+def _field(doc, name: str, where: str):
+    """doc[name], or a ValueError naming the missing field."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"{where} has no {name!r} field")
+    return doc[name]
+
+
 def matrix_from_json(doc, table: RelationTable | None = None) -> MorphismMatrix:
     from .parser import parse_summand
     if isinstance(doc, str):
         doc = json.loads(doc)
-    rows = [parse_summand(t) for t in doc["rows"]]
-    cols = [parse_summand(t) for t in doc["cols"]]
-    entries = {(i - 1, j - 1): lit for i, j, lit in doc.get("entries", [])}
+    rows = [parse_summand(t) for t in _field(doc, "rows", "matrix")]
+    cols = [parse_summand(t) for t in _field(doc, "cols", "matrix")]
+    entries = {}
+    for entry in doc.get("entries", []):
+        try:
+            i, j, lit = entry
+            entries[_index(i, len(rows), "row"),
+                    _index(j, len(cols), "column")] = lit
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix entry {entry!r}: {exc}") from None
     return MorphismMatrix.build(rows, cols, entries, table)
 
 
@@ -1056,20 +1079,21 @@ def steps_from_json(doc) -> list:
     if isinstance(doc, str):
         doc = json.loads(doc)
     out = []
-    for rec in doc:
-        kind = rec["kind"]
+    for pos, rec in enumerate(doc):
+        get = lambda name: _field(rec, name, f"step {pos}")
+        kind = get("kind")
         if kind == "NegateRow":
-            out.append(NegateRow(rec["n"]))
+            out.append(NegateRow(get("n")))
         elif kind == "NegateCol":
-            out.append(NegateCol(rec["n"]))
+            out.append(NegateCol(get("n")))
         elif kind == "ColCompose":
-            out.append(ColCompose(rec["m"], rec["f"], rec["n"]))
+            out.append(ColCompose(get("m"), get("f"), get("n")))
         elif kind == "RowCompose":
-            out.append(RowCompose(rec["g"], rec["m"], rec["n"]))
+            out.append(RowCompose(get("g"), get("m"), get("n")))
         elif kind == "ScaleAddRow":
-            out.append(ScaleAddRow(int(rec["k"]), rec["m"], rec["n"]))
+            out.append(ScaleAddRow(int(get("k")), get("m"), get("n")))
         elif kind == "ScaleAddCol":
-            out.append(ScaleAddCol(int(rec["k"]), rec["m"], rec["n"]))
+            out.append(ScaleAddCol(int(get("k")), get("m"), get("n")))
         else:
             raise ValueError(f"unknown step kind {kind!r}")
     return out

@@ -6,6 +6,9 @@ decomposable summand the rules emit, and will not hand back a result that an
 independent cross-check refutes (homology against the Kunneth value, mod-2
 dimensions, Sq invariants, or a search that finds no Sq-isomorphism).
 
+The same table decides which atoms exist: a pair it keeps whole
+(stays_whole) is the only kind of pair a SmashAtom may hold.
+
 The four-cell ^ four-cell family is normalized so that the largest torsion
 exponent sits in the s-slot of the first factor (swapping factors and/or
 passing to the dual as needed); the three remaining shapes are
@@ -22,16 +25,17 @@ of it fails the homology check and is rejected).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
-from .complexes import (ElementaryComplex, SmashAtom, Summand,
+from .complexes import (POINT, ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, base_form, cbot, ceta, cfull, ctop,
                         dual, moore, smash_atom, suspend, wedge)
 from .verify import VerificationReport, check_decomposition
 
 __all__ = ["smash_decompose", "decompose_pair", "classified_pairs",
-           "DecompositionResult", "UnclassifiedPair", "VerificationFailure",
-           "Branch"]
+           "stays_whole", "DecompositionResult", "UnclassifiedPair",
+           "VerificationFailure", "Branch"]
 
 Branch = tuple[str, str]        # (pair description, rule id)
 
@@ -58,12 +62,43 @@ def _br(a: Summand, b: Summand, rule: str) -> Branch:
 
 def _solve(a: ElementaryComplex, b: ElementaryComplex,
            depth: int = 0) -> tuple[list[Summand], list[Branch]]:
-    """Decompose a ^ b for base-form Moore/Chang pieces (no spheres here)."""
+    """Decompose a ^ b for base-form Moore/Chang pieces (no spheres here).
+
+    The uncached entry: it orders the pair, guards the depth and builds the
+    atom when the table keeps the pair whole."""
     if depth > 6:
         raise RuntimeError("reduction did not terminate")
     if a.sort_key > b.sort_key:
         a, b = b, a
+    out, branches = _table(a, b, depth)
+    return ([SmashAtom(a, b)] if out is None else list(out)), list(branches)
+
+
+def stays_whole(a: ElementaryComplex, b: ElementaryComplex) -> bool:
+    """Whether the table keeps the base pair a ^ b (a <= b in the canonical
+    order, as an atom stores it) in one piece: the only pairs that may be
+    stored as atoms."""
+    try:
+        return _table(a, b, 0)[0] is None
+    except UnclassifiedPair:
+        return False
+
+
+@cache
+def _table(a: ElementaryComplex, b: ElementaryComplex, depth: int
+           ) -> tuple[tuple[Summand, ...] | None, tuple[Branch, ...]]:
+    """The table's answer for an ordered base pair, memoised; summands are
+    None when a ^ b itself stays whole."""
+    out, branches = _rules(a, b, depth)
+    return (None if out is None else tuple(out)), tuple(branches)
+
+
+def _rules(a: ElementaryComplex, b: ElementaryComplex, depth: int
+           ) -> tuple[list[Summand] | None, list[Branch]]:
+    """The decision table, one rule per ordered base pair."""
     ka, kb = a.kind, b.kind
+    if kb == "point":               # points sort last and are no table row
+        raise UnclassifiedPair(f"{a} ^ {b} is outside the classified table")
 
     if ka == "moore" and kb == "moore":
         if a.p != b.p:
@@ -71,7 +106,7 @@ def _solve(a: ElementaryComplex, b: ElementaryComplex,
         m = min(a.r, b.r)
         if a.p == 2:
             if a.r == b.r == 1:
-                return [cfull(1, 8, 1)], [_br(a, b, "moore-moore/2-square")]
+                return None, [_br(a, b, "moore-moore/2-square")]
             return [moore(2, m, 6), moore(2, m, 7)], [_br(a, b, "moore-moore/2-min")]
         return [moore(a.p, m, 6), moore(a.p, m, 7)], [_br(a, b, "moore-moore/odd-min")]
 
@@ -87,15 +122,15 @@ def _solve(a: ElementaryComplex, b: ElementaryComplex,
     if ka == "moore":                       # p = 2 against Chang
         u = a.r
         if kb == "ceta":
-            return [smash_atom(a, b)], [_br(a, b, "moore2-ceta/atom")]
+            return None, [_br(a, b, "moore2-ceta/atom")]
         if kb == "cbot":
             if u > b.r:
-                return [smash_atom(a, b)], [_br(a, b, "moore2-cbot/u>r")]
+                return None, [_br(a, b, "moore2-cbot/u>r")]
             return ([smash_atom(a, ceta(5)), moore(2, u, 7)],
                     [_br(a, b, "moore2-cbot/r>=u")])
         if kb == "ctop":
             if u > b.s:
-                return [smash_atom(a, b)], [_br(a, b, "moore2-ctop/u>s")]
+                return None, [_br(a, b, "moore2-ctop/u>s")]
             return ([smash_atom(a, ceta(5)), moore(2, u, 7)],
                     [_br(a, b, "moore2-ctop/s>=u")])
         # cfull
@@ -114,7 +149,7 @@ def _solve(a: ElementaryComplex, b: ElementaryComplex,
 
     if ka == "ceta" or (ka, kb) in (("ctop", "ctop"), ("ctop", "cbot"),
                                     ("cbot", "cbot")):
-        return [smash_atom(a, b)], [_br(a, b, f"{ka}-{kb}/atom")]
+        return None, [_br(a, b, f"{ka}-{kb}/atom")]
 
     if ka == "cbot" and kb == "cfull":
         u, r, s = a.r, b.r, b.s
@@ -124,7 +159,7 @@ def _solve(a: ElementaryComplex, b: ElementaryComplex,
         if u == s < r:
             return ([cfull(s, 9, r), smash_atom(ceta(5), cfull(s, 5, s))],
                     [_br(a, b, "cbot-cfull/u=s<r")])
-        return [smash_atom(a, b)], [_br(a, b, "cbot-cfull/atom")]
+        return None, [_br(a, b, "cbot-cfull/atom")]
 
     if ka == "ctop" and kb == "cfull":
         u, r, s = a.s, b.r, b.s
@@ -134,7 +169,7 @@ def _solve(a: ElementaryComplex, b: ElementaryComplex,
         if u == r < s:
             return ([cfull(s, 9, r), smash_atom(ceta(5), cfull(r, 5, r))],
                     [_br(a, b, "ctop-cfull/u=r<s")])
-        return [smash_atom(a, b)], [_br(a, b, "ctop-cfull/atom")]
+        return None, [_br(a, b, "ctop-cfull/atom")]
 
     if ka == "cfull" and kb == "cfull":
         return _solve_full_full(a, b, depth)
@@ -216,21 +251,26 @@ def classified_pairs() -> list[tuple[ElementaryComplex, ElementaryComplex]]:
     return pairs
 
 
-def decompose_pair(a: ElementaryComplex, b: ElementaryComplex
-                   ) -> tuple[WedgeComplex, str]:
-    """Decompose one elementary pair; returns the wedge and the rule id."""
+def decompose_pair(a: Summand, b: Summand) -> tuple[WedgeComplex, str]:
+    """Decompose one pair of summands; returns the wedge and the rule id."""
     w, branches = _decompose_pair_full(a, b)
     return w, branches[0][1]
 
 
-def _decompose_pair_full(a: ElementaryComplex, b: ElementaryComplex
+def _decompose_pair_full(a: Summand, b: Summand
                          ) -> tuple[WedgeComplex, list[Branch]]:
-    if a.kind == "point" or b.kind == "point":
+    """Decompose a ^ b for two summands: smashing with a point is a point,
+    with a sphere a suspension (of an atom too); elementary pairs go through
+    the table."""
+    if POINT in (a, b):
         return wedge(), [_br(a, b, "point")]
-    if a.kind == "sphere":
-        return suspend(wedge(b), a.dim), [_br(a, b, "sphere")]
-    if b.kind == "sphere":
-        return suspend(wedge(a), b.dim), [_br(a, b, "sphere")]
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, ElementaryComplex) and x.kind == "sphere":
+            return suspend(y, x.dim), [_br(a, b, "sphere")]
+    if isinstance(a, SmashAtom) or isinstance(b, SmashAtom):
+        raise UnclassifiedPair(
+            f"{a} ^ {b}: smashes with an atom factor are only "
+            "classified against spheres")
     a0, sa = base_form(a)
     b0, sb = base_form(b)
     out, branches = _solve(a0, b0)
@@ -249,19 +289,8 @@ def smash_decompose(x, y) -> DecompositionResult:
     Y = y if isinstance(y, WedgeComplex) else wedge(y)
     pieces: list[WedgeComplex] = []
     branches: list[Branch] = []
-    for cx in X.summands or (None,):
-        for cy in Y.summands or (None,):
-            if cx is None or cy is None:     # smashing with a point
-                continue
-            if isinstance(cx, SmashAtom) or isinstance(cy, SmashAtom):
-                atom_part, other = (cx, cy) if isinstance(cx, SmashAtom) else (cy, cx)
-                if isinstance(other, ElementaryComplex) and other.kind == "sphere":
-                    pieces.append(suspend(wedge(atom_part), other.dim))
-                    branches.append(_br(cx, cy, "sphere"))
-                    continue
-                raise UnclassifiedPair(
-                    f"{cx} ^ {cy}: smashes with an atom factor are only "
-                    "classified against spheres")
+    for cx in X.summands:
+        for cy in Y.summands:
             w, brs = _decompose_pair_full(cx, cy)
             pieces.append(w)
             branches.extend(brs)

@@ -172,3 +172,90 @@ def test_elementary_samples_have_cells_matching_homology_support():
         h = integral_homology(wedge(c))
         dims = {d for d, _ in cells_of(c)}
         assert set(h.degrees()) <= dims
+
+
+def _reference_pair_is_atom(a, b):
+    """Which base pairs (a <= b in the canonical order) stay whole, written
+    out by hand as a reference independent of the decision table."""
+    ka, kb = a.kind, b.kind
+    if ka == "moore":
+        if a.p != 2:
+            return False
+        if kb == "ceta":
+            return True
+        if kb == "cbot":
+            return a.r > b.r
+        if kb == "ctop":
+            return a.r > b.s
+        return False
+    if ka == "ceta":
+        return kb in ("ceta", "ctop", "cbot", "cfull")
+    if ka == "ctop":
+        if kb in ("ctop", "cbot"):
+            return True
+        if kb == "cfull":
+            u, r, s = a.s, b.r, b.s
+            return not (u >= r and u >= s) and not (u == r < s)
+        return False
+    if ka == "cbot":
+        if kb == "cbot":
+            return True
+        if kb == "cfull":
+            u, r, s = a.r, b.r, b.s
+            return not (u >= r and u >= s) and not (u == s < r)
+        return False
+    return False
+
+
+def _reference_torsion_square(a, b):
+    return a == b == moore(2, 1, 3)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_atom_verdicts_match_the_reference_list():
+    E = range(1, 7)
+    pieces = ([sphere(3)] + [moore(p, r, 3) for p in (2, 3, 5) for r in E]
+              + [ceta(5)] + [cbot(r, 5) for r in E] + [ctop(5, s) for s in E]
+              + [cfull(r, 5, s) for r in E for s in E])
+    pieces.sort(key=lambda c: c.sort_key)
+    pairs = [(a, b) for i, a in enumerate(pieces) for b in pieces[i:]]
+    assert len(pairs) == 2346
+    # a point splits off nothing: it is never an atom factor
+    pairs += [(a, POINT) for a in pieces] + [(POINT, POINT)]
+    for a, b in pairs:
+        whole = _reference_pair_is_atom(a, b)
+        square = _reference_torsion_square(a, b)
+        refused = f"ValueError: {a} ^ {b} splits; it cannot be an atom"
+        for shift in (0, 2):
+            got = _outcome(lambda: SmashAtom(a, b, shift))
+            if whole or square:
+                assert isinstance(got, SmashAtom), (a, b, got)
+                assert (got.left, got.right, got.shift) == (a, b, shift)
+            else:
+                assert got == refused, (a, b, got)
+        # smash_atom takes the pair in either order and at any dimension
+        sa, sb = _up(a, 1), _up(b, 2)
+        for x, y in ((a, b), (b, a), (sa, sb), (sb, sa)):
+            shift = x.dim + y.dim - a.dim - b.dim
+            if square:
+                want = cfull(1, 8 + shift, 1)
+            elif whole:
+                want = SmashAtom(a, b, shift)
+            else:
+                want = refused
+            got = _outcome(lambda: smash_atom(x, y))
+            assert got == want, (x, y, got)
+        if a != b:
+            assert _outcome(lambda: SmashAtom(b, a)) == \
+                "ValueError: atom factors out of canonical order"
+
+
+def _up(c, m):
+    return c if c == POINT else ElementaryComplex(c.kind, c.dim + m, c.p,
+                                                  c.r, c.s)

@@ -153,6 +153,16 @@ def test_pi9_extension_bounds():
         pi9_smash_extension(1, 3, 2, 2)      # needs r >= 2
 
 
+def test_group_spelling():
+    from chang.homology import group_label
+    assert group_label([]) == "0"
+    assert group_label([0, 4, 2]) == "Z ⊕ Z/4 ⊕ Z/2"
+    assert hom_group(sphere(9), cbot(2, 9)).pretty() == "Z/2 ⊕ Z"
+    assert hom_group(sphere(8), cbot(2, 9)).pretty() == "0"
+    # the descriptor states the table's orders, which need not be primary
+    assert hom_group(sphere(8), sphere(5)).pretty() == "Z/24"
+
+
 def test_table_path_override(tmp_path, monkeypatch):
     import importlib.resources as resources
     from chang import homgroups

@@ -392,3 +392,101 @@ def test_step_invertibility_randomized():
             N = apply_step(M, step)
             assert apply_step(N, inverse_step(step)) == M, (step, entries)
             assert homology_of_cone(N) == homology_of_cone(M), step
+
+
+def _step_cases(nrows, ncols):
+    """Every step kind with one index at 0 or size+1 and the others valid."""
+    cases = []
+    for bad in (0, nrows + 1):
+        cases += [(NegateRow(bad), "row"), (RowCompose("1", bad, 1), "row"),
+                  (RowCompose("1", 1, bad), "row"),
+                  (ScaleAddRow(1, bad, 1), "row"),
+                  (ScaleAddRow(1, 1, bad), "row")]
+    for bad in (0, ncols + 1):
+        cases += [(NegateCol(bad), "column"),
+                  (ColCompose(bad, "1", 1), "column"),
+                  (ColCompose(1, "1", bad), "column"),
+                  (ScaleAddCol(1, bad, 1), "column"),
+                  (ScaleAddCol(1, 1, bad), "column")]
+    return cases
+
+
+def test_step_indices_are_checked():
+    # rows of different size from columns, so a row index cannot pass as
+    # a column index
+    M = M_of([sphere(5), sphere(5)], [sphere(5), sphere(5), sphere(5)],
+             {(0, 0): "2", (1, 0): "3"})
+    cases = _step_cases(2, 3)
+    assert {type(step) for step, _ in cases} == {
+        NegateRow, NegateCol, ColCompose, RowCompose, ScaleAddRow,
+        ScaleAddCol}
+    for step, what in cases:
+        size = 2 if what == "row" else 3
+        bad = next(i for i in (getattr(step, "m", 1), step.n)
+                   if not 1 <= i <= size)
+        with pytest.raises(ValueError,
+                           match=rf"^{what} index {bad} is outside 1\.\.{size}$"):
+            apply_step(M, step)
+    # index 0 used to negate the last row through Python's index -1
+    N = apply_step(M, NegateRow(1))
+    assert entry_equals(N, 0, 0, "-2") and entry_equals(N, 1, 0, "3")
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_rejects_bad_step_indices(tmp_path, capsys):
+    from chang.cli import main
+    matrix = _write(tmp_path, "m.json", {"rows": ["S(5)", "S(5)"],
+                                         "cols": ["S(5)"],
+                                         "entries": [[1, 1, "2"],
+                                                     [2, 1, "3"]]})
+    for n in (0, 3):
+        steps = _write(tmp_path, f"s{n}.json", [{"kind": "NegateRow", "n": n}])
+        assert main(["reduce", matrix, "--script", steps]) == 2
+        assert capsys.readouterr().err == \
+            f"error: row index {n} is outside 1..2\n"
+    steps = _write(tmp_path, "s1.json", [{"kind": "NegateRow", "n": 2}])
+    assert main(["reduce", matrix, "--script", steps]) == 0
+    assert "S(5) | -3" in capsys.readouterr().out
+
+
+def test_malformed_matrix_files_are_rejected(tmp_path, capsys):
+    from chang.cli import main
+    with pytest.raises(ValueError, match=r"^matrix entry \[4, 1, '3'\]: "
+                                         r"row index 4 is outside 1\.\.1$"):
+        matrix_from_json({"rows": ["S(5)"], "cols": ["S(5)"],
+                          "entries": [[1, 1, "2"], [4, 1, "3"]]})
+    with pytest.raises(ValueError, match=r"^matrix entry \[1, 0, '5'\]: "
+                                         r"column index 0 is outside 1\.\.1$"):
+        matrix_from_json({"rows": ["S(5)"], "cols": ["S(5)"],
+                          "entries": [[1, 0, "5"]]})
+    with pytest.raises(ValueError, match=r"^matrix entry \[1, 1\]: "):
+        matrix_from_json({"rows": ["S(5)"], "cols": ["S(5)"],
+                          "entries": [[1, 1]]})
+    for field in ("rows", "cols"):
+        doc = {"rows": ["S(5)"], "cols": ["S(5)"]}
+        del doc[field]
+        with pytest.raises(ValueError, match=f"^matrix has no '{field}' field$"):
+            matrix_from_json(doc)
+    with pytest.raises(ValueError, match="^step 0 has no 'kind' field$"):
+        steps_from_json([{"n": 1}])
+    with pytest.raises(ValueError, match="^step 1 has no 'n' field$"):
+        steps_from_json([{"kind": "NegateCol", "n": 1},
+                         {"kind": "NegateRow"}])
+    good = _write(tmp_path, "good.json", {"rows": ["S(5)"], "cols": ["S(5)"],
+                                          "entries": [[1, 1, "2"]]})
+    bad_matrices = [{"rows": ["S(5)"], "cols": ["S(5)"],
+                     "entries": [[1, 1, "2"], [4, 1, "3"], [0, 1, "5"]]},
+                    {"cols": ["S(5)"]}]
+    for i, doc in enumerate(bad_matrices):
+        assert main(["reduce", _write(tmp_path, f"bad{i}.json", doc)]) == 2
+    steps = _write(tmp_path, "steps.json", [{"kind": "NegateRow"}])
+    assert main(["reduce", good, "--script", steps]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: matrix entry [4, 1, '3']: row index 4 is outside 1..1",
+                   "error: matrix has no 'rows' field",
+                   "error: step 0 has no 'n' field"]

@@ -120,6 +120,40 @@ def test_atom_inputs_only_against_spheres():
         smash_decompose(wedge(a), wedge(moore(2, 1, 3)))
 
 
+def test_decompose_pair_takes_atoms():
+    # the one sphere path serves smash_decompose and decompose_pair alike
+    a = smash_atom(moore(2, 1, 3), ceta(5))
+    for x, y in ((a, sphere(4)), (sphere(4), a)):
+        assert decompose_pair(x, y) == (suspend(a, 4), "sphere")
+    assert decompose_pair(a, POINT) == (wedge(), "point")
+    for x, y in ((a, moore(2, 1, 3)), (ceta(7), a), (a, a)):
+        with pytest.raises(UnclassifiedPair) as err:
+            decompose_pair(x, y)
+        assert str(err.value) == (f"{x} ^ {y}: smashes with an atom factor "
+                                  "are only classified against spheres")
+
+
+def test_table_is_evaluated_once_per_base_pair(monkeypatch):
+    calls = {}
+    rules = smash._rules
+
+    def counted(a, b, depth):
+        calls[a, b, depth] = calls.get((a, b, depth), 0) + 1
+        return rules(a, b, depth)
+    monkeypatch.setattr(smash, "_rules", counted)
+    smash._table.cache_clear()
+    try:
+        for _ in range(2):
+            for a, b in classified_pairs():
+                res = smash_decompose(wedge(a), wedge(b))
+                for c in res.output.summands:       # re-validates atoms
+                    suspend(c, 1)
+    finally:
+        smash._table.cache_clear()
+    # atom verdicts (depth 0) and decompositions share one answer per key
+    assert calls and max(calls.values()) == 1
+
+
 def test_recursive_reduction_examples():
     # the tail of the strict-maximum rule reduces through the sub-table
     w = out(cfull(1, 5, 3), cfull(2, 5, 1))
