@@ -10,6 +10,7 @@ from .homology import GradedAbelianGroup, integral_homology, kunneth
 from .steenrod import SqModule, mod2_cohomology, cartan_smash_sq, poincare_mod2
 from .smash import (smash_decompose, decompose_pair, DecompositionResult,
                     UnclassifiedPair, VerificationFailure)
+from .errors import ChangError
 from .verify import (graded_iso, sq_module_compare, moore_split_obstruction,
                      check_decomposition, VerificationReport)
 

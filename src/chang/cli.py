@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 verification failure; 2 usage, parse or semantic
-error; 3 query outside the classified tables (unclassified pair,
-untabulated hom group, unknown composition).
+Exit codes: 0 success; 1 a failed cross-check (`VerificationFailure`, or
+a mismatch `verify` reports); 2 a usage error, an unreadable file or an
+`InputError` (malformed or out-of-range input); 3 an `OutsideTables` error
+(unclassified pair, untabulated hom group, unknown composition).  Each
+error class in `chang.errors` states its code and stderr label; anything
+else that escapes a command is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -11,14 +14,15 @@ import argparse
 import json
 import sys
 
-from .complexes import WindowError, dual
+from .complexes import dual
+from .errors import ChangError, InputError
 from .homology import group_label
-from .homgroups import UntabulatedHom, hom_group, wedge_hom_order
-from .matrix import (UnknownComposition, matrix_from_json, render_matrix,
-                     run_script, split_cone, steps_from_json)
-from .parser import (ParseError, SemanticError, homology_of_expression,
-                     lower, parse_expression, sqmodule_of_expression)
-from .smash import UnclassifiedPair, VerificationFailure, smash_decompose
+from .homgroups import hom_group, wedge_hom_order
+from .matrix import (matrix_from_json, render_matrix, run_script, split_cone,
+                     steps_from_json)
+from .parser import (homology_of_expression, lower, parse_expression,
+                     sqmodule_of_expression)
+from .smash import smash_decompose
 from .verify import check_decomposition
 
 __all__ = ["main", "run_command", "entry"]
@@ -48,8 +52,8 @@ def _cmd_smash(args) -> tuple[int, list[str]]:
     pairs += [("verify.homology", str(v.homology_match).lower()),
               ("verify.mod2", str(v.mod2_match).lower()),
               ("verify.sq_invariants", str(v.sq_invariants_match).lower())]
-    code = 0 if (v.homology_match and v.mod2_match) else 1
-    return code, _emit(lines, args.format, pairs)
+    # smash_decompose raises VerificationFailure on any mismatch
+    return 0, _emit(lines, args.format, pairs)
 
 
 def _cmd_homology(args):
@@ -125,15 +129,21 @@ def _cmd_homgroup(args):
     return 0, _emit(lines, args.format, pairs)
 
 
+def _load_json(path: str):
+    """The JSON document in a file; malformed text is an InputError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:       # not UTF-8, or not JSON
+            raise InputError(str(exc)) from None
+
+
 def _cmd_reduce(args):
-    with open(args.matrix, encoding="utf-8") as fh:
-        M = matrix_from_json(json.load(fh))
+    M = matrix_from_json(_load_json(args.matrix))
     lines = ["input:", render_matrix(M)]
     pairs = [("command", "reduce"), ("matrix", args.matrix)]
     if args.script:
-        with open(args.script, encoding="utf-8") as fh:
-            steps = steps_from_json(json.load(fh))
-        M = run_script(M, steps)
+        M = run_script(M, steps_from_json(_load_json(args.script)))
         lines += ["reduced:", render_matrix(M)]
         for i in range(len(M.rows)):
             for j in range(len(M.cols)):
@@ -241,15 +251,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, lines = args.fn(args)
-    except (ParseError, SemanticError, WindowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnclassifiedPair, UntabulatedHom, UnknownComposition) as exc:
-        print(f"outside the classified tables: {exc}", file=sys.stderr)
-        return 3
-    except (VerificationFailure,) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+    except ChangError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

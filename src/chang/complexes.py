@@ -16,6 +16,9 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Union
 
+from .arith import MAX_DIGITS, PRIME_LIMIT, is_prime, power
+from .errors import InputError, WindowError
+
 __all__ = [
     "ElementaryComplex", "SmashAtom", "WedgeComplex", "Summand", "Family",
     "FAMILIES", "POINT", "sphere", "moore", "ceta", "ctop", "cbot", "cfull",
@@ -83,19 +86,9 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-class WindowError(ValueError):
-    """No single duality window is consistent with every summand."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+# p < 2^64 has at most 20 digits, so only a longer exponent can make an
+# order too long to print
+_LONG_EXPONENT = MAX_DIGITS // 20
 
 
 @dataclass(frozen=True, order=False)
@@ -116,23 +109,29 @@ class ElementaryComplex:
     def __post_init__(self):
         fam = FAMILIES.get(self.kind)
         if fam is None:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise InputError(f"unknown kind {self.kind!r}")
         if not fam.cells and self.dim != fam.min_dim:
             # a point has no cells to place; any dim would make it unequal
             # to POINT
-            raise ValueError(f"{self.kind} takes no dimension, got {self.dim}")
+            raise InputError(f"{self.kind} takes no dimension, got {self.dim}")
         if self.dim < fam.min_dim:
-            raise ValueError(
+            raise InputError(
                 f"{self.kind} at dimension {self.dim} is below the stable range")
         for name, word in fam.params.items():
             value = getattr(self, name)
-            if name == "p" and not _is_prime(value):
-                raise ValueError(f"{fam.noun} needs a {word}, got {value}")
-            if name != "p" and value < 1:
-                raise ValueError(f"{fam.noun} {word} must be >= 1")
+            if name == "p":
+                if not is_prime(value):
+                    below = " below 2^64" if value >= PRIME_LIMIT else ""
+                    raise InputError(
+                        f"{fam.noun} needs a {word}{below}, got {value}")
+            elif value < 1:
+                raise InputError(f"{fam.noun} {word} must be >= 1")
+            elif value > _LONG_EXPONENT:
+                for spec in fam.boundary.values():
+                    self._degree(spec)      # refuses an order too long
         for name in ("p", "r", "s"):
             if name not in fam.params and getattr(self, name):
-                raise ValueError(f"{self.kind} does not use parameter {name}")
+                raise InputError(f"{self.kind} does not use parameter {name}")
 
     @property
     def family(self) -> Family:
@@ -155,14 +154,16 @@ class ElementaryComplex:
         """Cell dimensions with multiplicity, in chain order."""
         return [self.dim + off for off, _ in self.family.cells]
 
+    def _degree(self, spec: str) -> int:
+        """An attaching degree written "base^exponent" over the parameters."""
+        base, exp = spec.split("^")
+        base = int(base) if base.isdigit() else getattr(self, base)
+        return power(base, getattr(self, exp))
+
     def boundary(self) -> dict[tuple[int, int], int]:
         """Integral cellular boundary: (from_cell, to_cell) -> degree."""
-        out = {}
-        for edge, degree in self.family.boundary.items():
-            base, exp = degree.split("^")
-            base = int(base) if base.isdigit() else getattr(self, base)
-            out[edge] = base ** getattr(self, exp)
-        return out
+        return {edge: self._degree(spec)
+                for edge, spec in self.family.boundary.items()}
 
     def __str__(self) -> str:
         return self.family.spelling.format(dim=self.dim, p=self.p, r=self.r,
@@ -218,14 +219,14 @@ class SmashAtom:
 
     def __post_init__(self):
         if self.shift < 0:
-            raise ValueError("atom shift must be >= 0")
+            raise InputError("atom shift must be >= 0")
         for c in (self.left, self.right):
             if c.dim != c.family.min_dim:
-                raise ValueError(f"atom factor {c} is not in base form")
+                raise InputError(f"atom factor {c} is not in base form")
         if self.left.sort_key > self.right.sort_key:
-            raise ValueError("atom factors out of canonical order")
+            raise InputError("atom factors out of canonical order")
         if not smash.stays_whole(self.left, self.right):
-            raise ValueError(
+            raise InputError(
                 f"{self.left} ^ {self.right} splits; it cannot be an atom")
 
     @property
@@ -317,7 +318,7 @@ def canonicalize(w: WedgeComplex) -> WedgeComplex:
 def suspend(x: Summand | WedgeComplex, m: int) -> WedgeComplex:
     """m-fold suspension, acting summand-wise."""
     if m < 0:
-        raise ValueError("suspension count must be >= 0")
+        raise InputError("suspension count must be >= 0")
     if not isinstance(x, WedgeComplex):
         x = wedge(x)
     out: list[Summand] = []

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .arith import integer, power
 from .complexes import (SmashAtom, Summand, WedgeComplex, sphere,
                         suspend, wedge)
+from .errors import InputError, UntabulatedHom
 from .homology import group_label, primary_factors
 
 __all__ = ["HomGroupDescriptor", "UntabulatedHom", "hom_group",
            "atom_homotopy", "wedge_hom_order", "pi9_smash_extension",
            "load_table"]
-
-
-class UntabulatedHom(LookupError):
-    """The requested hom group is outside the shipped tables."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ def _tokenize(text: str) -> list[str]:
     while i < len(text):
         m = _TOK.match(text, i)
         if not m:
-            raise ValueError(f"bad table expression {text!r} at {i}")
+            raise InputError(f"bad table expression {text!r} at {i}")
         out.append(m.group(1))
         i = m.end()
     return out
@@ -69,7 +67,7 @@ class _Expr:
     def take(self, tok=None):
         t = self.peek()
         if t is None or (tok is not None and t != tok):
-            raise ValueError(f"expected {tok!r}, got {t!r}")
+            raise InputError(f"expected {tok!r}, got {t!r}")
         self.pos += 1
         return t
 
@@ -93,13 +91,13 @@ class _Expr:
         v = self.base()
         if self.peek() == "^":
             self.take()
-            v = v ** self.factor()
+            v = power(v, self.factor())
         return v
 
     def base(self) -> int:
         t = self.take()
         if t.isdigit():
-            return int(t)
+            return integer(t)
         if t == "(":
             v = self.expr()
             self.take(")")
@@ -120,14 +118,14 @@ class _Expr:
             return 0 if args[0] == 1 else 1
         if t in self.env:
             return self.env[t]
-        raise ValueError(f"unknown name {t!r} in table expression")
+        raise InputError(f"unknown name {t!r} in table expression")
 
 
 def _eval_int(text: str, env: dict[str, int]) -> int:
     p = _Expr(_tokenize(text), env)
     v = p.expr()
     if p.peek() is not None:
-        raise ValueError(f"trailing input in {text!r}")
+        raise InputError(f"trailing input in {text!r}")
     return v
 
 
@@ -140,7 +138,7 @@ def _eval_pred(text: str, env: dict[str, int]) -> bool:
         for cmp_ in clause.split("&"):
             m = re.match(r"^(.*?)(<=|>=|!=|=|<|>)(.*)$", cmp_.strip())
             if not m:
-                raise ValueError(f"bad predicate {cmp_!r}")
+                raise InputError(f"bad predicate {cmp_!r}")
             a = _eval_int(m.group(1), env)
             b = _eval_int(m.group(3), env)
             op = m.group(2)
@@ -190,9 +188,10 @@ def load_table(path: str | None = None) -> tuple[_Record, ...]:
             if len(parts) < 8:
                 parts += [""] * (8 - len(parts))
             kind, src, tgt, off, when, group, gens = parts[:7]
-            stable_from = int(parts[7]) if parts[7] else 3
+            off = integer(off)
+            stable_from = integer(parts[7]) if parts[7] else 3
             note = parts[8] if len(parts) > 8 else ""
-            records.append(_Record(kind, src, tgt, int(off), when, group,
+            records.append(_Record(kind, src, tgt, off, when, group,
                                    gens, stable_from, note))
     return tuple(records)
 
@@ -250,6 +249,8 @@ def _build_descriptor(rec: _Record, env: dict[str, int],
     gens = []
     if rec.gens.strip():
         for item in _split_top(rec.gens, ","):
+            if ":" not in item:
+                raise InputError(f"generator {item.strip()!r} has no order")
             name, order = item.rsplit(":", 1)
             o = 0 if order.strip() == "Z" else _eval_int(order, env)
             gens.append((_subst(name.strip(), env), o, rec.note))

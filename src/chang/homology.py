@@ -13,6 +13,7 @@ from functools import cache
 from math import gcd
 from typing import Iterable, Mapping
 
+from .arith import prime_powers
 from .complexes import ElementaryComplex, Summand, WedgeComplex
 
 __all__ = ["GradedAbelianGroup", "integral_homology", "kunneth",
@@ -20,28 +21,11 @@ __all__ = ["GradedAbelianGroup", "integral_homology", "kunneth",
            "group_label"]
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e in the factorisation of n >= 1."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def primary_factors(n: int) -> list[int]:
     """Prime-power factors of |Z/n| (n=0 stays as the single factor 0)."""
     if n == 0:
         return [0]
-    return [p ** e for p, e in _prime_powers(abs(n))]
+    return [p ** e for p, e in prime_powers(abs(n))]
 
 
 def cyclic_label(q: int) -> str:

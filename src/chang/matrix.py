@@ -16,11 +16,13 @@ from math import gcd
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import MAX_DIGITS, integer, power, prime_powers
 from .complexes import (ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, cbot, ceta, cfull, ctop, moore,
                         sphere, suspend, wedge)
+from .errors import ChangError, InputError, UnknownComposition
 from .homgroups import _table_path
-from .homology import GradedAbelianGroup, _prime_powers
+from .homology import GradedAbelianGroup
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
            "UnknownComposition", "NegateRow", "NegateCol", "ColCompose",
@@ -31,6 +33,7 @@ __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
            "default_table", "smith_normal_form"]
 
 BITS = ("k", "k2", "e", "e2")
+_UNPRINTABLE = 10 ** MAX_DIGITS     # coefficients stay below it
 _BIT_DISPLAY = {"k": "κ", "k2": "κ'", "e": "ε", "e2": "ε'"}
 
 _ETA_FAMILY = {"eta", "ieta", "etaq", "ietaq", "ietaetaq", "etaeta",
@@ -46,10 +49,6 @@ _DISPLAY = {"eta": "η", "ieta": "iη", "etaq": "ηq",
             "i": "i", "q": "q"}
 
 
-class UnknownComposition(Exception):
-    """The relation table has no rule for this generator pair."""
-
-
 # --- coefficients: Z[k,k2,e,e2] with bit^2 = bit ---------------------------
 
 class Coef:
@@ -61,11 +60,13 @@ class Coef:
         if isinstance(terms, int):
             terms = {frozenset(): terms} if terms else {}
         self.terms = {m: c for m, c in terms.items() if c}
+        if any(abs(c) >= _UNPRINTABLE for c in self.terms.values()):
+            raise InputError(f"a coefficient has more than {MAX_DIGITS} digits")
 
     @classmethod
     def bit(cls, name: str) -> "Coef":
         if name not in BITS:
-            raise ValueError(f"unknown bit {name!r}")
+            raise InputError(f"unknown bit {name!r}")
         return cls({frozenset([name]): 1})
 
     def __add__(self, other: "Coef") -> "Coef":
@@ -271,7 +272,10 @@ class RelationTable:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                _, g, f, result = [p.strip() for p in line.split(";")]
+                try:
+                    _, g, f, result = [p.strip() for p in line.split(";")]
+                except ValueError as exc:       # not four fields
+                    raise InputError(str(exc)) from None
                 rules[(g, f)] = _parse_terms(result)
         return cls(rules)
 
@@ -355,7 +359,7 @@ class RelationTable:
     def compose(self, f: FormalMorphism, g: FormalMorphism) -> FormalMorphism:
         """f o g (so target(g) = source(f)), bilinear over the table."""
         if g.target != f.source:
-            raise ValueError(f"cannot compose: {g.target} != {f.source}")
+            raise InputError(f"cannot compose: {g.target} != {f.source}")
         terms: list[tuple[Coef, str]] = []
         for cf, gf in f.terms:
             for cg, gg in g.terms:
@@ -394,7 +398,7 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
     while i < len(text):
         m = _LIT_TOKEN.match(text, i)
         if not m:
-            raise ValueError(f"bad morphism literal {text!r} at offset {i}")
+            raise InputError(f"bad morphism literal {text!r} at offset {i}")
         toks.append(m.group(1))
         i = m.end()
 
@@ -420,7 +424,7 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
             return {g: a["id"] * c for g, c in b.items()}
         if list(b) == ["id"]:
             return {g: c * b["id"] for g, c in a.items()}
-        raise ValueError(f"cannot multiply two generators in {text!r}")
+        raise InputError(f"cannot multiply two generators in {text!r}")
 
     def expr():
         v = term()
@@ -438,6 +442,11 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
             v = vmul(v, factor())
         return v
 
+    def number(t):
+        if t is None or not t.isdigit():
+            raise InputError(f"bad integer in morphism literal {text!r}")
+        return integer(t)
+
     def factor():
         t = peek()
         if t == "-":
@@ -448,17 +457,17 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
     def atom():
         t = take()
         if t is None:
-            raise ValueError(f"unexpected end of literal {text!r}")
+            raise InputError(f"unexpected end of literal {text!r}")
         if t == "(":
             v = expr()
             if take() != ")":
-                raise ValueError(f"missing ')' in {text!r}")
+                raise InputError(f"missing ')' in {text!r}")
             return v
         if t.isdigit():
-            n = int(t)
+            n = number(t)
             if peek() == "^":
                 take()
-                n = n ** int(take())
+                n = power(n, number(take()))
             return {"id": Coef(n)}
         if t in BITS:
             return {"id": Coef.bit(t)}
@@ -466,7 +475,7 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
 
     value = expr()
     if pos[0] != len(toks):
-        raise ValueError(f"trailing input in morphism literal {text!r}")
+        raise InputError(f"trailing input in morphism literal {text!r}")
     return tuple((c, g) for g, c in value.items() if not c.is_zero())
 
 
@@ -563,14 +572,14 @@ def _coerce_morphism(f, source, target, table) -> FormalMorphism:
     if isinstance(f, str):
         return parse_morphism(f, source, target, table)
     if f.source != source or f.target != target:
-        raise ValueError(f"morphism {f} does not have type {source} -> {target}")
+        raise InputError(f"morphism {f} does not have type {source} -> {target}")
     return table.normalize(f)
 
 
 def _index(i, size: int, what: str) -> int:
     """0-based position of a 1-based step index, checked against the grid."""
     if not isinstance(i, int) or not 1 <= i <= size:
-        raise ValueError(f"{what} index {i!r} is outside 1..{size}")
+        raise InputError(f"{what} index {i!r} is outside 1..{size}")
     return i - 1
 
 
@@ -594,31 +603,31 @@ def apply_step(M: MorphismMatrix, step,
         elif isinstance(step, ColCompose):
             m_, n_ = col(step.m), col(step.n)
             if m_ == n_:
-                raise ValueError("column indices must differ")
+                raise InputError("column indices must differ")
             f = _coerce_morphism(step.f, M.cols[n_], M.cols[m_], table)
             for i in range(len(grid)):
                 grid[i][n_] = add(table.compose(grid[i][m_], f), grid[i][n_])
         elif isinstance(step, RowCompose):
             m_, n_ = row(step.m), row(step.n)
             if m_ == n_:
-                raise ValueError("row indices must differ")
+                raise InputError("row indices must differ")
             g = _coerce_morphism(step.g, M.rows[m_], M.rows[n_], table)
             for j in range(len(grid[0]) if grid else 0):
                 grid[n_][j] = add(table.compose(g, grid[m_][j]), grid[n_][j])
         elif isinstance(step, ScaleAddRow):
             m_, n_ = row(step.m), row(step.n)
             if m_ == n_:
-                raise ValueError("row indices must differ")
+                raise InputError("row indices must differ")
             if M.rows[m_] != M.rows[n_]:
-                raise ValueError("integer row moves need equal row summands")
+                raise InputError("integer row moves need equal row summands")
             for j in range(len(grid[0]) if grid else 0):
                 grid[n_][j] = add(grid[m_][j].scale(step.k), grid[n_][j])
         elif isinstance(step, ScaleAddCol):
             m_, n_ = col(step.m), col(step.n)
             if m_ == n_:
-                raise ValueError("column indices must differ")
+                raise InputError("column indices must differ")
             if M.cols[m_] != M.cols[n_]:
-                raise ValueError("integer column moves need equal column summands")
+                raise InputError("integer column moves need equal column summands")
             for i in range(len(grid)):
                 grid[i][n_] = add(grid[i][m_].scale(step.k), grid[i][n_])
         else:
@@ -650,8 +659,9 @@ def run_script(M: MorphismMatrix, steps,
     for idx, step in enumerate(steps):
         try:
             M = apply_step(M, step, table)
-        except UnknownComposition as exc:
-            raise UnknownComposition(f"step {idx}: {exc}") from None
+        except ChangError as exc:
+            exc.args = (f"step {idx}: {exc}",)
+            raise
     return M
 
 
@@ -660,7 +670,7 @@ def run_script(M: MorphismMatrix, steps,
 def _summand_chain(c: Summand):
     """(cell dims, boundary dict (from,to)->int) for one wedge summand."""
     if isinstance(c, SmashAtom):
-        raise ValueError("matrix summands must be elementary pieces")
+        raise InputError("matrix summands must be elementary pieces")
     return c.cells(), c.boundary()
 
 
@@ -672,7 +682,7 @@ def _gen_chain(gen: str, src: Summand, tgt: Summand):
     tc, _ = _summand_chain(tgt)
     if gen == "id":
         if type(src) is not type(tgt) or sc != tc:
-            raise ValueError(f"no identity chain map {src} -> {tgt}")
+            raise InputError(f"no identity chain map {src} -> {tgt}")
         return {(i, i): 1 for i in range(len(sc))}
     if gen == "B":
         s, t = src.r, tgt.r
@@ -683,7 +693,7 @@ def _gen_chain(gen: str, src: Summand, tgt: Summand):
         return {(len(sc) - 1, 0): 1}
     if gen == "iq":       # through the top sphere into the next bottom cell
         return {(len(sc) - 1, 0): 1}
-    raise ValueError(f"no chain data for generator {gen!r}")
+    raise InputError(f"no chain data for generator {gen!r}")
 
 
 def homology_of_cone(M: MorphismMatrix) -> GradedAbelianGroup:
@@ -717,7 +727,7 @@ def homology_of_cone(M: MorphismMatrix) -> GradedAbelianGroup:
                     continue
                 c = coef.const_value()
                 if c is None:
-                    raise ValueError(
+                    raise InputError(
                         "cannot take cone homology with undetermined bits on "
                         f"a degree-carrying generator in entry ({i+1},{j+1})")
                 for (a, b), v in cmat.items():
@@ -849,7 +859,7 @@ def _recognize_block(rows, cols, entries) -> list[Summand] | None:
             if r.kind == "sphere" and abs(cid) > 1:
                 # cone of a degree map is the corresponding Moore space,
                 # split into its primary pieces
-                return [moore(p, e, r.dim) for p, e in _prime_powers(abs(cid))]
+                return [moore(p, e, r.dim) for p, e in prime_powers(abs(cid))]
             if r.kind == "moore" and r.p == 2:
                 if r.r == 1 and cid % 4 == 2:
                     return [cfull(1, r.dim + 2, 1)]
@@ -1042,27 +1052,53 @@ def split_cone(M: MorphismMatrix,
 
 # --- file formats and rendering ----------------------------------------------
 
-def _field(doc, name: str, where: str):
-    """doc[name], or a ValueError naming the missing field."""
+def _field(doc, name: str, where: str, kind=object):
+    """doc[name], or an InputError naming the missing or mistyped field."""
     if not isinstance(doc, dict) or name not in doc:
-        raise ValueError(f"{where} has no {name!r} field")
-    return doc[name]
+        raise InputError(f"{where} has no {name!r} field")
+    return _typed(doc[name], kind, f"{where} field {name!r}")
+
+
+def _typed(value, kind, what: str):
+    """value, or an InputError when it is not of the JSON type kind."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} is not a {_JSON_TYPES[kind]}: {value!r}")
+    return value
+
+
+_JSON_TYPES = {list: "list", str: "string"}
+
+
+def _document(doc):
+    """doc, parsed first when it is JSON text."""
+    if not isinstance(doc, str):
+        return doc
+    try:
+        return json.loads(doc)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _pieces(doc, name: str) -> list[ElementaryComplex]:
+    from .parser import parse_summand
+    return [parse_summand(_typed(t, str, f"an item of matrix field {name!r}"))
+            for t in _field(doc, name, "matrix", list)]
 
 
 def matrix_from_json(doc, table: RelationTable | None = None) -> MorphismMatrix:
-    from .parser import parse_summand
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    rows = [parse_summand(t) for t in _field(doc, "rows", "matrix")]
-    cols = [parse_summand(t) for t in _field(doc, "cols", "matrix")]
+    doc = _document(doc)
+    rows, cols = _pieces(doc, "rows"), _pieces(doc, "cols")
     entries = {}
-    for entry in doc.get("entries", []):
+    for entry in _typed(doc.get("entries", []), list, "matrix field 'entries'"):
         try:
             i, j, lit = entry
-            entries[_index(i, len(rows), "row"),
-                    _index(j, len(cols), "column")] = lit
+            pos = _index(i, len(rows), "row"), _index(j, len(cols), "column")
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"matrix entry {entry!r}: {exc}") from None
+            raise InputError(f"matrix entry {entry!r}: {exc}") from None
+        if pos in entries:
+            raise InputError(f"matrix entry {entry!r}: position ({i}, {j}) "
+                             "already has an entry")
+        entries[pos] = _typed(lit, str, f"matrix entry {entry!r}: morphism")
     return MorphismMatrix.build(rows, cols, entries, table)
 
 
@@ -1076,26 +1112,24 @@ def matrix_to_json(M: MorphismMatrix) -> dict:
 
 
 def steps_from_json(doc) -> list:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     out = []
-    for pos, rec in enumerate(doc):
-        get = lambda name: _field(rec, name, f"step {pos}")
+    for pos, rec in enumerate(_typed(_document(doc), list, "a script")):
+        get = lambda name, kind=object: _field(rec, name, f"step {pos}", kind)
         kind = get("kind")
         if kind == "NegateRow":
             out.append(NegateRow(get("n")))
         elif kind == "NegateCol":
             out.append(NegateCol(get("n")))
         elif kind == "ColCompose":
-            out.append(ColCompose(get("m"), get("f"), get("n")))
+            out.append(ColCompose(get("m"), get("f", str), get("n")))
         elif kind == "RowCompose":
-            out.append(RowCompose(get("g"), get("m"), get("n")))
+            out.append(RowCompose(get("g", str), get("m"), get("n")))
         elif kind == "ScaleAddRow":
-            out.append(ScaleAddRow(int(get("k")), get("m"), get("n")))
+            out.append(ScaleAddRow(integer(get("k")), get("m"), get("n")))
         elif kind == "ScaleAddCol":
-            out.append(ScaleAddCol(int(get("k")), get("m"), get("n")))
+            out.append(ScaleAddCol(integer(get("k")), get("m"), get("n")))
         else:
-            raise ValueError(f"unknown step kind {kind!r}")
+            raise InputError(f"unknown step kind {kind!r}")
     return out
 
 

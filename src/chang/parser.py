@@ -17,22 +17,12 @@ import re
 from dataclasses import dataclass
 
 from . import complexes as cx
+from .arith import MAX_DIGITS
 from .complexes import ElementaryComplex, WedgeComplex
+from .errors import InputError, ParseError, SemanticError
 
 __all__ = ["parse_expression", "print_expression", "ParseError",
            "SemanticError", "lower", "parse_summand", "Expr"]
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, offset: int, expected=()):
-        super().__init__(f"{message} at offset {offset}"
-                         + (f" (expected {', '.join(expected)})" if expected else ""))
-        self.offset = offset
-        self.expected = tuple(expected)
-
-
-class SemanticError(ValueError):
-    """Structurally valid expression with out-of-range parameters."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +88,11 @@ class _Parser:
         tok, off = self.toks[self.pos]
         if tok is None or not tok.isdigit():
             raise ParseError(f"got {tok!r}", off, ("integer",))
+        if len(tok) > MAX_DIGITS // 2:
+            # dimensions add up as expressions nest; at half the digits
+            # Python prints, every sum of them still prints
+            raise ParseError(f"got an integer of {len(tok)} digits", off,
+                             (f"at most {MAX_DIGITS // 2} digits",))
         self.pos += 1
         return int(tok)
 
@@ -196,7 +191,7 @@ def _atom_complex(e: Expr) -> ElementaryComplex:
         kind, params = _atom_params(e)
         try:
             return ElementaryComplex(kind, **params)
-        except ValueError as exc:
+        except InputError as exc:
             raise SemanticError(f"{print_expression(e)}: {exc}") from None
     raise SemanticError(f"{print_expression(e)} is not an elementary piece")
 

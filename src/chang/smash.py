@@ -31,6 +31,7 @@ from itertools import product
 from .complexes import (POINT, ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, base_form, cbot, ceta, cfull, ctop,
                         dual, moore, smash_atom, suspend, wedge)
+from .errors import UnclassifiedPair, VerificationFailure
 from .verify import VerificationReport, check_decomposition
 
 __all__ = ["smash_decompose", "decompose_pair", "classified_pairs",
@@ -38,14 +39,6 @@ __all__ = ["smash_decompose", "decompose_pair", "classified_pairs",
            "VerificationFailure", "Branch"]
 
 Branch = tuple[str, str]        # (pair description, rule id)
-
-
-class UnclassifiedPair(Exception):
-    """The pair is outside the classified table; no guess is made."""
-
-
-class VerificationFailure(Exception):
-    """A decomposition failed one of its independent cross-checks."""
 
 
 @dataclass(frozen=True)

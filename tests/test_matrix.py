@@ -448,7 +448,7 @@ def test_cli_rejects_bad_step_indices(tmp_path, capsys):
         steps = _write(tmp_path, f"s{n}.json", [{"kind": "NegateRow", "n": n}])
         assert main(["reduce", matrix, "--script", steps]) == 2
         assert capsys.readouterr().err == \
-            f"error: row index {n} is outside 1..2\n"
+            f"error: step 0: row index {n} is outside 1..2\n"
     steps = _write(tmp_path, "s1.json", [{"kind": "NegateRow", "n": 2}])
     assert main(["reduce", matrix, "--script", steps]) == 0
     assert "S(5) | -3" in capsys.readouterr().out
@@ -490,3 +490,33 @@ def test_malformed_matrix_files_are_rejected(tmp_path, capsys):
     assert err == ["error: matrix entry [4, 1, '3']: row index 4 is outside 1..1",
                    "error: matrix has no 'rows' field",
                    "error: step 0 has no 'n' field"]
+
+
+def test_mistyped_matrix_fields_are_input_errors():
+    from chang.errors import InputError
+    S5 = ["S(5)"]
+    cases = [
+        ({"rows": [5], "cols": S5},
+         "an item of matrix field 'rows' is not a string: 5"),
+        ({"rows": S5, "cols": "S(5)"},
+         "matrix field 'cols' is not a list: 'S(5)'"),
+        ({"rows": S5, "cols": S5, "entries": 5},
+         "matrix field 'entries' is not a list: 5"),
+        ({"rows": S5, "cols": S5, "entries": [[1, 1, 2]]},
+         "matrix entry [1, 1, 2]: morphism is not a string: 2"),
+        ('{"rows": [', "Expecting value: line 1 column 11 (char 10)"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(InputError) as err:
+            matrix_from_json(doc)
+        assert str(err.value) == message
+    for doc, message in [
+            ({"kind": "NegateRow"}, "a script is not a list: {'kind': 'NegateRow'}"),
+            ([{"kind": "ColCompose", "m": 1, "f": 3, "n": 2}],
+             "step 0 field 'f' is not a string: 3"),
+            ([{"kind": "ScaleAddCol", "k": None, "m": 1, "n": 2}],
+             "int() argument must be a string, a bytes-like object or a "
+             "real number, not 'NoneType'")]:
+        with pytest.raises(InputError) as err:
+            steps_from_json(doc)
+        assert str(err.value) == message

@@ -185,3 +185,182 @@ def test_run_command_captures_output():
     from chang.cli import run_command
     code, out = run_command(["homgroup", "M(2^3,3)", "S(3)"])
     assert code == 0 and out.splitlines()[0] == "Z/2"
+
+
+# --- the error table: one input per path to a refusal ------------------------
+
+_DOCS = {
+    "bad.json": '{"rows": [',
+    "m1.json": {"rows": ["S(5)"], "cols": ["S(5)"], "entries": [[1, 1, "2"]]},
+    "m2.json": {"rows": ["S(5)", "S(5)"], "cols": ["S(5)", "S(5)"],
+                "entries": [[1, 1, "2"], [2, 1, "3"], [1, 2, "1"]]},
+    "dup.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                 "entries": [[1, 1, "2"], [1, 1, "3"]]},
+    "rho.json": {"rows": ["S(7)"], "cols": ["S(10)", "S(11)"],
+                 "entries": [[1, 1, "rho"]]},
+    "big.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                 "entries": [[1, 1, "1000000000000000003"]]},
+    # 65537 * 65539: two primes just past the first trial bound
+    "pq.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                "entries": [[1, 1, "4295229443"]]},
+    # 1000000007 * 998244353: two primes past trial division
+    "semi.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                  "entries": [[1, 1, "998244359987710471"]]},
+    "k.json": [{"kind": "ScaleAddRow", "k": "x", "m": 1, "n": 2}],
+    "index.json": [{"kind": "NegateRow", "n": 0}],
+    "same.json": [{"kind": "NegateRow", "n": 1},
+                  {"kind": "ColCompose", "m": 1, "f": "eta", "n": 1}],
+    "unknown.json": [{"kind": "ColCompose", "m": 1, "f": "eta", "n": 2}],
+    "grow.json": [{"kind": "ScaleAddRow", "k": 10 ** 4300 - 1, "m": 1,
+                   "n": 2}],
+    "tables/relations.txt": "compose; eta\n",
+}
+
+
+def _bad_relations(monkeypatch):
+    from chang.matrix import default_table
+    monkeypatch.setenv("CHANG_TABLE_PATH", "tables")
+    default_table.cache_clear()
+
+
+def _wrong_split(monkeypatch):
+    from chang import smash
+    monkeypatch.setattr(smash, "_solve", lambda a, b, depth=0: (
+        [moore(2, 1, 6), moore(2, 1, 7)], [("fake", "fake")]))
+
+
+def _row(argv, code, err, setup=None):
+    return pytest.param(argv, code, err, setup, id=" ".join(argv)[:60])
+
+
+ERROR_TABLE = [
+    _row(["homology", "S(2)"], 2,
+         "error: S(2): sphere at dimension 2 is below the stable range"),
+    _row(["homology", "S(3"], 2, "error: got None at offset 3 (expected ))"),
+    _row(["dual", "S(3) v S(9)"], 2, "error: no common duality window; "
+         "conflicting summands: S(3), S(9)"),
+    _row(["pi", "1", "S(3)"], 2,
+         "error: sphere at dimension 1 is below the stable range"),
+    _row(["homgroup", "susp(0,*)", "Ceta(5)", "--deg", "-3"], 2,
+         "error: suspension count must be >= 0"),
+    _row(["reduce", "bad.json"], 2,
+         "error: Expecting value: line 1 column 11 (char 10)"),
+    _row(["reduce", "m2.json", "--script", "k.json"], 2,
+         "error: invalid literal for int() with base 10: 'x'"),
+    _row(["reduce", "m1.json"], 2,
+         "error: not enough values to unpack (expected 4, got 2)",
+         setup=_bad_relations),
+    _row(["reduce", "rho.json", "--script", "unknown.json"], 3,
+         "outside the classified tables: step 0: no rule for 'rho' o 'eta' "
+         "while applying ColCompose(m=1, f='eta', n=2)"),
+    _row(["pi", "11", "S(3)"], 3, "outside the classified tables: "
+         "[S(11), S(3)] (offset 8) is not tabulated"),
+    _row(["smash", "M(2^2,3)^Cbot(3,5)", "M(2,3)"], 3,
+         "outside the classified tables: M(2^2,3)^Ceta(5) ^ M(2^1,3): smashes "
+         "with an atom factor are only classified against spheres"),
+    _row(["smash", "M(2,3)", "M(2,3)"], 1, "verification failure: "
+         "Sq invariant mismatch decomposing M(2^1,3) ^ M(2^1,3) -> "
+         "M(2^1,6) v M(2^1,7)", setup=_wrong_split),
+    # factored, not refused: M(65537,5) v M(65539,5)
+    _row(["reduce", "pq.json", "--auto"], 0, ""),
+]
+
+# Rows that differ from the previous release on purpose: a step error names
+# its step, a duplicate entry is refused, numbers too long to print are
+# refused with a typed error, and numbers past trial division are factored
+# or refused in bounded time instead of hanging.
+CHANGED_ROWS = [
+    _row(["reduce", "dup.json"], 2, "error: matrix entry [1, 1, '3']: "
+         "position (1, 1) already has an entry"),
+    _row(["reduce", "m2.json", "--script", "index.json"], 2,
+         "error: step 0: row index 0 is outside 1..2"),
+    _row(["reduce", "m2.json", "--script", "same.json"], 2,
+         "error: step 1: column indices must differ"),
+    _row(["homology", "M(1000000000000000003,3)"], 0, ""),
+    _row(["homology", "M(18446744073709551629,3)"], 2,
+         "error: M(18446744073709551629^1,3): Moore space needs a prime "
+         "below 2^64, got 18446744073709551629"),
+    _row(["homology", "M(2^100000,3)"], 2,
+         "error: M(2^100000,3): 2^100000 has more than 4300 digits"),
+    # two such dimensions add up to one too long to print
+    _row(["homology", f"susp({'9' * 4300},S({'9' * 4300}))"], 2,
+         "error: got an integer of 4300 digits at offset 5 (expected at most "
+         "2150 digits)"),
+    _row(["reduce", "m2.json", "--script", "grow.json"], 2,
+         "error: step 0: a coefficient has more than 4300 digits"),
+    _row(["reduce", "big.json", "--auto"], 0, ""),
+    _row(["reduce", "semi.json", "--auto"], 2,
+         "error: cannot factor a 60-bit number in bounded time: it has no "
+         "prime factor below 2^20 and is not a power of one prime below 2^64"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, setup",
+                         ERROR_TABLE + CHANGED_ROWS)
+def test_cli_error_table(argv, code, err, setup, tmp_path, monkeypatch,
+                         capsys):
+    from chang.matrix import default_table
+    (tmp_path / "tables").mkdir()
+    for name, doc in _DOCS.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    if setup:
+        setup(monkeypatch)
+    try:
+        assert cli.main(argv) == code
+    finally:
+        monkeypatch.undo()
+        default_table.cache_clear()     # drop a table read from tmp_path
+    assert capsys.readouterr().err == (err + "\n" if err else "")
+
+
+def test_large_orders_keep_their_output(capsys):
+    assert run_cli("homology", "M(1000000000000000003,3)", capsys=capsys) \
+        == (0, "H_3 = Z/1000000000000000003\n")
+    code, out = run_cli("smash", "M(2^70,3)", "M(2,3)", capsys=capsys)
+    assert code == 0 and out.splitlines()[0] == "M(2^1,6) v M(2^1,7)"
+    code, out = run_cli("homology", "M(2^5000,3) ^ S(3)", capsys=capsys)
+    assert code == 0 and out == f"H_6 = Z/{2 ** 5000}\n"
+
+
+def test_error_hierarchy_matches_readme():
+    """Every error class is a ChangError whose exit code is the one README
+    states for it, and keeps the base it had before the hierarchy."""
+    import importlib
+    import re
+    import chang
+    from chang import errors
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    stated = {name: int(code)
+              for code, names in re.findall(r"^- (\d): (.*?)(?=^- |\n\n)",
+                                            readme, re.M | re.S)
+              for name in re.findall(r"`(\w+)`", names)}
+    homes = {"ParseError": ("parser", ValueError),
+             "SemanticError": ("parser", ValueError),
+             "WindowError": ("complexes", ValueError),
+             "UnclassifiedPair": ("smash", Exception),
+             "VerificationFailure": ("smash", Exception),
+             "UntabulatedHom": ("homgroups", LookupError),
+             "UnknownComposition": ("matrix", Exception)}
+    assert set(stated) == set(errors.__all__) - {"ChangError"}
+    for name in errors.__all__:
+        cls = getattr(errors, name)
+        assert issubclass(cls, chang.ChangError)
+        if name in stated:
+            assert cls.exit_code == stated[name], name
+        if name in homes:
+            module, base = homes[name]
+            assert getattr(importlib.import_module(f"chang.{module}"),
+                           name) is cls
+            assert issubclass(cls, base)
+    assert "ChangError" in chang.__all__
+
+
+def test_a_bare_value_error_is_a_bug_not_a_usage_error(monkeypatch):
+    def broken(expr):
+        raise ValueError("internal")
+    monkeypatch.setattr(cli, "homology_of_expression", broken)
+    with pytest.raises(ValueError, match="^internal$"):
+        cli.main(["homology", "S(3)"])
