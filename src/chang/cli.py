@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .complexes import dual
+from .complexes import dual, sphere
 from .errors import ChangError, InputError
 from .homology import group_label
 from .homgroups import hom_group, wedge_hom_order
@@ -87,21 +87,20 @@ def _cmd_dual(args):
     return 0, _emit(lines, args.format, pairs)
 
 
+def _generator_lines(gens) -> list[str]:
+    """One `generator NAME of order N  [note]` line per generator."""
+    return [f"generator {name} of order {order or 'infinite'}"
+            + (f"  [{note}]" if note else "") for name, order, note in gens]
+
+
 def _cmd_pi(args):
     w = lower(parse_expression(args.expr))
-    if w.is_point():
-        orders, gens = [], []
-    else:
-        from .complexes import sphere
-        orders, gens = [], []
-        for c in w.summands:
-            desc = hom_group(sphere(args.n), c)
-            orders.extend(desc.cyclic)
-            gens.extend(desc.generators)
-    lines = [group_label(orders)]
-    for name, order, note in gens:
-        lines.append(f"generator {name} of order {order or 'infinite'}"
-                     + (f"  [{note}]" if note else ""))
+    orders, gens = [], []
+    for c in w.summands:
+        desc = hom_group(sphere(args.n), c)
+        orders.extend(desc.cyclic)
+        gens.extend(desc.generators)
+    lines = [group_label(orders)] + _generator_lines(gens)
     pairs = [("command", "pi"), ("degree", str(args.n)), ("input", str(w)),
              ("group", group_label(orders))]
     pairs += [(f"generator.{i}", f"{n}:{o}") for i, (n, o, _) in enumerate(gens)]
@@ -113,10 +112,7 @@ def _cmd_homgroup(args):
     Y = lower(parse_expression(args.y))
     if len(X.summands) == 1 and len(Y.summands) == 1 and not args.deg:
         desc = hom_group(X.summands[0], Y.summands[0])
-        lines = [desc.pretty()]
-        for name, order, note in desc.generators:
-            lines.append(f"generator {name} of order {order or 'infinite'}"
-                         + (f"  [{note}]" if note else ""))
+        lines = [desc.pretty()] + _generator_lines(desc.generators)
         pairs = [("command", "homgroup"), ("source", str(X)),
                  ("target", str(Y)), ("group", desc.pretty())]
         pairs += [(f"generator.{i}", f"{n}:{o}")

@@ -175,25 +175,32 @@ def _table_path(name: str) -> str:
     return str(resources.files("chang").joinpath("data", name))
 
 
-@lru_cache(maxsize=None)
-def load_table(path: str | None = None) -> tuple[_Record, ...]:
-    path = path or _table_path("hom_tables.txt")
-    records = []
+def _read_table(path: str, parse) -> list:
+    """parse(fields) for each data line of a ';'-separated table file; an
+    InputError names the file and line it came from."""
+    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(";")]
-            if len(parts) < 8:
-                parts += [""] * (8 - len(parts))
-            kind, src, tgt, off, when, group, gens = parts[:7]
-            off = integer(off)
-            stable_from = integer(parts[7]) if parts[7] else 3
-            note = parts[8] if len(parts) > 8 else ""
-            records.append(_Record(kind, src, tgt, off, when, group,
-                                   gens, stable_from, note))
-    return tuple(records)
+            try:
+                out.append(parse([p.strip() for p in line.split(";")]))
+            except InputError as exc:
+                exc.args = (f"{os.path.basename(path)} line {number}: {exc}",)
+                raise
+    return out
+
+
+@lru_cache(maxsize=None)
+def load_table(path: str | None = None) -> tuple[_Record, ...]:
+    def record(parts):
+        parts += [""] * (8 - len(parts))
+        kind, src, tgt, off, when, group, gens = parts[:7]
+        return _Record(kind, src, tgt, integer(off), when, group, gens,
+                       integer(parts[7]) if parts[7] else 3,
+                       parts[8] if len(parts) > 8 else "")
+    return tuple(_read_table(path or _table_path("hom_tables.txt"), record))
 
 
 def _classify(c: Summand) -> tuple[str, dict[str, int]] | None:

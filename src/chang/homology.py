@@ -77,10 +77,7 @@ class GradedAbelianGroup:
         return GradedAbelianGroup({d + m: v for d, v in self.components.items()})
 
     def direct_sum(self, other: "GradedAbelianGroup") -> "GradedAbelianGroup":
-        out = {d: list(v) for d, v in self.components.items()}
-        for d, v in other.components.items():
-            out.setdefault(d, []).extend(v)
-        return GradedAbelianGroup(out)
+        return wedge_homology((self, other))
 
     def __str__(self) -> str:
         if not self.components:

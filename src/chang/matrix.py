@@ -4,6 +4,10 @@ Entries are integer-polynomial combinations of named generators, with
 undetermined bits k, k', e, e' (square = itself) as first-class
 coefficients; the elementary transformations are exactly the invertible
 row/column moves, so the mapping cone class is preserved at every step.
+Each move (negate, integer scale-add, compose-add) is written once, on the
+lines of a grid: its rows, or the rows of its transpose.  `apply_step` runs
+the six step kinds through them; `split_cone` cancels a unit with the same
+compose-add move on rows, then drops the unit's row and column.
 Composition is resolved through a deliberately partial relation table:
 anything it does not know raises UnknownComposition instead of guessing.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from math import gcd
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from .arith import MAX_DIGITS, integer, power, prime_powers
@@ -21,7 +25,7 @@ from .complexes import (ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, cbot, ceta, cfull, ctop, moore,
                         sphere, suspend, wedge)
 from .errors import ChangError, InputError, UnknownComposition
-from .homgroups import _table_path
+from .homgroups import _read_table, _table_path
 from .homology import GradedAbelianGroup
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
@@ -265,19 +269,13 @@ class RelationTable:
 
     @classmethod
     def load(cls, path: str | None = None) -> "RelationTable":
-        path = path or _table_path("relations.txt")
-        rules: dict[tuple[str, str], tuple] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    _, g, f, result = [p.strip() for p in line.split(";")]
-                except ValueError as exc:       # not four fields
-                    raise InputError(str(exc)) from None
-                rules[(g, f)] = _parse_terms(result)
-        return cls(rules)
+        def rule(parts):
+            if len(parts) != 4:
+                raise InputError("expected 4 fields separated by ';', "
+                                 f"got {len(parts)}")
+            return (parts[1], parts[2]), _parse_terms(parts[3])
+        return cls(dict(_read_table(path or _table_path("relations.txt"),
+                                    rule)))
 
     def evaluate_bits(self, values: dict[str, int]) -> "RelationTable":
         """The table with the undetermined bits pinned to concrete values."""
@@ -377,11 +375,6 @@ class RelationTable:
 @lru_cache(maxsize=1)
 def default_table() -> RelationTable:
     return RelationTable.load()
-
-
-def compose(f: FormalMorphism, g: FormalMorphism,
-            table: RelationTable | None = None) -> FormalMorphism:
-    return (table or default_table()).compose(f, g)
 
 
 # --- morphism literals ------------------------------------------------------
@@ -489,7 +482,10 @@ def parse_morphism(text: str, source: Summand, target: Summand,
 
 @dataclass(frozen=True)
 class MorphismMatrix:
-    """Grid of formal morphisms: entry (i, j) maps cols[j] to rows[i]."""
+    """Grid of formal morphisms: entry (i, j) maps cols[j] to rows[i].
+
+    Every entry is normalised: `build` normalises the entries it is given,
+    and each move normalises the entries it changes."""
 
     rows: tuple[Summand, ...]
     cols: tuple[Summand, ...]
@@ -516,14 +512,6 @@ class MorphismMatrix:
 
     def entry(self, i: int, j: int) -> FormalMorphism:
         return self.entries[i][j]
-
-    def with_entries(self, grid) -> "MorphismMatrix":
-        return MorphismMatrix(self.rows, self.cols,
-                              tuple(tuple(line) for line in grid))
-
-    def __eq__(self, other):
-        return (isinstance(other, MorphismMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
 
 
 @dataclass(frozen=True)
@@ -583,75 +571,70 @@ def _index(i, size: int, what: str) -> int:
     return i - 1
 
 
+# --- the moves: written once on lines, the rows of a grid or its columns ---
+
+def _transpose(grid, width: int) -> list[list[FormalMorphism]]:
+    return [[line[x] for line in grid] for x in range(width)]
+
+
+def _negate(lines, n: int, table: RelationTable) -> None:
+    """line n := -(line n)."""
+    lines[n] = [table.normalize(e.negate()) for e in lines[n]]
+
+
+def _add_line(lines, m: int, n: int, image, table: RelationTable) -> None:
+    """line n += image(line m), entry by entry: a scale-add when image
+    scales, a compose-add when it composes."""
+    lines[n] = [table.normalize(FormalMorphism(e.source, e.target,
+                                               image(a).terms + e.terms))
+                for a, e in zip(lines[m], lines[n])]
+
+
 def apply_step(M: MorphismMatrix, step,
                table: RelationTable | None = None) -> MorphismMatrix:
-    """One elementary transformation; invertible by construction."""
+    """One elementary transformation; invertible by construction.  A row
+    step moves rows and a column step the columns, by the same moves; only
+    the side of a composite differs: g o row, column o f."""
+    if not isinstance(step, TransformStep):
+        raise TypeError(f"unknown step {step!r}")
     table = table or default_table()
-    grid = [list(line) for line in M.entries]
-    add = lambda a, b: table.normalize(
-        FormalMorphism(a.source, a.target, a.terms + b.terms))
-    row = lambda i: _index(i, len(M.rows), "row")
-    col = lambda j: _index(j, len(M.cols), "column")
+    on_rows = isinstance(step, (NegateRow, RowCompose, ScaleAddRow))
+    heads, what = (M.rows, "row") if on_rows else (M.cols, "column")
+    lines = list(M.entries) if on_rows else _transpose(M.entries, len(M.cols))
     try:
-        if isinstance(step, NegateRow):
-            i = row(step.n)
-            grid[i] = [m.negate() for m in grid[i]]
-        elif isinstance(step, NegateCol):
-            j = col(step.n)
-            for i in range(len(grid)):
-                grid[i][j] = grid[i][j].negate()
-        elif isinstance(step, ColCompose):
-            m_, n_ = col(step.m), col(step.n)
-            if m_ == n_:
-                raise InputError("column indices must differ")
-            f = _coerce_morphism(step.f, M.cols[n_], M.cols[m_], table)
-            for i in range(len(grid)):
-                grid[i][n_] = add(table.compose(grid[i][m_], f), grid[i][n_])
-        elif isinstance(step, RowCompose):
-            m_, n_ = row(step.m), row(step.n)
-            if m_ == n_:
-                raise InputError("row indices must differ")
-            g = _coerce_morphism(step.g, M.rows[m_], M.rows[n_], table)
-            for j in range(len(grid[0]) if grid else 0):
-                grid[n_][j] = add(table.compose(g, grid[m_][j]), grid[n_][j])
-        elif isinstance(step, ScaleAddRow):
-            m_, n_ = row(step.m), row(step.n)
-            if m_ == n_:
-                raise InputError("row indices must differ")
-            if M.rows[m_] != M.rows[n_]:
-                raise InputError("integer row moves need equal row summands")
-            for j in range(len(grid[0]) if grid else 0):
-                grid[n_][j] = add(grid[m_][j].scale(step.k), grid[n_][j])
-        elif isinstance(step, ScaleAddCol):
-            m_, n_ = col(step.m), col(step.n)
-            if m_ == n_:
-                raise InputError("column indices must differ")
-            if M.cols[m_] != M.cols[n_]:
-                raise InputError("integer column moves need equal column summands")
-            for i in range(len(grid)):
-                grid[i][n_] = add(grid[i][m_].scale(step.k), grid[i][n_])
+        if isinstance(step, (NegateRow, NegateCol)):
+            _negate(lines, _index(step.n, len(heads), what), table)
         else:
-            raise TypeError(f"unknown step {step!r}")
+            m, n = (_index(i, len(heads), what) for i in (step.m, step.n))
+            if m == n:
+                raise InputError(f"{what} indices must differ")
+            if isinstance(step, (ScaleAddRow, ScaleAddCol)):
+                if heads[m] != heads[n]:
+                    raise InputError(f"integer {what} moves need equal "
+                                     f"{what} summands")
+                _add_line(lines, m, n, lambda e: e.scale(step.k), table)
+            elif on_rows:
+                g = _coerce_morphism(step.g, heads[m], heads[n], table)
+                _add_line(lines, m, n, lambda e: table.compose(g, e), table)
+            else:
+                f = _coerce_morphism(step.f, heads[n], heads[m], table)
+                _add_line(lines, m, n, lambda e: table.compose(e, f), table)
     except UnknownComposition as exc:
         raise UnknownComposition(f"{exc} while applying {step}") from None
-    grid = [[table.normalize(m) for m in line] for line in grid]
-    return M.with_entries(grid)
+    grid = lines if on_rows else _transpose(lines, len(M.rows))
+    return MorphismMatrix(M.rows, M.cols, tuple(map(tuple, grid)))
 
 
 def inverse_step(step):
+    """The step that undoes `step`: the same move with the opposite sign."""
     if isinstance(step, (NegateRow, NegateCol)):
         return step
-    if isinstance(step, ColCompose):
-        f = step.f
-        fneg = ("-(" + f + ")") if isinstance(f, str) else f.negate()
-        return ColCompose(step.m, fneg, step.n)
-    if isinstance(step, RowCompose):
-        g = step.g
-        gneg = ("-(" + g + ")") if isinstance(g, str) else g.negate()
-        return RowCompose(gneg, step.m, step.n)
-    if isinstance(step, ScaleAddRow):
-        return ScaleAddRow(-step.k, step.m, step.n)
-    return ScaleAddCol(-step.k, step.m, step.n)
+    if isinstance(step, (ScaleAddRow, ScaleAddCol)):
+        return replace(step, k=-step.k)
+    name = "g" if isinstance(step, RowCompose) else "f"
+    h = getattr(step, name)
+    return replace(step, **{name: "-(" + h + ")" if isinstance(h, str)
+                            else h.negate()})
 
 
 def run_script(M: MorphismMatrix, steps,
@@ -825,24 +808,15 @@ class SplitConeReport:
 
 
 def _v2(n: int) -> int:
-    e = 0
-    while n % 2 == 0 and n:
-        n //= 2
-        e += 1
-    return e
-
-
-def _single(entry: FormalMorphism):
-    if len(entry.terms) == 1:
-        return entry.terms[0]
-    return None
+    """The exponent of 2 in n (0 for n = 0)."""
+    return (n & -n).bit_length() - 1 if n else 0
 
 
 def _const_of(entry: FormalMorphism, gen: str) -> int | None:
-    t = _single(entry)
-    if t is None or t[1] != gen:
+    """The integer c when the entry is c times gen, else None."""
+    if len(entry.terms) != 1 or entry.terms[0][1] != gen:
         return None
-    return t[0].const_value()
+    return entry.terms[0][0].const_value()
 
 
 def _recognize_block(rows, cols, entries) -> list[Summand] | None:
@@ -867,11 +841,8 @@ def _recognize_block(rows, cols, entries) -> list[Summand] | None:
                 if 0 < a < r.r:
                     return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
             return None
-        g = _single(e)
-        if g is None:
-            return None
-        coef, name = g
-        cv = coef.const_value()
+        name = e.terms[0][1] if len(e.terms) == 1 else None
+        cv = _const_of(e, name)
         if cv is None:
             return None
         if name == "eta" and c.kind == "sphere" and r.kind == "sphere" \
@@ -943,57 +914,43 @@ def _recognize_block(rows, cols, entries) -> list[Summand] | None:
     return None
 
 
+def _unit(rows, cols, grid, table: RelationTable):
+    """(i, j, u^-1) for the first entry that is a unit u, an odd multiple
+    of an identity, or None."""
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            u = _const_of(grid[i][j], "id") if r == c else None
+            if u is not None and u % 2:
+                if u in (1, -1):
+                    return i, j, u
+                if o := table.order("id", c, r):
+                    return i, j, pow(u, -1, o)
+    return None
+
+
 def split_cone(M: MorphismMatrix,
                table: RelationTable | None = None) -> SplitConeReport:
     """Greedy reduction of the cone: cancel units, split zero rows/columns,
     and name residual blocks that match known cell patterns."""
     table = table or default_table()
-    grid = [[table.normalize(m) for m in line] for line in M.entries]
-    rows = list(M.rows)
-    cols = list(M.cols)
+    rows, cols = list(M.rows), list(M.cols)
+    grid = [list(line) for line in M.entries]
     log: list[str] = []
     pieces: list[Summand] = []
 
-    # unit cancellation (odd multiples of the identity)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            for j in range(len(cols)):
-                if rows[i] != cols[j]:
-                    continue
-                c = _const_of(grid[i][j], "id")
-                if c is None or c % 2 == 0:
-                    continue
-                o = table.order("id", cols[j], rows[i])
-                if c in (1, -1):
-                    inv = c
-                elif o:
-                    inv = pow(c, -1, o)
-                else:
-                    continue
-                log.append(f"cancel unit at ({i+1},{j+1}) on {rows[i]}")
-                newgrid = []
-                for k in range(len(rows)):
-                    if k == i:
-                        continue
-                    line = []
-                    for l in range(len(cols)):
-                        if l == j:
-                            continue
-                        corr = table.compose(grid[k][j],
-                                             grid[i][l].scale(-inv))
-                        merged = FormalMorphism(cols[l], rows[k],
-                                                grid[k][l].terms + corr.terms)
-                        line.append(table.normalize(merged))
-                    newgrid.append(line)
-                grid = newgrid
-                rows.pop(i)
-                cols.pop(j)
-                changed = True
-                break
-            if changed:
-                break
+    # unit cancellation: the row moves row k += (-M[k][j] u^-1) o row i
+    # clear the unit's column, and the unit's row and column then bound a
+    # contractible cone
+    while (unit := _unit(rows, cols, grid, table)) is not None:
+        i, j, inv = unit
+        log.append(f"cancel unit at ({i+1},{j+1}) on {rows[i]}")
+        for k in range(len(rows)):
+            if k != i:
+                g = grid[k][j].scale(-inv)
+                _add_line(grid, i, k, lambda e: table.compose(g, e), table)
+        del rows[i], cols[j], grid[i]
+        for line in grid:
+            del line[j]
 
     # zero rows and columns split off (null attaching map)
     keep_rows = []
@@ -1088,17 +1045,22 @@ def _pieces(doc, name: str) -> list[ElementaryComplex]:
 def matrix_from_json(doc, table: RelationTable | None = None) -> MorphismMatrix:
     doc = _document(doc)
     rows, cols = _pieces(doc, "rows"), _pieces(doc, "cols")
+    table = table or default_table()
     entries = {}
     for entry in _typed(doc.get("entries", []), list, "matrix field 'entries'"):
         try:
             i, j, lit = entry
-            pos = _index(i, len(rows), "row"), _index(j, len(cols), "column")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:      # not three items
             raise InputError(f"matrix entry {entry!r}: {exc}") from None
-        if pos in entries:
-            raise InputError(f"matrix entry {entry!r}: position ({i}, {j}) "
-                             "already has an entry")
-        entries[pos] = _typed(lit, str, f"matrix entry {entry!r}: morphism")
+        try:
+            pos = _index(i, len(rows), "row"), _index(j, len(cols), "column")
+            if pos in entries:
+                raise InputError(f"position ({i}, {j}) already has an entry")
+            entries[pos] = parse_morphism(_typed(lit, str, "morphism"),
+                                          cols[pos[1]], rows[pos[0]], table)
+        except InputError as exc:
+            exc.args = (f"matrix entry {entry!r}: {exc}",)
+            raise
     return MorphismMatrix.build(rows, cols, entries, table)
 
 
@@ -1112,25 +1074,25 @@ def matrix_to_json(M: MorphismMatrix) -> dict:
 
 
 def steps_from_json(doc) -> list:
+    """Steps from their records; `kind` names the step class, and the
+    fields are read in the order the class declares them."""
     out = []
     for pos, rec in enumerate(_typed(_document(doc), list, "a script")):
-        get = lambda name, kind=object: _field(rec, name, f"step {pos}", kind)
-        kind = get("kind")
-        if kind == "NegateRow":
-            out.append(NegateRow(get("n")))
-        elif kind == "NegateCol":
-            out.append(NegateCol(get("n")))
-        elif kind == "ColCompose":
-            out.append(ColCompose(get("m"), get("f", str), get("n")))
-        elif kind == "RowCompose":
-            out.append(RowCompose(get("g", str), get("m"), get("n")))
-        elif kind == "ScaleAddRow":
-            out.append(ScaleAddRow(integer(get("k")), get("m"), get("n")))
-        elif kind == "ScaleAddCol":
-            out.append(ScaleAddCol(integer(get("k")), get("m"), get("n")))
-        else:
+        where = f"step {pos}"
+        kind = _field(rec, "kind", where)
+        cls = next((c for c in TransformStep if c.__name__ == kind), None)
+        if cls is None:
             raise InputError(f"unknown step kind {kind!r}")
+        out.append(cls(*(_step_field(rec, f.name, where)
+                         for f in fields(cls))))
     return out
+
+
+def _step_field(rec, name: str, where: str):
+    """A step's field: a morphism literal f or g is a string, k an integer."""
+    if name == "k":
+        return integer(_field(rec, name, where))
+    return _field(rec, name, where, str if name in ("f", "g") else object)
 
 
 def render_matrix(M: MorphismMatrix) -> str:

@@ -349,6 +349,18 @@ def test_unit_cancellation_in_split_cone():
     assert rep.pieces == wedge() and not rep.residual
 
 
+def test_unit_cancellation_names_the_first_missing_rule_by_rows():
+    # two corrections have no rule: eta o rho in row 2, i o eta in row 3;
+    # the cancellation works row by row, so the row-2 rule is the one named
+    M = M_of([sphere(7), sphere(6), moore(2, 1, 7)],
+             [sphere(7), sphere(8), sphere(10)],
+             {(0, 0): "1", (0, 1): "eta", (0, 2): "rho", (1, 0): "eta",
+              (2, 0): "i"})
+    with pytest.raises(UnknownComposition) as err:
+        split_cone(M)
+    assert str(err.value) == "no rule for 'eta' o 'rho'"
+
+
 def test_step_invertibility_randomized():
     import random
     rng = random.Random(3)
@@ -520,3 +532,112 @@ def test_mistyped_matrix_fields_are_input_errors():
         with pytest.raises(InputError) as err:
             steps_from_json(doc)
         assert str(err.value) == message
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = sorted(p.name[:-len(".matrix.json")]
+               for p in DATA.glob("*.matrix.json"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("case", CASES)
+def test_reduce_cases_match_golden(case, fmt, monkeypatch, capsys):
+    from chang.cli import main
+    monkeypatch.chdir(DATA)         # relative paths keep `matrix = ` stable
+    code = main(["reduce", f"{case}.matrix.json", "--script",
+                 f"{case}.steps.json", "--auto", "--format", fmt])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    want = GOLDEN / "reduce" / f"{case}.{fmt}.txt"
+    assert out.out == want.read_text(encoding="utf-8")
+
+
+# generator literals by the shape of their type: (source kind, target kind,
+# target dimension minus source dimension)
+_CORPUS_GENERATORS = {
+    ("sphere", "sphere", -1): ["eta", "2*eta"],
+    ("sphere", "sphere", -3): ["rho"],
+    ("sphere", "moore", -1): ["ieta"],
+    ("sphere", "moore", 0): ["i", "3*i"],
+    ("moore", "sphere", 0): ["etaq"],
+    ("moore", "sphere", 1): ["q"],
+    ("moore", "moore", 0): ["ietaq", "B"],
+    ("moore", "moore", -1): ["eta_w1", "1_w_eta", "ietaetaq",
+                             "eta_w1 + k*ietaetaq"],
+}
+_CORPUS_SCALARS = ["1", "-1", "2", "3", "-3", "4", "5", "k", "1 + 2*k"]
+_CORPUS_POOL = [sphere(7), sphere(8), sphere(10), moore(2, 1, 7),
+                moore(2, 2, 7), moore(2, 3, 7), moore(2, 2, 8)]
+
+
+def _corpus_literal(rng, src, tgt):
+    """A random morphism literal of type src -> tgt, often zero."""
+    cands = list(_CORPUS_GENERATORS.get((src.kind, tgt.kind,
+                                         tgt.dim - src.dim), []))
+    if src == tgt:
+        cands += _CORPUS_SCALARS
+    return rng.choice(cands) if cands and rng.random() < 0.6 else "0"
+
+
+def _corpus_step(rng, rows, cols):
+    """A random step; indices are sometimes equal or one past the end."""
+    kind = rng.choice([NegateRow, NegateCol, ColCompose, RowCompose,
+                       ScaleAddRow, ScaleAddCol])
+    heads = rows if kind in (NegateRow, RowCompose, ScaleAddRow) else cols
+    index = lambda: rng.randint(1, len(heads) + (rng.random() < 0.05))
+    head = lambda x: heads[min(x, len(heads)) - 1]
+    if kind in (NegateRow, NegateCol):
+        return kind(index())
+    m, n = index(), index()
+    if len(heads) > 1 and rng.random() < 0.8:
+        m, n = rng.sample(range(1, len(heads) + 1), 2)
+    if kind in (ScaleAddRow, ScaleAddCol):
+        same = [x for x in range(1, len(heads) + 1)
+                if x != m and heads[x - 1] == head(m)]
+        if same and rng.random() < 0.8:
+            n = rng.choice(same)
+        return kind(rng.choice([-2, -1, 1, 2, 3]), m, n)
+    src, tgt = (head(m), head(n)) if kind is RowCompose else (head(n), head(m))
+    lit = _corpus_literal(rng, src, tgt)
+    if kind is ColCompose:
+        return ColCompose(m, lit, n)
+    return RowCompose(lit, m, n)
+
+
+def matrix_corpus(count=400, seed=2016):
+    """Replay random steps on random matrices over spheres and 2-primary
+    Moore spaces and split each cone; returns the transcript lines and the
+    number of unit cancellations."""
+    import random
+    rng = random.Random(seed)
+    out, cancels = [], 0
+    for case in range(count):
+        rows = [rng.choice(_CORPUS_POOL) for _ in range(rng.randint(1, 4))]
+        cols = rows[:rng.randint(0, len(rows))] + [
+            rng.choice(_CORPUS_POOL) for _ in range(rng.randint(0, 2))]
+        cols = cols or [rng.choice(_CORPUS_POOL)]
+        rng.shuffle(cols)
+        M = M_of(rows, cols, {(i, j): _corpus_literal(rng, c, r)
+                              for i, r in enumerate(rows)
+                              for j, c in enumerate(cols)})
+        steps = [_corpus_step(rng, rows, cols)
+                 for _ in range(rng.randint(0, 3))]
+        out += [f"case {case}", render_matrix(M)] + [repr(s) for s in steps]
+        try:
+            M = run_script(M, steps)
+            out.append(render_matrix(M))
+            rep = split_cone(M)
+        except (ValueError, UnknownComposition) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        cancels += sum(note.startswith("cancel unit") for note in rep.log)
+        out += [f"pieces: {rep.pieces}"] + list(rep.log)
+        out += [render_matrix(sub) for sub in rep.residual]
+    return out, cancels
+
+
+def test_matrix_corpus_matches_golden():
+    lines, cancels = matrix_corpus()
+    assert cancels >= 20            # the unit-cancellation path stays covered
+    want = (GOLDEN / "matrix_corpus.txt").read_text(encoding="utf-8")
+    assert "\n".join(lines) + "\n" == want

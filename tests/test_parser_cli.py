@@ -213,7 +213,11 @@ _DOCS = {
     "unknown.json": [{"kind": "ColCompose", "m": 1, "f": "eta", "n": 2}],
     "grow.json": [{"kind": "ScaleAddRow", "k": 10 ** 4300 - 1, "m": 1,
                    "n": 2}],
+    "lit.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                 "entries": [[1, 1, "x("]]},
     "tables/relations.txt": "compose; eta\n",
+    "tables/hom_tables.txt": "# kind; src; tgt; off\n"
+                             "hom; S; S; x; -; Z; id:Z; 3;\n",
 }
 
 
@@ -221,6 +225,12 @@ def _bad_relations(monkeypatch):
     from chang.matrix import default_table
     monkeypatch.setenv("CHANG_TABLE_PATH", "tables")
     default_table.cache_clear()
+
+
+def _bad_hom_tables(monkeypatch):
+    from chang.homgroups import load_table
+    monkeypatch.setenv("CHANG_TABLE_PATH", "tables")
+    load_table.cache_clear()
 
 
 def _wrong_split(monkeypatch):
@@ -247,9 +257,6 @@ ERROR_TABLE = [
          "error: Expecting value: line 1 column 11 (char 10)"),
     _row(["reduce", "m2.json", "--script", "k.json"], 2,
          "error: invalid literal for int() with base 10: 'x'"),
-    _row(["reduce", "m1.json"], 2,
-         "error: not enough values to unpack (expected 4, got 2)",
-         setup=_bad_relations),
     _row(["reduce", "rho.json", "--script", "unknown.json"], 3,
          "outside the classified tables: step 0: no rule for 'rho' o 'eta' "
          "while applying ColCompose(m=1, f='eta', n=2)"),
@@ -267,9 +274,16 @@ ERROR_TABLE = [
 
 # Rows that differ from the previous release on purpose: a step error names
 # its step, a duplicate entry is refused, numbers too long to print are
-# refused with a typed error, and numbers past trial division are factored
-# or refused in bounded time instead of hanging.
+# refused with a typed error, numbers past trial division are factored
+# or refused in bounded time instead of hanging, and an error in a matrix
+# entry or a table line names the entry, or the file and line.
 CHANGED_ROWS = [
+    _row(["reduce", "m1.json"], 2, "error: relations.txt line 1: expected 4 "
+         "fields separated by ';', got 2", setup=_bad_relations),
+    _row(["reduce", "lit.json"], 2, "error: matrix entry [1, 1, 'x(']: "
+         "trailing input in morphism literal 'x('"),
+    _row(["pi", "3", "S(3)"], 2, "error: hom_tables.txt line 2: invalid "
+         "literal for int() with base 10: 'x'", setup=_bad_hom_tables),
     _row(["reduce", "dup.json"], 2, "error: matrix entry [1, 1, '3']: "
          "position (1, 1) already has an entry"),
     _row(["reduce", "m2.json", "--script", "index.json"], 2,
