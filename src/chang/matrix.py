@@ -8,6 +8,11 @@ Each move (negate, integer scale-add, compose-add) is written once, on the
 lines of a grid: its rows, or the rows of its transpose.  `apply_step` runs
 the six step kinds through them; `split_cone` cancels a unit with the same
 compose-add move on rows, then drops the unit's row and column.
+The mapping cone is built once as a cell complex (cells, integral boundary,
+eta attachments).  `homology_of_cone` reads its boundary, and `split_cone`
+names a block by matching the complex against the cells, boundary and eta
+pairs of each `complexes.FAMILIES` entry; only the few cones that are not
+the cells of a single family are written out here.
 Composition is resolved through a deliberately partial relation table:
 anything it does not know raises UnknownComposition instead of guessing.
 """
@@ -19,11 +24,12 @@ import re
 from math import gcd
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import permutations
 
 from .arith import MAX_DIGITS, integer, power, prime_powers
-from .complexes import (ElementaryComplex, SmashAtom, Summand,
-                        WedgeComplex, cbot, ceta, cfull, ctop, moore,
-                        sphere, suspend, wedge)
+from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
+                        WedgeComplex, ceta, cfull, moore, sphere, suspend,
+                        wedge)
 from .errors import ChangError, InputError, UnknownComposition
 from .homgroups import _read_table, _table_path
 from .homology import GradedAbelianGroup
@@ -648,7 +654,12 @@ def run_script(M: MorphismMatrix, steps,
     return M
 
 
-# --- cellular chain homology of the mapping cone ----------------------------
+# --- the mapping cone as a cell complex ------------------------------------
+
+# generators whose odd multiples attach the source's top cell to the
+# target's bottom cell by eta
+_ETA_EDGES = ("eta", "ieta", "etaq", "ietaq")
+
 
 def _summand_chain(c: Summand):
     """(cell dims, boundary dict (from,to)->int) for one wedge summand."""
@@ -658,11 +669,9 @@ def _summand_chain(c: Summand):
 
 
 def _gen_chain(gen: str, src: Summand, tgt: Summand):
-    """Cellular chain matrix of a generator, as {(src_cell, tgt_cell): int}."""
-    if gen in _ETA_FAMILY or gen == "rho":
-        return {}
-    sc, _ = _summand_chain(src)
-    tc, _ = _summand_chain(tgt)
+    """Cellular chain matrix of a generator between elementary pieces, as
+    {(src_cell, tgt_cell): int}."""
+    sc, tc = src.cells(), tgt.cells()
     if gen == "id":
         if type(src) is not type(tgt) or sc != tc:
             raise InputError(f"no identity chain map {src} -> {tgt}")
@@ -672,69 +681,85 @@ def _gen_chain(gen: str, src: Summand, tgt: Summand):
         return {(0, 0): 2 ** max(t - s, 0), (1, 1): 2 ** max(s - t, 0)}
     if gen == "i":        # bottom-cell inclusion of a sphere
         return {(0, 0): 1}
-    if gen == "q":        # top-cell quotient onto a sphere
-        return {(len(sc) - 1, 0): 1}
-    if gen == "iq":       # through the top sphere into the next bottom cell
+    # q is the top-cell quotient onto a sphere; iq goes on through that
+    # sphere into the next bottom cell
+    if gen in ("q", "iq"):
         return {(len(sc) - 1, 0): 1}
     raise InputError(f"no chain data for generator {gen!r}")
 
 
-def homology_of_cone(M: MorphismMatrix) -> GradedAbelianGroup:
-    """Homology of the mapping cone, from the cellular chain complex."""
-    cells: list[tuple[int, int]] = []      # (dimension, unique id)
-    index: dict[tuple, int] = {}
+@dataclass(frozen=True)
+class _Cone:
+    """A mapping cone as a cell complex: the dimensions of the rows' cells,
+    then of the columns' cells one degree up; the integral boundary
+    {(from, to): degree}; the eta pairs (bottom, top); and whether every
+    term of the map is one of the two."""
 
-    def add_cell(tag, dim):
-        index[tag] = len(cells)
-        cells.append((dim, len(cells)))
+    dims: tuple[int, ...]
+    boundary: dict[tuple[int, int], int]
+    eta: frozenset[tuple[int, int]]
+    whole: bool
 
-    boundaries: dict[tuple[int, int], int] = {}
-    for i, r in enumerate(M.rows):
-        dims, bnd = _summand_chain(r)
-        for ci, d in enumerate(dims):
-            add_cell(("r", i, ci), d)
-        for (a, b), v in bnd.items():
-            boundaries[(index[("r", i, a)], index[("r", i, b)])] = v
-    for j, c in enumerate(M.cols):
-        dims, bnd = _summand_chain(c)
-        for ci, d in enumerate(dims):
-            add_cell(("c", j, ci), d + 1)          # cone shift
-        for (a, b), v in bnd.items():
-            boundaries[(index[("c", j, a)], index[("c", j, b)])] = -v
-    for i in range(len(M.rows)):
-        for j in range(len(M.cols)):
-            entry = M.entry(i, j)
+
+def _cone(rows, cols, grid) -> _Cone:
+    """The cone of the map whose entry grid[i][j] maps cols[j] to rows[i].
+    Raises InputError when a term's integral chain map is unknown."""
+    dims: list[int] = []
+    first: list[int] = []               # each piece's first cell
+    boundary: dict[tuple[int, int], int] = {}
+    eta: set[tuple[int, int]] = set()
+    for pieces, shift in ((rows, 0), (cols, 1)):
+        for piece in pieces:
+            cells, bnd = _summand_chain(piece)
+            n = len(dims)
+            first.append(n)
+            dims += [d + shift for d in cells]
+            for (a, b), v in bnd.items():
+                boundary[(n + a, n + b)] = -v if shift else v
+            eta.update((n + a, n + b) for a, b in piece.family.eta)
+    whole = True
+    for i, line in enumerate(grid):
+        for j, entry in enumerate(line):
+            r0, c0 = first[i], first[len(rows) + j]
             for coef, gen in entry.terms:
-                cmat = _gen_chain(gen, M.cols[j], M.rows[i])
-                if not cmat:
-                    continue
                 c = coef.const_value()
+                if gen in _ETA_EDGES and c is not None and c % 2:
+                    eta ^= {(r0, c0 + len(cols[j].cells()) - 1)}
+                    continue
+                if gen in _ETA_FAMILY or gen == "rho":
+                    whole = False       # no integral chain data
+                    continue
+                cmat = _gen_chain(gen, cols[j], rows[i])
                 if c is None:
                     raise InputError(
                         "cannot take cone homology with undetermined bits on "
                         f"a degree-carrying generator in entry ({i+1},{j+1})")
                 for (a, b), v in cmat.items():
-                    key = (index[("c", j, a)], index[("r", i, b)])
-                    boundaries[key] = boundaries.get(key, 0) + c * v
+                    key = (c0 + a, r0 + b)
+                    boundary[key] = boundary.get(key, 0) + c * v
+    return _Cone(tuple(dims), {e: v for e, v in boundary.items() if v},
+                 frozenset(eta), whole)
 
-    dims_present = sorted({d for d, _ in cells})
-    by_dim = {d: [cid for (dd, cid) in cells if dd == d] for d in dims_present}
 
-    def boundary_matrix(d):
-        rows_ = by_dim.get(d - 1, [])
-        cols_ = by_dim.get(d, [])
-        return [[boundaries.get((c, r), 0) for c in cols_] for r in rows_]
-
-    out: dict[int, list[int]] = {}
-    for d in dims_present:
-        diag_in = smith_normal_form(boundary_matrix(d + 1))
-        rank_out = sum(1 for v in smith_normal_form(boundary_matrix(d)) if v)
-        rank_in = sum(1 for v in diag_in if v)
-        free = len(by_dim[d]) - rank_out - rank_in
-        factors = [0] * free + [abs(v) for v in diag_in if abs(v) > 1]
+def homology_of_cone(M: MorphismMatrix) -> GradedAbelianGroup:
+    """Homology of the mapping cone, from its cellular chain complex: one
+    Smith normal form per degree."""
+    cone = _cone(M.rows, M.cols, M.entries)
+    by_dim: dict[int, list[int]] = {}
+    for n, d in enumerate(cone.dims):
+        by_dim.setdefault(d, []).append(n)
+    # the diagonal of the boundary out of each degree
+    diag = {d: smith_normal_form([[cone.boundary.get((c, r), 0) for c in cells]
+                                  for r in by_dim.get(d - 1, [])])
+            for d, cells in by_dim.items()}
+    groups: dict[int, list[int]] = {}
+    for d in sorted(by_dim):
+        into = diag.get(d + 1, [])
+        free = len(by_dim[d]) - len(diag[d]) - len(into)
+        factors = [0] * free + [v for v in into if v > 1]
         if factors:
-            out[d] = factors
-    return GradedAbelianGroup(out)
+            groups[d] = factors
+    return GradedAbelianGroup(groups)
 
 
 def smith_normal_form(mat) -> list[int]:
@@ -819,119 +844,107 @@ def _const_of(entry: FormalMorphism, gen: str) -> int | None:
     return entry.terms[0][0].const_value()
 
 
-def _recognize_block(rows, cols, entries) -> list[Summand] | None:
-    """Name the cone of one connected block, when its shape is a known
-    cofibre presentation of an elementary piece or atom."""
-    def ent(i, j):
-        return entries[(i, j)]
+def _exponents(edges, boundary) -> dict[str, int] | None:
+    """The parameters that give each edge the degree its spec
+    "base^exponent" names, when every degree is +-2^e, e >= 1; else None."""
+    params: dict[str, int] = {}
+    for edge, spec in edges.items():
+        e = _v2(boundary[edge])
+        if e < 1 or abs(boundary[edge]) != 1 << e:
+            return None
+        for name, value in zip(spec.split("^"), (2, e)):
+            if (int(name) if name.isdigit()
+                    else params.setdefault(name, value)) != value:
+                return None
+    return params
 
-    if len(rows) == 1 and len(cols) == 1:
-        r, c = rows[0], cols[0]
-        e = ent(0, 0)
-        cid = _const_of(e, "id")
-        if cid is not None and r == c:
-            if r.kind == "sphere" and abs(cid) > 1:
-                # cone of a degree map is the corresponding Moore space,
-                # split into its primary pieces
-                return [moore(p, e, r.dim) for p, e in prime_powers(abs(cid))]
-            if r.kind == "moore" and r.p == 2:
-                if r.r == 1 and cid % 4 == 2:
-                    return [cfull(1, r.dim + 2, 1)]
-                a = _v2(cid)
-                if 0 < a < r.r:
-                    return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
-            return None
-        name = e.terms[0][1] if len(e.terms) == 1 else None
-        cv = _const_of(e, name)
-        if cv is None:
-            return None
-        if name == "eta" and c.kind == "sphere" and r.kind == "sphere" \
-                and c.dim == r.dim + 1 and cv % 2 == 1:
-            return [ceta(r.dim + 2)]
-        if name == "ieta" and c.kind == "sphere" and r.kind == "moore" \
-                and r.p == 2 and c.dim == r.dim + 1 and cv % 2 == 1:
-            return [cbot(r.r, r.dim + 2)]
-        if name == "etaq" and c.kind == "moore" and c.p == 2 \
-                and r.kind == "sphere" and c.dim == r.dim + 1 and cv % 2 == 1:
-            return [ctop(r.dim + 3, c.r)]
-        if name == "ietaq" and c.kind == "moore" and r.kind == "moore" \
-                and c.p == r.p == 2 and c.dim == r.dim and cv % 2 == 1:
-            return [cfull(r.r, r.dim + 2, c.r)]
-        if name in ("eta_w1", "1_w_eta") and c.kind == "moore" \
-                and r.kind == "moore" and c.p == r.p == 2 and c.r == r.r \
-                and c.dim == r.dim + 1 and cv % 2 == 1 and r.dim >= 6:
-            return [SmashAtom(moore(2, r.r, 3), ceta(5), r.dim - 6)]
-        if name == "lambda11" and c.kind == "moore" and r.kind == "moore" \
-                and c.p == r.p == 2 and c.r == r.r == 1 \
-                and c.dim == r.dim + 1 and cv % 2 == 1 and r.dim >= 6:
-            return [SmashAtom(moore(2, 1, 3), ceta(5), r.dim - 6)]
-        if name == "i" and c.kind == "sphere" and r.kind == "moore" \
-                and c.dim == r.dim and cv % 2 == 1:
-            return [sphere(r.dim + 1)]
-        return None
 
-    if len(rows) == 1 and len(cols) == 2:
-        r = rows[0]
-        if r.kind != "sphere":
-            return None
-        d = r.dim
-        for j0, j1 in ((0, 1), (1, 0)):
-            c0, c1 = cols[j0], cols[j1]
-            deg = _const_of(ent(0, j0), "id")
-            if deg is None or c0 != r:
+def _family_piece(cone: _Cone) -> ElementaryComplex | None:
+    """The piece whose FAMILIES entry has the cone's cell structure: the
+    same cell offsets, boundary edges and eta pairs under some reorder of
+    the cells that keeps dimensions."""
+    for kind, fam in FAMILIES.items():
+        if not fam.cells or len(fam.cells) != len(cone.dims):
+            continue                    # a point has no cells to match
+        anchor = min(cone.dims) - min(off for off, _ in fam.cells)
+        for at in permutations(range(len(cone.dims))):   # family cell -> cell
+            if any(cone.dims[n] != anchor + off
+                   for n, (off, _) in zip(at, fam.cells)):
                 continue
-            a = _v2(deg)
-            if a < 1 or abs(deg) != 2 ** a:
+            edges = {(at[a], at[b]): spec
+                     for (a, b), spec in fam.boundary.items()}
+            if edges.keys() != cone.boundary.keys() or \
+                    {(at[a], at[b]) for a, b in fam.eta} != cone.eta:
                 continue
-            if c1.kind == "sphere" and c1.dim == d + 1 \
-                    and _const_of(ent(0, j1), "eta") == 1:
-                return [cbot(a, d + 2)]
-            if c1.kind == "moore" and c1.p == 2 and c1.dim == d \
-                    and _const_of(ent(0, j1), "etaq") == 1:
-                return [cfull(a, d + 2, c1.r)]
-        return None
-
-    if len(rows) == 2 and len(cols) == 1:
-        c = cols[0]
-        if c.kind != "sphere":
-            return None
-        d = c.dim
-        for i0, i1 in ((0, 1), (1, 0)):
-            r0, r1 = rows[i0], rows[i1]
-            deg = _const_of(ent(i1, 0), "id")
-            if deg is None or r1 != c:
-                continue
-            a = _v2(deg)
-            if a < 1 or abs(deg) != 2 ** a:
-                continue
-            if r0.kind == "sphere" and r0.dim == d - 1 \
-                    and _const_of(ent(i0, 0), "eta") == 1:
-                return [ctop(d + 1, a)]
-            if r0.kind == "moore" and r0.p == 2 and r0.dim == d - 1 \
-                    and _const_of(ent(i0, 0), "ieta") == 1:
-                return [cfull(r0.r, d + 1, a)]
-        return None
+            params = _exponents(edges, cone.boundary)
+            if params is not None:
+                return ElementaryComplex(kind, anchor, **params)
     return None
 
 
+def _special_cone(r: Summand, c: Summand,
+                  e: FormalMorphism) -> list[Summand] | None:
+    """Name the cone of a 1x1 block that is not the cells of a single
+    family: c.id on a sphere or a 2-primary Moore space, the atom
+    M(2^r,3)^Ceta(5), or an odd multiple of i."""
+    name = e.terms[0][1] if len(e.terms) == 1 else None
+    cv = _const_of(e, name)
+    if cv is None:
+        return None
+    if name == "id" and r == c:
+        if r.kind == "sphere":
+            # a degree map's cone is a Moore space, split into its primary
+            # pieces
+            return [moore(p, k, r.dim) for p, k in prime_powers(abs(cv))]
+        if r.kind == "moore" and r.p == 2:
+            if r.r == 1 and cv % 4 == 2:
+                return [cfull(1, r.dim + 2, 1)]
+            a = _v2(cv)
+            if 0 < a < r.r:
+                return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
+        return None
+    if cv % 2 == 0:
+        return None
+    if name in ("eta_w1", "1_w_eta") or (name == "lambda11" and r.r == 1):
+        if c.kind == r.kind == "moore" and c.p == r.p == 2 and c.r == r.r \
+                and c.dim == r.dim + 1 and r.dim >= 6:
+            return [SmashAtom(moore(2, r.r, 3), ceta(5), r.dim - 6)]
+    if name == "i" and c.kind == "sphere" and r.kind == "moore" \
+            and c.dim == r.dim:
+        return [sphere(r.dim + 1)]
+    return None
+
+
+def _recognize_block(rows, cols, grid) -> list[Summand] | None:
+    """Name the cone of one connected block: as the piece whose FAMILIES
+    entry has its cell structure, or by `_special_cone`."""
+    if len(rows) == len(cols) == 1:
+        named = _special_cone(rows[0], cols[0], grid[0][0])
+        if named is not None:
+            return named
+    try:
+        cone = _cone(rows, cols, grid)
+    except InputError:          # the integral boundary is unknown
+        return None
+    piece = _family_piece(cone) if cone.whole else None
+    return None if piece is None else [piece]
+
+
 def _unit(rows, cols, grid, table: RelationTable):
-    """(i, j, u^-1) for the first entry that is a unit u, an odd multiple
-    of an identity, or None."""
+    """(i, j, u^-1) for the first entry that is a unit: u times an identity
+    of order o with gcd(u, o) = 1, so u = +-1 when o is 0; or None."""
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
             u = _const_of(grid[i][j], "id") if r == c else None
-            if u is not None and u % 2:
-                if u in (1, -1):
-                    return i, j, u
-                if o := table.order("id", c, r):
-                    return i, j, pow(u, -1, o)
+            if u is not None and gcd(u, o := table.order("id", c, r)) == 1:
+                return i, j, u if u in (1, -1) else pow(u, -1, o)
     return None
 
 
 def split_cone(M: MorphismMatrix,
                table: RelationTable | None = None) -> SplitConeReport:
     """Greedy reduction of the cone: cancel units, split zero rows/columns,
-    and name residual blocks that match known cell patterns."""
+    and name each connected block whose cone is a known piece."""
     table = table or default_table()
     rows, cols = list(M.rows), list(M.cols)
     grid = [list(line) for line in M.entries]
@@ -971,37 +984,28 @@ def split_cone(M: MorphismMatrix,
     cols = [cols[j] for j in keep_cols]
     grid = [[grid[i][j] for j in keep_cols] for i in keep_rows]
 
-    # connected components of the entry graph
+    # connected components of the entry graph, each grown from its first row
     residual: list[MorphismMatrix] = []
-    unseen_rows = set(range(len(rows)))
-    while unseen_rows:
-        ri = [unseen_rows.pop()]
-        ci = []
-        frontier = list(ri)
-        while frontier:
-            new_cols = [j for j in range(len(cols)) if j not in ci and
-                        any(not grid[i][j].is_zero() for i in frontier)]
-            ci.extend(new_cols)
-            frontier = [i for i in list(unseen_rows) if
-                        any(not grid[i][j].is_zero() for j in new_cols)]
-            for i in frontier:
-                unseen_rows.discard(i)
-            ri.extend(frontier)
-        ri.sort()
-        ci.sort()
-        block_rows = [rows[i] for i in ri]
-        block_cols = [cols[j] for j in ci]
-        block_entries = {(a, b): grid[i][j]
-                         for a, i in enumerate(ri) for b, j in enumerate(ci)}
-        named = _recognize_block(block_rows, block_cols, block_entries)
+    left = list(range(len(rows)))
+    while left:
+        ri, grown = [], [left[0]]
+        while ri != grown:
+            ri = grown
+            ci = [j for j in range(len(cols))
+                  if any(not grid[i][j].is_zero() for i in ri)]
+            grown = [i for i in left
+                     if any(not grid[i][j].is_zero() for j in ci)]
+        left = [i for i in left if i not in ri]
+        block_rows = tuple(rows[i] for i in ri)
+        block_cols = tuple(cols[j] for j in ci)
+        block = tuple(tuple(grid[i][j] for j in ci) for i in ri)
+        named = _recognize_block(block_rows, block_cols, block)
         if named is not None:
             pieces.extend(named)
             log.append("block on rows " + "/".join(map(str, block_rows))
                        + " recognized as " + str(wedge(*named)))
         else:
-            sub = MorphismMatrix.build(block_rows, block_cols, block_entries,
-                                       table)
-            residual.append(sub)
+            residual.append(MorphismMatrix(block_rows, block_cols, block))
             log.append("irreducible residual block on rows "
                        + "/".join(map(str, block_rows)))
     return SplitConeReport(wedge(*pieces), tuple(residual), tuple(log))

@@ -349,6 +349,29 @@ def test_unit_cancellation_in_split_cone():
     assert rep.pieces == wedge() and not rep.residual
 
 
+@pytest.mark.parametrize("rows, cols, entries, pieces, residual", [
+    # eta q attaches the column's top cell to the row's cell: Ctop
+    (["S(5)"], ["M(2^2,5)"], {(0, 0): "etaq"}, "Ctop(7,2)", 0),
+    # one degree up its eta edge spans three degrees: no family's cells
+    (["S(5)"], ["M(2^2,6)"], {(0, 0): "etaq"}, "*", 1),
+    # an unknown generator has no chain data, so the boundary is unknown
+    (["S(5)"], ["S(6)"], {(0, 0): "foo"}, "*", 1),
+    # an undetermined bit leaves the eta edge open
+    (["S(5)"], ["S(5)", "M(2^3,5)"], {(0, 0): "2^2", (0, 1): "k*etaq"},
+     "*", 1),
+    # on M(3^2,7), whose identity has order 9, 3 is no unit and 2 is one
+    (["M(3^2,7)"], ["M(3^2,7)"], {(0, 0): "3"}, "*", 1),
+    (["M(3^2,7)"], ["M(3^2,7)"], {(0, 0): "2"}, "*", 0),
+], ids=["etaq", "etaq-one-up", "unknown-generator", "undetermined-bit",
+        "3-on-M(9)", "2-on-M(9)"])
+def test_split_cone_names_blocks(rows, cols, entries, pieces, residual):
+    M = matrix_from_json({"rows": rows, "cols": cols,
+                          "entries": [[i + 1, j + 1, lit]
+                                      for (i, j), lit in entries.items()]})
+    rep = split_cone(M)
+    assert (str(rep.pieces), len(rep.residual)) == (pieces, residual)
+
+
 def test_unit_cancellation_names_the_first_missing_rule_by_rows():
     # two corrections have no rule: eta o rho in row 2, i o eta in row 3;
     # the cancellation works row by row, so the row-2 rule is the one named
@@ -641,3 +664,23 @@ def test_matrix_corpus_matches_golden():
     assert cancels >= 20            # the unit-cancellation path stays covered
     want = (GOLDEN / "matrix_corpus.txt").read_text(encoding="utf-8")
     assert "\n".join(lines) + "\n" == want
+
+
+def test_named_blocks_have_the_cone_homology(monkeypatch):
+    # every block split_cone names has the homology of its cone
+    import chang.matrix as mx
+    recognize, named = mx._recognize_block, []
+
+    def recording(rows, cols, grid):
+        pieces = recognize(rows, cols, grid)
+        if pieces is not None:
+            named.append((MorphismMatrix(tuple(rows), tuple(cols), grid),
+                          wedge(*pieces)))
+        return pieces
+
+    monkeypatch.setattr(mx, "_recognize_block", recording)
+    matrix_corpus(count=1500, seed=1606)
+    assert len(named) >= 150
+    for block, pieces in named:
+        assert homology_of_cone(block) == integral_homology(pieces), \
+            (render_matrix(block), str(pieces))

@@ -215,6 +215,8 @@ _DOCS = {
                    "n": 2}],
     "lit.json": {"rows": ["S(5)"], "cols": ["S(5)"],
                  "entries": [[1, 1, "x("]]},
+    "m3.json": {"rows": ["M(3^2,7)"], "cols": ["M(3^2,7)"],
+                "entries": [[1, 1, "3"]]},
     "tables/relations.txt": "compose; eta\n",
     "tables/hom_tables.txt": "# kind; src; tgt; off\n"
                              "hom; S; S; x; -; Z; id:Z; 3;\n",
@@ -275,8 +277,10 @@ ERROR_TABLE = [
 # Rows that differ from the previous release on purpose: a step error names
 # its step, a duplicate entry is refused, numbers too long to print are
 # refused with a typed error, numbers past trial division are factored
-# or refused in bounded time instead of hanging, and an error in a matrix
-# entry or a table line names the entry, or the file and line.
+# or refused in bounded time instead of hanging, an error in a matrix
+# entry or a table line names the entry, or the file and line, and a
+# multiple of an identity is a unit only when it is prime to the
+# identity's order.
 CHANGED_ROWS = [
     _row(["reduce", "m1.json"], 2, "error: relations.txt line 1: expected 4 "
          "fields separated by ';', got 2", setup=_bad_relations),
@@ -306,6 +310,8 @@ CHANGED_ROWS = [
     _row(["reduce", "semi.json", "--auto"], 2,
          "error: cannot factor a 60-bit number in bounded time: it has no "
          "prime factor below 2^20 and is not a power of one prime below 2^64"),
+    # 3 on M(3^2,7) is no unit: a residual block, not a traceback
+    _row(["reduce", "m3.json", "--auto"], 0, ""),
 ]
 
 
