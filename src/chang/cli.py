@@ -11,21 +11,38 @@ else that escapes a command is a bug and ends in a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .complexes import dual, sphere
 from .errors import ChangError, InputError
 from .homology import group_label
-from .homgroups import hom_group, wedge_hom_order
-from .matrix import (matrix_from_json, render_matrix, run_script, split_cone,
-                     steps_from_json)
 from .parser import (homology_of_expression, lower, parse_expression,
                      sqmodule_of_expression)
 from .smash import smash_decompose
 from .verify import check_decomposition
 
 __all__ = ["main", "run_command", "entry"]
+
+# Only `pi`, `homgroup` and `reduce` run `homgroups` and `matrix`, so their
+# names are bound on first use (PEP 562) and a cold call of any other
+# command never imports them.  The commands look every such name up on this
+# module when they run, so a wrapper set on it is what they call.
+_LAZY = {"hom_group": ".homgroups", "wedge_hom_order": ".homgroups",
+         "matrix_from_json": ".matrix", "render_matrix": ".matrix",
+         "run_script": ".matrix", "split_cone": ".matrix",
+         "steps_from_json": ".matrix"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(_LAZY[name], __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 def _emit(lines, fmt, pairs):
@@ -97,7 +114,7 @@ def _cmd_pi(args):
     w = lower(parse_expression(args.expr))
     orders, gens = [], []
     for c in w.summands:
-        desc = hom_group(sphere(args.n), c)
+        desc = _cli.hom_group(sphere(args.n), c)
         orders.extend(desc.cyclic)
         gens.extend(desc.generators)
     lines = [group_label(orders)] + _generator_lines(gens)
@@ -111,14 +128,14 @@ def _cmd_homgroup(args):
     X = lower(parse_expression(args.x))
     Y = lower(parse_expression(args.y))
     if len(X.summands) == 1 and len(Y.summands) == 1 and not args.deg:
-        desc = hom_group(X.summands[0], Y.summands[0])
+        desc = _cli.hom_group(X.summands[0], Y.summands[0])
         lines = [desc.pretty()] + _generator_lines(desc.generators)
         pairs = [("command", "homgroup"), ("source", str(X)),
                  ("target", str(Y)), ("group", desc.pretty())]
         pairs += [(f"generator.{i}", f"{n}:{o}")
                   for i, (n, o, _) in enumerate(desc.generators)]
         return 0, _emit(lines, args.format, pairs)
-    orders = wedge_hom_order(X, Y, args.deg)
+    orders = _cli.wedge_hom_order(X, Y, args.deg)
     lines = [group_label(orders)]
     pairs = [("command", "homgroup"), ("source", str(X)), ("target", str(Y)),
              ("degree", str(args.deg)), ("group", group_label(orders))]
@@ -127,6 +144,7 @@ def _cmd_homgroup(args):
 
 def _load_json(path: str):
     """The JSON document in a file; malformed text is an InputError."""
+    import json
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -135,24 +153,24 @@ def _load_json(path: str):
 
 
 def _cmd_reduce(args):
-    M = matrix_from_json(_load_json(args.matrix))
-    lines = ["input:", render_matrix(M)]
+    M = _cli.matrix_from_json(_load_json(args.matrix))
+    lines = ["input:", _cli.render_matrix(M)]
     pairs = [("command", "reduce"), ("matrix", args.matrix)]
     if args.script:
-        M = run_script(M, steps_from_json(_load_json(args.script)))
-        lines += ["reduced:", render_matrix(M)]
+        M = _cli.run_script(M, _cli.steps_from_json(_load_json(args.script)))
+        lines += ["reduced:", _cli.render_matrix(M)]
         for i in range(len(M.rows)):
             for j in range(len(M.cols)):
                 pairs.append((f"entry.{i+1}.{j+1}", str(M.entry(i, j))))
     if args.auto:
-        rep = split_cone(M)
+        rep = _cli.split_cone(M)
         lines.append(f"splits off: {rep.pieces}")
         for note in rep.log:
             lines.append("  " + note)
         if rep.residual:
             lines.append(f"irreducible residual blocks: {len(rep.residual)}")
             for sub in rep.residual:
-                lines.append(render_matrix(sub))
+                lines.append(_cli.render_matrix(sub))
         pairs.append(("splits", str(rep.pieces)))
         pairs.append(("residual_blocks", str(len(rep.residual))))
     return 0, _emit(lines, args.format, pairs)

@@ -661,10 +661,17 @@ def run_script(M: MorphismMatrix, steps,
 _ETA_EDGES = ("eta", "ieta", "etaq", "ietaq")
 
 
-def _summand_chain(c: Summand):
-    """(cell dims, boundary dict (from,to)->int) for one wedge summand."""
+def _elementary(c: Summand) -> ElementaryComplex:
+    """c, or an InputError when it is a smash atom, for which the calculus
+    has no cell data."""
     if isinstance(c, SmashAtom):
         raise InputError("matrix summands must be elementary pieces")
+    return c
+
+
+def _summand_chain(c: Summand):
+    """(cell dims, boundary dict (from,to)->int) for one wedge summand."""
+    c = _elementary(c)
     return c.cells(), c.boundary()
 
 
@@ -886,7 +893,7 @@ def _special_cone(r: Summand, c: Summand,
                   e: FormalMorphism) -> list[Summand] | None:
     """Name the cone of a 1x1 block that is not the cells of a single
     family: c.id on a sphere or a 2-primary Moore space, the atom
-    M(2^r,3)^Ceta(5), or an odd multiple of i."""
+    M(2^r,3)^Ceta(5), or c.i with c prime to the Moore space's prime."""
     name = e.terms[0][1] if len(e.terms) == 1 else None
     cv = _const_of(e, name)
     if cv is None:
@@ -903,15 +910,16 @@ def _special_cone(r: Summand, c: Summand,
             if 0 < a < r.r:
                 return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
         return None
+    if name == "i" and c.kind == "sphere" and r.kind == "moore" \
+            and c.dim == r.dim:
+        # the cone has H_d = Z/gcd(c, p^r)
+        return [sphere(r.dim + 1)] if gcd(cv, r.p) == 1 else None
     if cv % 2 == 0:
         return None
     if name in ("eta_w1", "1_w_eta") or (name == "lambda11" and r.r == 1):
         if c.kind == r.kind == "moore" and c.p == r.p == 2 and c.r == r.r \
                 and c.dim == r.dim + 1 and r.dim >= 6:
             return [SmashAtom(moore(2, r.r, 3), ceta(5), r.dim - 6)]
-    if name == "i" and c.kind == "sphere" and r.kind == "moore" \
-            and c.dim == r.dim:
-        return [sphere(r.dim + 1)]
     return None
 
 
@@ -946,7 +954,8 @@ def split_cone(M: MorphismMatrix,
     """Greedy reduction of the cone: cancel units, split zero rows/columns,
     and name each connected block whose cone is a known piece."""
     table = table or default_table()
-    rows, cols = list(M.rows), list(M.cols)
+    rows = [_elementary(r) for r in M.rows]
+    cols = [_elementary(c) for c in M.cols]
     grid = [list(line) for line in M.entries]
     log: list[str] = []
     pieces: list[Summand] = []

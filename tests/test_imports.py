@@ -1,4 +1,6 @@
-"""Each module of the package imports on its own in a fresh interpreter.
+"""Each module of the package imports on its own in a fresh interpreter,
+and a cold CLI call imports `homgroups` and `matrix` only for the commands
+that run them.
 
 complexes and smash import each other on purpose (SmashAtom validates
 against the decision table), which in-process tests cannot see: there every
@@ -28,12 +30,25 @@ from chang.complexes import SmashAtom, ceta, moore
 SmashAtom(moore(2, 2, 3), ceta(5))
 """
 
+# One command after another in one cold process; after each, the exit code
+# and which of the deferred modules are loaded.
+_CALLS = """
+import sys
+import chang.cli
+for argv in {argvs!r}:
+    code = chang.cli.main(argv)
+    print(code, *(m for m in ("chang.matrix", "chang.homgroups", "json")
+                  if m in sys.modules), file=sys.stderr)
+"""
+SCRIPTS = SRC / "chang" / "data" / "scripts"
+
 
 def _run(code):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+    return out.stderr
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,3 +59,40 @@ def test_module_imports_alone(name):
 @pytest.mark.parametrize("first", ["complexes", "smash"])
 def test_atom_cycle_imports_from_either_side(first):
     _run(_FIRST.format(path=str(SRC / "chang"), first=first))
+
+
+def test_cold_cli_loads_homgroups_and_matrix_only_where_run():
+    case = SCRIPTS / "moore_block_r_eq_u"
+    calls = [
+        (["smash", "M(2,3)", "Ceta(5)"], "0"),
+        (["verify", "Cbot(1,5)", "C(1,5,1)", "C(1,9,1) v Ceta(5)^C(1,5,1)"],
+         "0"),
+        (["homology", "C(1,5,1)"], "0"),
+        (["cohomology", "--sq", "C(1,5,1)"], "0"),
+        (["dual", "C(1,5,1)"], "0"),
+        (["table", "--branch-coverage"], "0"),
+        (["pi", "3", "C(1,5,1)"], "0 chang.homgroups"),
+        (["homgroup", "C(1,5,1)", "S(3)"], "0 chang.homgroups"),
+        (["reduce", f"{case}.matrix.json", "--script", f"{case}.steps.json",
+          "--auto"], "0 chang.matrix chang.homgroups json"),
+    ]
+    seen = _run(_CALLS.format(argvs=[argv for argv, _ in calls])).splitlines()
+    assert seen == [want for _, want in calls]
+
+
+def test_a_wrapper_set_before_the_first_reduce_is_what_it_runs(monkeypatch):
+    # the contract bench/tracing.py relies on: it sets its wrappers on
+    # chang.cli before any command has bound the deferred names
+    import chang.cli as cli
+    from chang.matrix import split_cone
+    monkeypatch.delitem(vars(cli), "split_cone", raising=False)
+    calls = []
+
+    def spy(M):
+        calls.append(M)
+        return split_cone(M)
+    monkeypatch.setattr(cli, "split_cone", spy)
+    code, out = cli.run_command(
+        ["reduce", str(SCRIPTS / "moore_block_r_eq_u.matrix.json"), "--auto"])
+    assert code == 0 and "splits off:" in out
+    assert len(calls) == 1

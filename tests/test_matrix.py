@@ -1,11 +1,13 @@
 import json
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from chang.complexes import (SmashAtom, cbot, ceta, cfull, ctop, moore,
                              smash_atom, sphere, wedge)
+from chang.errors import InputError
 from chang.homology import integral_homology
 from chang.matrix import (ColCompose, FormalMorphism, MorphismMatrix,
                           NegateCol, NegateRow, RowCompose, ScaleAddCol,
@@ -382,6 +384,27 @@ def test_unit_cancellation_names_the_first_missing_rule_by_rows():
     with pytest.raises(UnknownComposition) as err:
         split_cone(M)
     assert str(err.value) == "no rule for 'eta' o 'rho'"
+
+
+def test_multiples_of_i_into_moore_spaces_name_only_their_cone():
+    # the cone of c.i: S(7) -> M(p^r,7) has H_7 = Z/gcd(c, p^r) and H_8 = Z,
+    # so it is S(8) exactly when c is prime to p
+    for p, r, c in product((2, 3, 5), (1, 2), range(1, 10)):
+        M = M_of([moore(p, r, 7)], [sphere(7)], {(0, 0): f"{c}*i"})
+        rep = split_cone(M)
+        if not rep.residual:
+            assert integral_homology(rep.pieces) == homology_of_cone(M), \
+                (p, r, c)
+        assert (rep.pieces == wedge(sphere(8))) == (gcd(c, p) == 1), (p, r, c)
+
+
+def test_split_cone_refuses_smash_atom_summands():
+    a = smash_atom(moore(2, 2, 3), ceta(5))
+    M = M_of([a], [a], {(0, 0): "2"})
+    for fn in (split_cone, homology_of_cone):
+        with pytest.raises(InputError,
+                           match="matrix summands must be elementary pieces"):
+            fn(M)
 
 
 def test_step_invertibility_randomized():
