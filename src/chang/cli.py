@@ -192,11 +192,7 @@ def _cmd_verify(args):
              ("mod2", str(rep.mod2_match).lower()),
              ("sq_invariants", str(rep.sq_invariants_match).lower()),
              ("sq_iso", str(rep.sq_iso_found).lower())]
-    # a definite mismatch fails; an undecided ("skipped") search does not
-    ok = (rep.homology_match and rep.mod2_match and rep.sq_invariants_match
-          and rep.sq_iso_found is not False)
-    code = 0 if ok else 1
-    return code, _emit(lines, args.format, pairs)
+    return (1 if rep.first_failure() else 0), _emit(lines, args.format, pairs)
 
 
 def _cmd_table(args):

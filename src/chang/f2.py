@@ -2,28 +2,38 @@
 
 A linear map V -> W is a sequence of masks, one per basis vector of V: bit j
 of masks[i] is the coefficient of basis vector j of W in the image of basis
-vector i.  Every rank, composite and search over invertible maps in the
-library goes through this module.
+vector i.  Every rank, composite and kernel in the library goes through this
+module, and `kernel` is its one elimination loop.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-__all__ = ["rank", "compose", "invertible"]
+__all__ = ["rank", "compose", "kernel"]
 
 
-def rank(vectors: Iterable[int]) -> int:
-    """Dimension of the span of the vectors."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
+def kernel(columns: Sequence[int]) -> list[int]:
+    """Basis of the dependencies among the columns: each is the mask of a
+    set of columns (bit i for columns[i]) whose sum is zero."""
+    # pivots: bit length of a reduced column -> (column, its mask)
+    pivots: dict[int, tuple[int, int]] = {}
+    out: list[int] = []
+    for i, v in enumerate(columns):
+        mask = 1 << i
+        while v.bit_length() in pivots:
+            pv, pmask = pivots[v.bit_length()]
+            v, mask = v ^ pv, mask ^ pmask
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+            pivots[v.bit_length()] = (v, mask)
+        else:
+            out.append(mask)
+    return out
+
+
+def rank(vectors: Sequence[int]) -> int:
+    """Dimension of the span of the vectors."""
+    return len(vectors) - len(kernel(vectors))
 
 
 def compose(first: Sequence[int], second: Sequence[int]) -> list[int]:
@@ -37,13 +47,3 @@ def compose(first: Sequence[int], second: Sequence[int]) -> list[int]:
             v ^= low
         out.append(acc)
     return out
-
-
-def invertible(n: int) -> Iterator[tuple[int, ...]]:
-    """Every invertible n x n matrix, as mask tuples (small n only)."""
-    if n == 0:
-        yield ()
-        return
-    for cand in product(range(1, 1 << n), repeat=n):
-        if rank(cand) == n:
-            yield cand

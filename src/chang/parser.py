@@ -7,6 +7,7 @@ Grammar (wedge binds loosest, smash tighter):
     atom   := S(n) | M(p^r,n) | M(p,n) | Ceta(k) | Ctop(k,s) | Cbot(r,k)
             | C(r,k,s) | susp(m, wedge) | D(wedge) | '*' | '(' wedge ')'
 
+The bracketed forms susp(...), D(...) and (...) nest at most 200 deep.
 Printing produces the canonical spelling, with ' v ' between wedge
 summands, and parse o print is the identity on printed forms.
 """
@@ -44,6 +45,10 @@ _ATOMS = {
     for kind, fam in cx.FAMILIES.items() if fam.cells
 }
 _KEYWORDS = set(_ATOMS) | {"D", "susp", "v"}
+# brackets, D( and susp( nest at most this deep; each level costs a few
+# stack frames in parsing, lowering and printing, and Python's default
+# recursion limit of 1000 ends the walk near 330 levels
+_MAX_NESTING = 200
 
 
 def _tokenize(text: str):
@@ -70,6 +75,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -113,11 +119,23 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.peek()
         off = self.offset()
-        if tok == "(":
+        if tok in ("(", "D", "susp"):
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"nesting deeper than {_MAX_NESTING}", off)
             self.take()
+            args: tuple[int, ...] = ()
+            if tok != "(":
+                self.take("(")
+            if tok == "susp":
+                args = (self.int_(),)
+                self.take(",")
+            self.depth += 1
             e = self.wedge()
+            self.depth -= 1
             self.take(")")
-            return e
+            if tok == "(":
+                return e
+            return Expr("dual" if tok == "D" else "susp", args, (e,))
         if tok == "*":
             self.take()
             return Expr("point")
@@ -134,18 +152,6 @@ class _Parser:
                 else:
                     self.take(lit)
             return Expr(tok, tuple(args))
-        if tok == "D":
-            self.take(); self.take("(")
-            e = self.wedge()
-            self.take(")")
-            return Expr("dual", kids=(e,))
-        if tok == "susp":
-            self.take(); self.take("(")
-            m = self.int_()
-            self.take(",")
-            e = self.wedge()
-            self.take(")")
-            return Expr("susp", (m,), (e,))
         raise ParseError(f"got {tok!r}", off,
                          (*_ATOMS, "D", "susp", "*", "("))
 

@@ -289,12 +289,8 @@ def smash_decompose(x, y) -> DecompositionResult:
             branches.extend(brs)
     output = wedge(*pieces)
     report = check_decomposition(X, Y, output)
-    checks = (("homology", report.homology_match),
-              ("mod-2 dimension", report.mod2_match),
-              ("Sq invariant", report.sq_invariants_match),
-              ("Sq isomorphism", report.sq_iso_found is not False))
-    for name, ok in checks:
-        if not ok:
-            raise VerificationFailure(
-                f"{name} mismatch decomposing {X} ^ {Y} -> {output}")
+    failed = report.first_failure()
+    if failed:
+        raise VerificationFailure(
+            f"{failed} mismatch decomposing {X} ^ {Y} -> {output}")
     return DecompositionResult((X, Y), output, tuple(branches), report)

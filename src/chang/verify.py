@@ -2,8 +2,8 @@
 
 Nothing here trusts the decision table: homology goes through the Kunneth
 formula, mod-2 data through the Cartan formula, and module isomorphism is
-decided by invariant profiles plus a bounded exhaustive search.  The F2
-ranks, composites and invertible maps behind those come from `f2`.
+decided by invariant profiles plus a bounded search of the F2 kernel of
+the maps commuting with Sq1, Sq2 and Sq4; `f2` does all the linear algebra.
 
 Certification works summand by summand.  Homology and the invariant
 profile (per degree: dimension and the ranks of Sq1, Sq2, Sq4, Sq1Sq2,
@@ -12,16 +12,13 @@ them, so the values for X ^ Y are sums over the summand pairs of X and Y,
 and those for W sums over its summands.  Each pair and summand is worked
 out once per process, keyed by Sq-module type (`steenrod.module_id`) where
 only the module matters.  Whole-op modules are built only for the
-exhaustive isomorphism search, whose outcome is memoised by the modules of
-X, Y and W.
+isomorphism search, whose outcome is memoised by the modules of X, Y and W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import count
-from typing import Iterator
 
 from . import f2
 from .complexes import SmashAtom, Summand, WedgeComplex, wedge
@@ -33,7 +30,7 @@ __all__ = ["graded_iso", "sq_module_compare", "moore_split_obstruction",
            "check_decomposition", "VerificationReport", "ObstructionReport",
            "SEARCH_BUDGET_BITS"]
 
-SEARCH_BUDGET_BITS = 24     # exhaustive isomorphism search cap: 2**24 maps
+SEARCH_BUDGET_BITS = 24     # isomorphism search cap: maps of 24 entries
 
 Profile = dict[int, tuple[int, ...]]
 
@@ -70,50 +67,58 @@ def sq_module_compare(m1: SqModule, m2: SqModule):
     """(invariants_match, iso_found) with iso_found possibly "skipped".
 
     The invariants are the profiles of the two modules.  When they match
-    and the search space of degreewise-invertible maps is at most 2**24, an
-    exhaustive backtracking search looks for a map commuting with Sq1 and
-    Sq2.
+    and a degreewise map m1 -> m2 has at most 24 entries, the maps commuting
+    with Sq1, Sq2 and Sq4, an F2 kernel, are searched for an isomorphism.
     """
     if _profile(m1) != _profile(m2):
         return False, None
-    dims = [m1.dim(d) for d in m1.degrees()]
-    if sum(n * n for n in dims) > SEARCH_BUDGET_BITS:
+    dims = m1.dims()
+    # one unknown per entry: bit off[d] + n*i + j of a map g is entry j of
+    # row i of its block in degree d, which has dimension n
+    off, size = {}, 0
+    for d, n in dims.items():
+        off[d], size = size, size + n * n
+    if size > SEARCH_BUDGET_BITS:
         return True, "skipped"
-    degs = m1.degrees()
-    # each f2.invertible(n) runs once per search; every later visit of a
-    # degree of that size replays the candidates drawn so far, in order,
-    # and draws further ones only as it needs them
-    drawn: dict[int, tuple[list, Iterator]] = {}
 
-    def candidates(n: int) -> Iterator[tuple[int, ...]]:
-        if n not in drawn:
-            drawn[n] = ([], f2.invertible(n))
-        seen, fresh = drawn[n]
-        for i in count():
-            if i == len(seen):
-                phi = next(fresh, None)
-                if phi is None:
-                    return
-                seen.append(phi)
-            yield seen[i]
+    # column u is the defect Sq^k o g - g o Sq^k of the map g = 1 << u, with
+    # the block of each Sq^k: lo -> lo + k at bits of its own
+    columns, at = [0] * size, 0
+    for k in (1, 2, 4):
+        for lo in (d for d in dims if d + k in dims):
+            a, b, n, w = m1.op(k, lo), m2.op(k, lo), dims[lo], dims[lo + k]
+            for r in range(n):
+                for j in range(n):      # entry j of row r in degree lo
+                    columns[off[lo] + n * r + j] ^= b[j] << at
+                for u in range(w * w):  # entry u % w of row u // w in lo + k
+                    if a[r] >> u // w & 1:
+                        columns[off[lo + k] + u] ^= 1 << at + u % w
+                at += w
 
-    def extend(idx: int, chosen: dict[int, tuple[int, ...]]) -> bool:
-        if idx == len(degs):
-            return True
-        d = degs[idx]
-        for phi in candidates(m1.dim(d)):
-            chosen[d] = phi
-            # phi must commute with each Sq^k between d and a chosen d -/+ k
-            ok = all(f2.compose(m1.op(k, lo), chosen[lo + k])
-                     == f2.compose(chosen[lo], m2.op(k, lo))
-                     for k in (1, 2) for lo in (d - k, d)
-                     if lo in chosen and lo + k in chosen)
-            if ok and extend(idx + 1, chosen):
+    # whether the span of the vectors holds a map invertible on each block
+    # (o, n), the n x n block at bit o.  t -> t * odd mod 2**h is a
+    # bijection; the odd factor 2**32 / golden ratio spreads the first tries
+    # over the span, where counting up would try its first vectors only
+    def invertible(part: frozenset, vectors: list[int]) -> bool:
+        h = len(vectors)
+        for t in range(1 << h):
+            g, phi = t * 0x9E3779B9 % (1 << h), 0
+            for i, v in enumerate(vectors):
+                if g >> i & 1:
+                    phi ^= v
+            if all(f2.rank([phi >> o + n * i & ~(-1 << n) for i in range(n)])
+                   == n for o, n in part):
                 return True
-            del chosen[d]
         return False
 
-    return True, extend(0, {})
+    # kernel vectors whose blocks lie in disjoint sets of degrees are tried
+    # apart: each degree's block starts as a part of its own with no
+    # vectors, and a vector merges the parts it reaches
+    parts = {frozenset([(off[d], n)]): [] for d, n in dims.items()}
+    for v in f2.kernel(columns):
+        hit = [p for p in parts if any(v >> o & ~(-1 << n * n) for o, n in p)]
+        parts[frozenset().union(*hit)] = sum(map(parts.pop, hit), [v])
+    return True, all(invertible(p, vs) for p, vs in parts.items())
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,14 @@ class VerificationReport:
     def all_true(self) -> bool:
         return self.homology_match and self.mod2_match and self.sq_invariants_match
 
+    def first_failure(self) -> str | None:
+        """The first check with a definite mismatch ("skipped" is none)."""
+        checks = (("homology", self.homology_match),
+                  ("mod-2 dimension", self.mod2_match),
+                  ("Sq invariant", self.sq_invariants_match),
+                  ("Sq isomorphism", self.sq_iso_found is not False))
+        return next((name for name, ok in checks if not ok), None)
+
 
 @cache
 def _pair_homology(a: Summand, b: Summand) -> GradedAbelianGroup:
@@ -233,7 +246,7 @@ def _wedge_profile(W: WedgeComplex) -> Profile:
 
 
 def _search(X: WedgeComplex, Y: WedgeComplex, W: WedgeComplex) -> object:
-    """Outcome of the exhaustive Sq-isomorphism search for X ^ Y ~ W.  It
+    """Outcome of the Sq-isomorphism search for X ^ Y ~ W.  It
     depends only on the modules, so it is kept per module ids."""
     key = tuple(tuple(module_id(c) for c in v.summands) for v in (X, Y, W))
     if key not in _SEARCHES:
@@ -263,12 +276,8 @@ def check_decomposition(x, y, w) -> VerificationReport:
     dims = {d: row[0] for d, row in tensor.items()}
     mod2_ok = dims == {d: row[0] for d, row in module.items()}
     inv_ok = tensor == module
-    if not inv_ok:
-        iso = None
-    elif sum(n * n for n in dims.values()) > SEARCH_BUDGET_BITS:
-        iso = "skipped"
-    else:
-        iso = _search(X, Y, W)
+    small = sum(n * n for n in dims.values()) <= SEARCH_BUDGET_BITS
+    iso = (_search(X, Y, W) if small else "skipped") if inv_ok else None
     notes = tuple(_obstruction_note(c) for c in W.summands
                   if isinstance(c, SmashAtom))
     return VerificationReport(homology_ok, mod2_ok, inv_ok, iso, notes)

@@ -1,9 +1,10 @@
 import sys
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chang import smash
+from chang import f2, smash
 from chang.complexes import cbot, ceta, cfull, ctop, moore, sphere
 
 PARAMS = (1, 2, 3)
@@ -32,3 +33,13 @@ def elementary_samples():
            moore(3, 2, 5), ceta(5), ceta(7), ctop(5, 2), cbot(3, 6),
            cfull(1, 5, 2), cfull(2, 8, 1)]
     return out
+
+
+def invertible(n):
+    """Every invertible n x n matrix over F2, as mask tuples (small n only)."""
+    if n == 0:
+        yield ()
+        return
+    for cand in product(range(1, 1 << n), repeat=n):
+        if f2.rank(cand) == n:
+            yield cand

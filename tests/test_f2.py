@@ -2,6 +2,8 @@ import random
 
 from chang import f2
 
+from conftest import invertible
+
 
 def dense(masks, width):
     return [[m >> j & 1 for j in range(width)] for m in masks]
@@ -55,6 +57,24 @@ def test_compose_matches_dense_product():
 
 def test_invertible_counts_and_full_rank():
     for n, count in ((0, 1), (1, 1), (2, 6), (3, 168)):
-        mats = list(f2.invertible(n))
+        mats = list(invertible(n))
         assert len(mats) == count == len(set(mats))
         assert all(len(m) == n and f2.rank(m) == n for m in mats)
+
+
+def test_kernel_matches_dense_elimination():
+    rng = random.Random(13)
+    for _ in range(400):
+        cols, width = rng.randint(0, 8), rng.randint(0, 8)
+        columns = random_masks(rng, cols, width)
+        got = f2.kernel(columns)
+        for mask in got:
+            assert 0 < mask < 1 << cols
+            acc = 0
+            for i, v in enumerate(columns):
+                if mask >> i & 1:
+                    acc ^= v
+            assert acc == 0
+        # independent masks, as many as the dependencies among the columns
+        assert dense_rank(dense(got, cols)) == len(got)
+        assert len(got) == cols - dense_rank(dense(columns, width))

@@ -280,7 +280,8 @@ ERROR_TABLE = [
 # or refused in bounded time instead of hanging, an error in a matrix
 # entry or a table line names the entry, or the file and line, and a
 # multiple of an identity is a unit only when it is prime to the
-# identity's order.
+# identity's order, and nesting deeper than 200 levels is refused instead
+# of ending in a RecursionError.
 CHANGED_ROWS = [
     _row(["reduce", "m1.json"], 2, "error: relations.txt line 1: expected 4 "
          "fields separated by ';', got 2", setup=_bad_relations),
@@ -312,7 +313,23 @@ CHANGED_ROWS = [
          "prime factor below 2^20 and is not a power of one prime below 2^64"),
     # 3 on M(3^2,7) is no unit: a residual block, not a traceback
     _row(["reduce", "m3.json", "--auto"], 0, ""),
+    _row(["homology", "D(" * 3000 + "S(3)" + ")" * 3000], 2,
+         "error: nesting deeper than 200 at offset 400"),
+    _row(["homology", "(" * 3000 + "S(3)" + ")" * 3000], 2,
+         "error: nesting deeper than 200 at offset 200"),
+    _row(["homology", "susp(1," * 3000 + "S(3)" + ")" * 3000], 2,
+         "error: nesting deeper than 200 at offset 1400"),
 ]
+
+
+def test_nesting_at_the_bound_still_runs():
+    from chang.cli import run_command
+    for head, out in (("D(", "H_3 = Z\n"), ("(", "H_3 = Z\n"),
+                      ("susp(1,", "H_203 = Z\n")):
+        text = head * 200 + "S(3)" + ")" * 200
+        assert run_command(["homology", text]) == (0, out)
+        code, _ = run_command(["smash", text, "S(3)"])
+        assert code == 0
 
 
 @pytest.mark.parametrize("argv, code, err, setup",

@@ -13,7 +13,7 @@ from chang.steenrod import SqModule, cartan_smash_sq, mod2_cohomology
 from chang.verify import (VerificationReport, check_decomposition, graded_iso,
                           moore_split_obstruction, sq_module_compare)
 
-from conftest import PARAMS, WIDE_PIECES, classified_pairs
+from conftest import PARAMS, WIDE_PIECES, classified_pairs, invertible
 
 
 def G(comps):
@@ -293,20 +293,20 @@ def test_summed_invariants_match_whole_modules_on_wide_ops():
         _assert_sums_match_whole_op(wedge(x), wedge(y), w)
 
 
-def _search_by_visit(m1: SqModule, m2: SqModule) -> bool:
-    """The backtracking search drawing a fresh f2.invertible(n) on every
-    visit of a degree."""
+def _search_by_backtracking(m1: SqModule, m2: SqModule) -> bool:
+    """Reference: a degree-by-degree search over invertible blocks for a map
+    commuting with Sq1, Sq2 and Sq4."""
     degs = m1.degrees()
 
     def extend(idx, chosen):
         if idx == len(degs):
             return True
         d = degs[idx]
-        for phi in f2.invertible(m1.dim(d)):
+        for phi in invertible(m1.dim(d)):
             chosen[d] = phi
             ok = all(f2.compose(m1.op(k, lo), chosen[lo + k])
                      == f2.compose(chosen[lo], m2.op(k, lo))
-                     for k in (1, 2) for lo in (d - k, d)
+                     for k in (1, 2, 4) for lo in (d - k, d)
                      if lo in chosen and lo + k in chosen)
             if ok and extend(idx + 1, chosen):
                 return True
@@ -315,16 +315,17 @@ def _search_by_visit(m1: SqModule, m2: SqModule) -> bool:
     return extend(0, {})
 
 
-def _random_modules(rng, count):
-    """Valid Sq-modules with up to two classes in each of degrees 0..4."""
+def _random_modules(rng, count, top=5, ks=(1, 2)):
+    """Valid Sq-modules with up to two classes in each of degrees
+    0..top-1, with random Sq^k for k in ks."""
     out = []
     while len(out) < count:
-        dims = [rng.randint(0, 2) for _ in range(5)]
+        dims = [rng.randint(0, 2) for _ in range(top)]
         basis = {d: [f"x{d}.{i}" for i in range(n)]
                  for d, n in enumerate(dims) if n}
         ops = [{d: [rng.randrange(1 << dims[d + k]) for _ in range(n)]
-                for d, n in enumerate(dims) if n and d + k < 5}
-               for k in (1, 2)]
+                for d, n in enumerate(dims) if n and d + k < top}
+               if k in ks else {} for k in (1, 2, 4)]
         try:
             out.append(SqModule(basis, *ops))
         except ValueError:
@@ -332,33 +333,48 @@ def _random_modules(rng, count):
     return out
 
 
-def test_search_draws_each_candidate_list_once_per_call(monkeypatch):
-    rng = random.Random(11)
+def _same_profile_pairs(modules, per_profile=4):
     groups = defaultdict(list)
-    for m in _random_modules(rng, 1500):
+    for m in modules:
         groups[repr(sorted(verify._profile(m).items()))].append(m)
-    cases = [(a, b) for g in groups.values() for a in g[:4] for b in g[:4]]
+    return [(a, b) for g in groups.values()
+            for a in g[:per_profile] for b in g[:per_profile]]
+
+
+def test_search_matches_backtracking_oracle():
+    rng = random.Random(11)
+    cases = _same_profile_pairs(_random_modules(rng, 1500))
     for a, b in classified_pairs()[::3]:
         tensor = cartan_smash_sq(mod2_cohomology(a), mod2_cohomology(b))
         perms = {d: rng.sample(range(tensor.dim(d)), tensor.dim(d))
                  for d in tensor.degrees()}
         cases.append((tensor, tensor.permuted(perms)))
         cases.append((tensor, mod2_cohomology(smash_decompose(a, b).output)))
-    real, calls = f2.invertible, Counter()
-
-    def counting(n):
-        calls[n] += 1
-        return real(n)
+    cases += _same_profile_pairs(_random_modules(random.Random(5), 1500, top=6,
+                                                 ks=(1, 2, 4)))
     outcomes = Counter()
     for m1, m2 in cases:
-        calls.clear()
-        monkeypatch.setattr(f2, "invertible", counting)
         ok, iso = sq_module_compare(m1, m2)
-        monkeypatch.setattr(f2, "invertible", real)
         if not ok or iso == "skipped":
             continue
         outcomes[iso] += 1
-        assert all(n == 1 for n in calls.values())
-        assert set(calls) == {m1.dim(d) for d in m1.degrees()}
-        assert iso == _search_by_visit(m1, m2)
+        assert iso == _search_by_backtracking(m1, m2)
     assert outcomes[True] > 100 and outcomes[False] > 5, outcomes
+
+
+def test_sq_compare_separates_modules_by_sq4():
+    # equal profiles, and Sq^1, Sq^2 alone cannot tell them apart; Sq^4
+    # kills ker Sq^1 in degree 0 only in the first
+    basis = {0: ["a", "b"], 1: ["c"], 4: ["d"]}
+    m1 = SqModule(basis, sq1={0: [1, 1]}, sq4={0: [1, 1]})
+    m2 = SqModule(basis, sq1={0: [1, 0]}, sq4={0: [1, 1]})
+    assert verify._profile(m1) == verify._profile(m2)
+    assert sq_module_compare(m1, m2) == (True, False)
+    # degrees with no operations are searched apart from the rest: here
+    # the kernel has 20 dimensions, but the two 3 x 3 blocks are free and
+    # only the 2^2 maps on degrees 0, 1, 4 need trying
+    basis.update({2: ["x", "y", "z"], 3: ["u", "v", "w"]})
+    m1 = SqModule(basis, sq1={0: [1, 1]}, sq4={0: [1, 1]})
+    m2 = SqModule(basis, sq1={0: [1, 0]}, sq4={0: [1, 1]})
+    assert sq_module_compare(m1, m2) == (True, False)
+    assert sq_module_compare(m1, m1) == (True, True)
