@@ -16,8 +16,8 @@ import sys
 from .complexes import dual, sphere
 from .errors import ChangError, InputError
 from .homology import group_label
-from .parser import (homology_of_expression, lower, parse_expression,
-                     sqmodule_of_expression)
+from .parser import (Expr, check_cells, homology_of_expression, lower,
+                     parse_expression, sqmodule_of_expression)
 from .smash import smash_decompose
 from .verify import check_decomposition
 
@@ -45,6 +45,16 @@ def __getattr__(name):
 _cli = sys.modules[__name__]
 
 
+def _parse(text: str, *before: Expr) -> Expr:
+    """The expression in `text`, refused with an InputError when it names
+    too many cells together with the operands `before` it: a command builds
+    the smash of its operands (smash, verify) or works over the pairs of
+    their summands (homgroup), so their cell counts multiply."""
+    e = parse_expression(text)
+    check_cells(Expr("smash", kids=(*before, e)))
+    return e
+
+
 def _emit(lines, fmt, pairs):
     """text mode prints `lines`; structured mode prints `key = value` pairs."""
     if fmt == "structured":
@@ -53,8 +63,9 @@ def _emit(lines, fmt, pairs):
 
 
 def _cmd_smash(args) -> tuple[int, list[str]]:
-    X = lower(parse_expression(args.x))
-    Y = lower(parse_expression(args.y))
+    ex = _parse(args.x)
+    X = lower(ex)
+    Y = lower(_parse(args.y, ex))
     res = smash_decompose(X, Y)
     v = res.verification
     lines = [str(res.output)]
@@ -74,7 +85,7 @@ def _cmd_smash(args) -> tuple[int, list[str]]:
 
 
 def _cmd_homology(args):
-    h = homology_of_expression(parse_expression(args.expr))
+    h = homology_of_expression(_parse(args.expr))
     degs = h.degrees()
     lines = [f"H_{d} = " + group_label(h[d]) for d in degs] or ["0"]
     pairs = [("command", "homology"), ("input", args.expr.strip())]
@@ -83,21 +94,21 @@ def _cmd_homology(args):
 
 
 def _cmd_cohomology(args):
-    m = sqmodule_of_expression(parse_expression(args.expr))
+    m = sqmodule_of_expression(_parse(args.expr))
+    actions = m.action_lines() if args.sq else []
     lines = []
     for d in m.degrees():
         lines.append(f"H^{d} = " + ", ".join(m.labels(d)))
     if args.sq:
-        lines += m.action_lines() or ["all Sq actions vanish"]
+        lines += actions or ["all Sq actions vanish"]
     pairs = [("command", "cohomology"), ("input", args.expr.strip())]
     pairs += [(f"dim.{d}", str(m.dim(d))) for d in m.degrees()]
-    if args.sq:
-        pairs += [(f"sq.{i}", line) for i, line in enumerate(m.action_lines())]
+    pairs += [(f"sq.{i}", line) for i, line in enumerate(actions)]
     return 0, _emit(lines, args.format, pairs)
 
 
 def _cmd_dual(args):
-    w = lower(parse_expression(args.expr))
+    w = lower(_parse(args.expr))
     d = dual(w, args.sdim)
     lines = [str(d)]
     pairs = [("command", "dual"), ("input", str(w)), ("output", str(d))]
@@ -111,7 +122,7 @@ def _generator_lines(gens) -> list[str]:
 
 
 def _cmd_pi(args):
-    w = lower(parse_expression(args.expr))
+    w = lower(_parse(args.expr))
     orders, gens = [], []
     for c in w.summands:
         desc = _cli.hom_group(sphere(args.n), c)
@@ -125,8 +136,9 @@ def _cmd_pi(args):
 
 
 def _cmd_homgroup(args):
-    X = lower(parse_expression(args.x))
-    Y = lower(parse_expression(args.y))
+    ex = _parse(args.x)
+    X = lower(ex)
+    Y = lower(_parse(args.y, ex))
     if len(X.summands) == 1 and len(Y.summands) == 1 and not args.deg:
         desc = _cli.hom_group(X.summands[0], Y.summands[0])
         lines = [desc.pretty()] + _generator_lines(desc.generators)
@@ -177,9 +189,10 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    X = lower(parse_expression(args.x))
-    Y = lower(parse_expression(args.y))
-    W = lower(parse_expression(args.w))
+    ex = _parse(args.x)
+    X = lower(ex)
+    Y = lower(_parse(args.y, ex))
+    W = lower(_parse(args.w))
     rep = check_decomposition(X, Y, W)
     lines = [f"homology: {'ok' if rep.homology_match else 'FAIL'}",
              f"mod2 dimensions: {'ok' if rep.mod2_match else 'FAIL'}",

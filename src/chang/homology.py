@@ -107,9 +107,18 @@ def _tor(a: int, b: int) -> int:
     return gcd(a, b)
 
 
+def _from_factors(factors: Mapping[int, list[int]]) -> GradedAbelianGroup:
+    """The group with these factors, each already 0 or a prime power (none
+    is 1), in canonical form without factoring them again."""
+    total = GradedAbelianGroup()
+    total.components = {d: tuple(sorted(v)) for d, v in factors.items()}
+    return total
+
+
 def kunneth(A: GradedAbelianGroup, B: GradedAbelianGroup) -> GradedAbelianGroup:
     """Reduced homology of a smash from the factors: tensor terms in degree
-    i+j plus torsion-product terms in degree i+j+1."""
+    i+j plus torsion-product terms in degree i+j+1.  Each term is Z, or the
+    gcd of two prime powers, so 1 or a prime power, and is kept as it is."""
     out: dict[int, list[int]] = {}
     for i, ai in A.components.items():
         for j, bj in B.components.items():
@@ -121,7 +130,7 @@ def kunneth(A: GradedAbelianGroup, B: GradedAbelianGroup) -> GradedAbelianGroup:
                     t = _tor(a, b)
                     if t != 1:
                         out.setdefault(i + j + 1, []).append(t)
-    return GradedAbelianGroup(out)
+    return _from_factors(out)
 
 
 def _elementary_homology(c: ElementaryComplex) -> GradedAbelianGroup:
@@ -154,9 +163,7 @@ def wedge_homology(parts: Iterable[GradedAbelianGroup]) -> GradedAbelianGroup:
     for g in parts:
         for d, orders in g.components.items():
             out.setdefault(d, []).extend(orders)
-    total = GradedAbelianGroup()
-    total.components = {d: tuple(sorted(v)) for d, v in out.items()}
-    return total
+    return _from_factors(out)
 
 
 def integral_homology(x: Summand | WedgeComplex) -> GradedAbelianGroup:

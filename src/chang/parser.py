@@ -23,7 +23,8 @@ from .complexes import ElementaryComplex, WedgeComplex
 from .errors import InputError, ParseError, SemanticError
 
 __all__ = ["parse_expression", "print_expression", "ParseError",
-           "SemanticError", "lower", "parse_summand", "Expr"]
+           "SemanticError", "lower", "parse_summand", "Expr", "cell_count",
+           "check_cells", "MAX_CELLS"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,10 @@ _KEYWORDS = set(_ATOMS) | {"D", "susp", "v"}
 # stack frames in parsing, lowering and printing, and Python's default
 # recursion limit of 1000 ends the walk near 330 levels
 _MAX_NESTING = 200
+# the most cells an expression may name (see `check_cells`): 2^10, ten
+# two-cell factors, whose mod-2 cohomology with its Sq actions a cold
+# `chang cohomology --sq` call prints in about half a second
+MAX_CELLS = 1024
 
 
 def _tokenize(text: str):
@@ -162,6 +167,38 @@ def parse_expression(text: str) -> Expr:
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.offset())
     return e
+
+
+def cell_count(e: Expr) -> int:
+    """Cells of the complex e names, read off the tree before anything is
+    built: a wedge adds its parts' counts, a smash multiplies its factors'
+    counts and susp and D keep the count.  A point factor counts as one
+    cell, since the factors before it are built first, so the count bounds
+    every complex that evaluating a subtree builds.  Counts past MAX_CELLS
+    come out as MAX_CELLS + 1."""
+    if e.head in _ATOMS:
+        return len(cx.FAMILIES[_ATOMS[e.head][0]].cells)
+    if e.head == "point":
+        return 0
+    counts = [cell_count(kid) for kid in e.kids]
+    if e.head == "wedge":
+        total = sum(counts)
+    elif e.head == "smash":
+        total = 1
+        for n in counts:
+            total = min(total * max(n, 1), MAX_CELLS + 1)
+    else:
+        total = counts[0]
+    return min(total, MAX_CELLS + 1)
+
+
+def check_cells(e: Expr) -> None:
+    """Refuse e with an InputError when its cell count is over MAX_CELLS.
+    The cells of an n-fold smash grow as 2^n, and so does the time to
+    lower it or take its homology."""
+    if cell_count(e) > MAX_CELLS:
+        raise InputError(f"more than {MAX_CELLS} cells; a smash multiplies "
+                         "the cell counts of its factors")
 
 
 def print_expression(e: Expr) -> str:

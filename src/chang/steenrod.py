@@ -17,13 +17,18 @@ from . import f2
 from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
-           "module_id", "poincare_mod2"]
+           "module_id", "pair_tensor", "poincare_mod2"]
 
 
 class SqModule:
-    """Graded F2 vector space with Sq^1 / Sq^2 / Sq^4 actions."""
+    """Graded F2 vector space with Sq^1 / Sq^2 / Sq^4 actions.
 
-    __slots__ = ("basis", "ops")
+    `profile` starts as None; `verify` fills it with the module's invariant
+    profile the first time it needs one, so a shared module is profiled
+    once per process.
+    """
+
+    __slots__ = ("basis", "ops", "profile")
 
     def __init__(self,
                  basis: Mapping[int, Sequence[str]] = (),
@@ -42,6 +47,7 @@ class SqModule:
                     raise ValueError(f"Sq^{k} at degree {d}: image out of range")
                 if any(masks):
                     self.ops[k][d] = masks
+        self.profile = None
         self._check_relations()
 
     def _check_relations(self):
@@ -229,12 +235,13 @@ def wedge_sum(parts: Sequence[SqModule]) -> SqModule:
 @cache
 def _summand_sq(c: Summand) -> SqModule:
     """Sq-module of one summand, built once per process and shared by every
-    caller; an atom's suspension shifts the module of its base pair."""
+    caller; an unshifted atom's module is its pair's tensor, and a shifted
+    atom's is that tensor shifted."""
     if isinstance(c, ElementaryComplex):
         return _elementary_sq(c)
     if c.shift:
         return _summand_sq(replace(c, shift=0)).shift(c.shift)
-    return cartan_smash_sq(_summand_sq(c.left), _summand_sq(c.right))
+    return pair_tensor(c.left, c.right)
 
 
 _MODULE_IDS: dict[tuple, int] = {}
@@ -253,6 +260,21 @@ def module_id(c: Summand) -> int:
     else:
         key = (module_id(c.left), module_id(c.right), c.shift)
     return _MODULE_IDS.setdefault(key, len(_MODULE_IDS))
+
+
+_TENSORS: dict[tuple[int, int], SqModule] = {}
+
+
+def pair_tensor(a: Summand, b: Summand) -> SqModule:
+    """H*(a) @ H*(b), built once per process for each ordered pair of module
+    ids and shared by every caller, so callers must not mutate it.  Equal
+    ids mean equal modules, so the shared tensor is the one the pair itself
+    would build, labels included."""
+    key = (module_id(a), module_id(b))
+    tensor = _TENSORS.get(key)
+    if tensor is None:
+        tensor = _TENSORS[key] = cartan_smash_sq(_summand_sq(a), _summand_sq(b))
+    return tensor
 
 
 def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:

@@ -11,8 +11,11 @@ Sq2Sq1, Sq2Sq2) add over wedges, and the tensor product distributes over
 them, so the values for X ^ Y are sums over the summand pairs of X and Y,
 and those for W sums over its summands.  Each pair and summand is worked
 out once per process, keyed by Sq-module type (`steenrod.module_id`) where
-only the module matters.  Whole-op modules are built only for the
-isomorphism search, whose outcome is memoised by the modules of X, Y and W.
+only the module matters: each pair's tensor is `steenrod.pair_tensor`'s
+memoised module, and each module keeps its profile once computed.  The
+isomorphism search sums the memoised pair tensors and summand modules,
+reads their cached profiles, and its outcome is memoised by the modules of
+X, Y and W.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from . import f2
 from .complexes import SmashAtom, Summand, WedgeComplex, wedge
 from .homology import (GradedAbelianGroup, integral_homology, kunneth,
                        wedge_homology)
-from .steenrod import SqModule, cartan_smash_sq, mod2_cohomology, module_id
+# cartan_smash_sq is no longer called here, but `chang.verify.cartan_smash_sq`
+# stays a name that bench/tracing.py wraps
+from .steenrod import (SqModule, cartan_smash_sq, mod2_cohomology,  # noqa: F401
+                       module_id, pair_tensor, wedge_sum)
 
 __all__ = ["graded_iso", "sq_module_compare", "moore_split_obstruction",
            "check_decomposition", "VerificationReport", "ObstructionReport",
@@ -42,15 +48,19 @@ def graded_iso(g1: GradedAbelianGroup, g2: GradedAbelianGroup) -> bool:
 
 def _profile(m: SqModule) -> Profile:
     """Per degree of m: (dim, rk Sq1, rk Sq2, rk Sq4, rk Sq1Sq2, rk Sq2Sq1,
-    rk Sq2Sq2).  Every entry adds over direct sums."""
-    out = {}
-    for d in m.degrees():
-        one, two = m.op(1, d), m.op(2, d)
-        out[d] = (m.dim(d), f2.rank(one), f2.rank(two), f2.rank(m.op(4, d)),
-                  f2.rank(m.sq3(d)),                               # Sq1 Sq2
-                  f2.rank(f2.compose(one, m.op(2, d + 1))),        # Sq2 Sq1
-                  f2.rank(f2.compose(two, m.op(2, d + 2))))        # Sq2 Sq2
-    return out
+    rk Sq2Sq2).  Every entry adds over direct sums.  Computed once per
+    module and kept on it."""
+    if m.profile is None:
+        out = {}
+        for d in m.degrees():
+            one, two = m.op(1, d), m.op(2, d)
+            out[d] = (m.dim(d), f2.rank(one), f2.rank(two),
+                      f2.rank(m.op(4, d)),
+                      f2.rank(m.sq3(d)),                           # Sq1 Sq2
+                      f2.rank(f2.compose(one, m.op(2, d + 1))),    # Sq2 Sq1
+                      f2.rank(f2.compose(two, m.op(2, d + 2))))    # Sq2 Sq2
+        m.profile = out
+    return m.profile
 
 
 def _profile_sum(parts) -> Profile:
@@ -197,61 +207,67 @@ class VerificationReport:
         return next((name for name, ok in checks if not ok), None)
 
 
+def _summand_pairs(X: WedgeComplex, Y: WedgeComplex):
+    """Each summand pair of X ^ Y, ordered by sort_key as an atom orders its
+    factors.  The Kunneth and Cartan formulas are symmetric up to
+    isomorphism, so the two orders of a pair share one memo entry."""
+    for a in X.summands:
+        for b in Y.summands:
+            yield (a, b) if a.sort_key <= b.sort_key else (b, a)
+
+
 @cache
 def _pair_homology(a: Summand, b: Summand) -> GradedAbelianGroup:
     return kunneth(integral_homology(a), integral_homology(b))
 
 
 def _smash_homology(X: WedgeComplex, Y: WedgeComplex) -> GradedAbelianGroup:
-    """H(X ^ Y) by the Kunneth formula, summed over the summand pairs; the
-    formula is symmetric, so each unordered pair is one memo entry."""
-    return wedge_homology(
-        _pair_homology(a, b) if a.sort_key <= b.sort_key else _pair_homology(b, a)
-        for a in X.summands for b in Y.summands)
+    """H(X ^ Y) by the Kunneth formula, summed over the summand pairs."""
+    return wedge_homology(_pair_homology(a, b) for a, b in _summand_pairs(X, Y))
 
 
-# memos keyed by Sq-module ids (`module_id`): profiles of A @ B per
-# unordered pair of modules, profiles per module, obstruction reports per
+# memos keyed by Sq-module ids (`module_id`): obstruction reports per
 # (module, bottom, top), search outcomes per (modules of X, of Y, of W)
-_PAIR_PROFILES: dict[tuple[int, int], Profile] = {}
-_PROFILES: dict[int, Profile] = {}
 _OBSTRUCTIONS: dict[tuple[int, int, int], ObstructionReport] = {}
 _SEARCHES: dict[tuple[tuple[int, ...], ...], object] = {}
 
 
+def _pair_tensors(X: WedgeComplex, Y: WedgeComplex) -> list[SqModule]:
+    """The memoised tensor of each summand pair of X ^ Y; for a pair that
+    stays whole it is the atom's own module."""
+    return [pair_tensor(a, b) for a, b in _summand_pairs(X, Y)]
+
+
+def _direct_sum(parts: list[SqModule]) -> SqModule:
+    """The direct sum of shared modules for the search, with its profile
+    summed from theirs; a single part is used as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    total = wedge_sum(parts)
+    total.profile = _profile_sum(map(_profile, parts))
+    return total
+
+
 def _smash_profile(X: WedgeComplex, Y: WedgeComplex) -> Profile:
-    """Profile of H*(X) @ H*(Y), summed over the summand pairs; A @ B and
-    B @ A are isomorphic, so they share an entry."""
-    parts = []
-    for a in X.summands:
-        for b in Y.summands:
-            ia, ib = module_id(a), module_id(b)
-            key = (min(ia, ib), max(ia, ib))
-            if key not in _PAIR_PROFILES:
-                _PAIR_PROFILES[key] = _profile(
-                    cartan_smash_sq(mod2_cohomology(a), mod2_cohomology(b)))
-            parts.append(_PAIR_PROFILES[key])
-    return _profile_sum(parts)
+    """Profile of H*(X) @ H*(Y), summed over the summand pairs."""
+    return _profile_sum(map(_profile, _pair_tensors(X, Y)))
 
 
 def _wedge_profile(W: WedgeComplex) -> Profile:
     """Profile of H*(W), summed over its summands."""
-    parts = []
-    for c in W.summands:
-        key = module_id(c)
-        if key not in _PROFILES:
-            _PROFILES[key] = _profile(mod2_cohomology(c))
-        parts.append(_PROFILES[key])
-    return _profile_sum(parts)
+    return _profile_sum(_profile(mod2_cohomology(c)) for c in W.summands)
 
 
 def _search(X: WedgeComplex, Y: WedgeComplex, W: WedgeComplex) -> object:
-    """Outcome of the Sq-isomorphism search for X ^ Y ~ W.  It
-    depends only on the modules, so it is kept per module ids."""
+    """Outcome of the Sq-isomorphism search for X ^ Y ~ W.  It depends only
+    on the modules, so it is kept per module ids.  The sum of the pair
+    tensors is isomorphic to H*(X) @ H*(Y), and the search is exhaustive,
+    so searching it gives the whole-op tensor's outcome."""
     key = tuple(tuple(module_id(c) for c in v.summands) for v in (X, Y, W))
     if key not in _SEARCHES:
-        tensor = cartan_smash_sq(mod2_cohomology(X), mod2_cohomology(Y))
-        _SEARCHES[key] = sq_module_compare(tensor, mod2_cohomology(W))[1]
+        tensor = _direct_sum(_pair_tensors(X, Y))
+        module = _direct_sum([mod2_cohomology(c) for c in W.summands])
+        _SEARCHES[key] = sq_module_compare(tensor, module)[1]
     return _SEARCHES[key]
 
 

@@ -84,6 +84,28 @@ def test_kunneth_against_chain_oracle_exhaustive():
             assert got == tensor_chain_homology(a, b), (a, b)
 
 
+@st.composite
+def _prime_power_groups(draw):
+    comps = {}
+    for _ in range(draw(st.integers(0, 5))):
+        d = draw(st.integers(3, 9))
+        q = draw(st.one_of(st.just(0),
+                           st.builds(pow, st.sampled_from([2, 3, 5]),
+                                     st.integers(1, 6))))
+        comps.setdefault(d, []).append(q)
+    return GradedAbelianGroup(comps)
+
+
+@given(_prime_power_groups(), _prime_power_groups())
+@settings(max_examples=200)
+def test_kunneth_output_is_already_canonical(a, b):
+    # kunneth keeps its gcd terms without factoring them again; they must
+    # be exactly what the canonicalising constructor would make of them
+    got = kunneth(a, b).components
+    assert got == GradedAbelianGroup(got).components
+    assert all(q != 1 for orders in got.values() for q in orders)
+
+
 def _graded_groups(draw):
     comps = {}
     for _ in range(draw(st.integers(0, 4))):

@@ -280,8 +280,9 @@ ERROR_TABLE = [
 # or refused in bounded time instead of hanging, an error in a matrix
 # entry or a table line names the entry, or the file and line, and a
 # multiple of an identity is a unit only when it is prime to the
-# identity's order, and nesting deeper than 200 levels is refused instead
-# of ending in a RecursionError.
+# identity's order, nesting deeper than 200 levels is refused instead
+# of ending in a RecursionError, and an expression over the cell budget is
+# refused instead of running for minutes.
 CHANGED_ROWS = [
     _row(["reduce", "m1.json"], 2, "error: relations.txt line 1: expected 4 "
          "fields separated by ';', got 2", setup=_bad_relations),
@@ -319,6 +320,10 @@ CHANGED_ROWS = [
          "error: nesting deeper than 200 at offset 200"),
     _row(["homology", "susp(1," * 3000 + "S(3)" + ")" * 3000], 2,
          "error: nesting deeper than 200 at offset 1400"),
+    # 2^40 cells; ran past two minutes at ~1 GB before the cell budget
+    _row(["homology", "^".join(["M(2,3)"] * 40)], 2,
+         "error: more than 1024 cells; a smash multiplies the cell counts "
+         "of its factors"),
 ]
 
 
@@ -330,6 +335,38 @@ def test_nesting_at_the_bound_still_runs():
         assert run_command(["homology", text]) == (0, out)
         code, _ = run_command(["smash", text, "S(3)"])
         assert code == 0
+
+
+def test_cell_count_rules():
+    from chang.parser import MAX_CELLS, cell_count
+    count = lambda text: cell_count(parse_expression(text))
+    assert count("S(3) v M(2,3) v Ctop(5,1) v C(1,5,1) v *") == 10
+    assert count("(S(3) v M(2,3))^C(1,5,1)^Ceta(5)") == 24
+    assert count("susp(3,D(C(1,5,1)^M(3,3)))") == 8
+    # a point factor counts as one cell: the factors before it are built
+    assert count("M(2,3)^M(2,3)^*") == 4
+    assert count("^".join(["M(2,3)"] * 10)) == MAX_CELLS == 1024
+    assert count("^".join(["M(2,3)"] * 4000)) == MAX_CELLS + 1
+
+
+def test_calls_at_the_cell_budget_still_run(capsys):
+    ten = "^".join(["M(2,3)"] * 10)
+    wide = " v ".join(["C(1,5,1)"] * 16)
+    for argv in (["homology", ten], ["cohomology", "--sq", ten],
+                 ["smash", wide, " v ".join(["M(2,3)"] * 8)],
+                 # the widest benchmark op: three four-cell pieces a side
+                 ["smash", "C(1,5,1) v C(2,5,1) v C(3,5,3)",
+                  "C(1,5,2) v C(5,5,5) v C(1,5,1)"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    # operands within the budget apiece, over it together
+    nine = " v ".join(["M(2,3)"] * 9)
+    for argv in (["smash", wide, nine], ["homgroup", wide, nine],
+                 ["verify", wide, nine, "*"]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == ("error: more than 1024 cells; a "
+                                           "smash multiplies the cell counts "
+                                           "of its factors\n")
 
 
 @pytest.mark.parametrize("argv, code, err, setup",

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +299,53 @@ def test_module_ids_are_module_equality():
     assert module_id(cfull(1, 5, 2)) != module_id(cfull(2, 5, 2))
     # every module that is zero shares one id
     assert module_id(moore(3, 1, 3)) == module_id(moore(5, 2, 4))
+
+
+# One grid pass in a fresh process, with every Cartan product counted under
+# each name the package binds it to: the pair-tensor memo is process-wide,
+# so only a fresh process shows how many tensors a pass builds.  A second
+# pass must build none.
+_GRID_BUILDS = """
+import json, sys
+from chang import steenrod
+from chang.complexes import SmashAtom
+from chang.smash import smash_decompose
+from conftest import classified_pairs
+
+calls = []
+build = steenrod.cartan_smash_sq
+for name, mod in list(sys.modules.items()):
+    if name.split(".")[0] == "chang" and hasattr(mod, "cartan_smash_sq"):
+        mod.cartan_smash_sq = lambda A, B: calls.append(1) or build(A, B)
+smashed, atoms = set(), []
+for a, b in classified_pairs():
+    x, y = (a, b) if a.sort_key <= b.sort_key else (b, a)
+    smashed.add((steenrod.module_id(x), steenrod.module_id(y)))
+    for c in smash_decompose(a, b).output.summands:
+        if isinstance(c, SmashAtom):
+            smashed.add((steenrod.module_id(c.left), steenrod.module_id(c.right)))
+            atoms.append(c)
+first = len(calls)
+for a, b in classified_pairs():
+    smash_decompose(b, a)
+unshifted = [c for c in atoms if not c.shift]
+print(json.dumps({
+    "calls": first, "again": len(calls) - first, "smashed": len(smashed),
+    "unshifted": len(unshifted),
+    "shared": all(steenrod.mod2_cohomology(c)
+                  is steenrod.pair_tensor(c.left, c.right) for c in unshifted),
+}))
+"""
+
+
+def test_grid_pass_builds_each_tensor_once():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    out = subprocess.run([sys.executable, "-c", _GRID_BUILDS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["calls"] == got["smashed"] > 0, got
+    assert got["again"] == 0, got
+    assert got["unshifted"] and got["shared"], got

@@ -266,6 +266,23 @@ def test_summed_invariants_match_whole_modules_on_wide_pairs():
         _assert_sums_match_whole_op(Y, X, W, report=False)
 
 
+def test_summed_invariants_match_whole_modules_on_grid():
+    # every classified pair, odd-prime Moore spaces included; the search
+    # runs on sums of memoised pair tensors, the oracle on whole-op tensors
+    pairs = classified_pairs()
+    outputs = [smash_decompose(a, b).output for a, b in pairs]
+    isos = Counter()
+    for i, ((a, b), w) in enumerate(zip(pairs, outputs)):
+        _assert_sums_match_whole_op(wedge(a), wedge(b), w)
+        isos[check_decomposition(a, b, w).sq_iso_found] += 1
+        if i % 10 == 0:             # a wrong claim: another pair's output
+            other = outputs[i - 1]
+            _assert_sums_match_whole_op(wedge(a), wedge(b), other)
+            if other != w:
+                assert not check_decomposition(a, b, other).all_true()
+    assert len(pairs) == 371 and isos[True] and isos["skipped"]
+
+
 def test_summed_invariants_match_whole_modules_on_wide_ops():
     rng = random.Random(2016)
     ops = []
