@@ -96,11 +96,10 @@ def _cmd_homology(args):
 def _cmd_cohomology(args):
     m = sqmodule_of_expression(_parse(args.expr))
     actions = m.action_lines() if args.sq else []
-    lines = []
-    for d in m.degrees():
-        lines.append(f"H^{d} = " + ", ".join(m.labels(d)))
+    lines = [f"H^{d} = " + ", ".join(m.labels(d)) for d in m.degrees()]
     if args.sq:
         lines += actions or ["all Sq actions vanish"]
+    lines = lines or ["0"]
     pairs = [("command", "cohomology"), ("input", args.expr.strip())]
     pairs += [(f"dim.{d}", str(m.dim(d))) for d in m.degrees()]
     pairs += [(f"sq.{i}", line) for i, line in enumerate(actions)]

@@ -9,6 +9,18 @@ dimensions, Sq invariants, or a search that finds no Sq-isomorphism).
 The same table decides which atoms exist: a pair it keeps whole
 (stays_whole) is the only kind of pair a SmashAtom may hold.
 
+An answer is worked out in three layers, and only the lower two keep it:
+
+    _solve    the uncached seam: orders the pair, guards the depth and
+              returns the table's tuples, or the pair's atom, built once
+    _table    the rules, evaluated once per ordered base pair
+    _placed   the canonical wedge of an answer suspended by the pair's
+              shift, built once per (answer, shift)
+
+Nothing above _solve is memoised, so a _solve replaced after every memo is
+warm still decides what smash_decompose returns, and the gate still checks
+it.
+
 The four-cell ^ four-cell family is normalized so that the largest torsion
 exponent sits in the s-slot of the first factor (swapping factors and/or
 passing to the dual as needed); the three remaining shapes are
@@ -24,6 +36,7 @@ of it fails the homology check and is rejected).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -54,17 +67,24 @@ def _br(a: Summand, b: Summand, rule: str) -> Branch:
 
 
 def _solve(a: ElementaryComplex, b: ElementaryComplex,
-           depth: int = 0) -> tuple[list[Summand], list[Branch]]:
+           depth: int = 0) -> tuple[tuple[Summand, ...], tuple[Branch, ...]]:
     """Decompose a ^ b for base-form Moore/Chang pieces (no spheres here).
 
-    The uncached entry: it orders the pair, guards the depth and builds the
-    atom when the table keeps the pair whole."""
+    The uncached entry: it orders the pair, guards the depth and hands back
+    the table's tuples, or the pair's atom when the table keeps it whole."""
     if depth > 6:
         raise RuntimeError("reduction did not terminate")
     if a.sort_key > b.sort_key:
         a, b = b, a
     out, branches = _table(a, b, depth)
-    return ([SmashAtom(a, b)] if out is None else list(out)), list(branches)
+    return (_whole(a, b) if out is None else out), branches
+
+
+@cache
+def _whole(a: ElementaryComplex, b: ElementaryComplex
+           ) -> tuple[SmashAtom, ...]:
+    """The atom of an ordered base pair the table keeps whole, built once."""
+    return (SmashAtom(a, b),)
 
 
 def stays_whole(a: ElementaryComplex, b: ElementaryComplex) -> bool:
@@ -87,7 +107,7 @@ def _table(a: ElementaryComplex, b: ElementaryComplex, depth: int
 
 
 def _rules(a: ElementaryComplex, b: ElementaryComplex, depth: int
-           ) -> tuple[list[Summand] | None, list[Branch]]:
+           ) -> tuple[Sequence[Summand] | None, Sequence[Branch]]:
     """The decision table, one rule per ordered base pair."""
     ka, kb = a.kind, b.kind
     if kb == "point":               # points sort last and are no table row
@@ -133,10 +153,12 @@ def _rules(a: ElementaryComplex, b: ElementaryComplex, depth: int
                     [_br(a, b, "moore2-cfull/u>r,s")])
         if r < u <= s:
             sub, brs = _solve(a, cbot(r, 5), depth + 1)
-            return sub + [moore(2, u, 7)], [_br(a, b, "moore2-cfull/r<u<=s")] + brs
+            return ((*sub, moore(2, u, 7)),
+                    (_br(a, b, "moore2-cfull/r<u<=s"), *brs))
         if s < u <= r:
             sub, brs = _solve(a, ctop(5, s), depth + 1)
-            return sub + [moore(2, u, 7)], [_br(a, b, "moore2-cfull/s<u<=r")] + brs
+            return ((*sub, moore(2, u, 7)),
+                    (_br(a, b, "moore2-cfull/s<u<=r"), *brs))
         return ([smash_atom(a, ceta(5)), moore(2, u, 7), moore(2, u, 7)],
                 [_br(a, b, "moore2-cfull/u<=r,s")])
 
@@ -171,35 +193,36 @@ def _rules(a: ElementaryComplex, b: ElementaryComplex, depth: int
 
 
 def _solve_full_full(a: ElementaryComplex, b: ElementaryComplex,
-                     depth: int) -> tuple[list[Summand], list[Branch]]:
+                     depth: int
+                     ) -> tuple[tuple[Summand, ...], tuple[Branch, ...]]:
     r, s, rp, sp = a.r, a.s, b.r, b.s
     mx = max(r, s, rp, sp)
     if s == mx:
         if rp < s and sp < s:
             sub, brs = _solve(cbot(r, 5), cfull(rp, 5, sp), depth + 1)
-            return ([cfull(rp, 9, sp)] + sub,
-                    [_br(a, b, "cfull-cfull/s-max-strict")] + brs)
+            return ((cfull(rp, 9, sp), *sub),
+                    (_br(a, b, "cfull-cfull/s-max-strict"), *brs))
         if rp == s:
             if sp >= r:
                 sub, brs = _solve(ctop(5, sp), cfull(r, 5, s), depth + 1)
-                return ([cfull(r, 9, s)] + sub,
-                        [_br(a, b, "cfull-cfull/s=r'")] + brs)
+                return ((cfull(r, 9, s), *sub),
+                        (_br(a, b, "cfull-cfull/s=r'"), *brs))
             # torsion maximum also sits in an r-slot: pass to the dual pair
             sub, brs = _solve_full_full(cfull(s, 5, r), cfull(sp, 5, rp),
                                         depth + 1)
             out = dual(wedge(*sub), 16)
-            return list(out.summands), [_br(a, b, "cfull-cfull/dual")] + brs
+            return out.summands, (_br(a, b, "cfull-cfull/dual"), *brs)
         # sp == s
         lo, hi = sorted((r, rp))
         sub, brs = _solve(cbot(hi, 5), cfull(lo, 5, s), depth + 1)
-        return ([cfull(lo, 9, s)] + sub,
-                [_br(a, b, "cfull-cfull/s=s'")] + brs)
+        return ((cfull(lo, 9, s), *sub),
+                (_br(a, b, "cfull-cfull/s=s'"), *brs))
     if sp == mx:
         sub, brs = _solve_full_full(b, a, depth + 1)
-        return sub, [_br(a, b, "cfull-cfull/swap")] + brs
+        return sub, (_br(a, b, "cfull-cfull/swap"), *brs)
     sub, brs = _solve_full_full(cfull(s, 5, r), cfull(sp, 5, rp), depth + 1)
     out = dual(wedge(*sub), 16)
-    return list(out.summands), [_br(a, b, "cfull-cfull/dual")] + brs
+    return out.summands, (_br(a, b, "cfull-cfull/dual"), *brs)
 
 
 def classified_pairs() -> list[tuple[ElementaryComplex, ElementaryComplex]]:
@@ -251,7 +274,7 @@ def decompose_pair(a: Summand, b: Summand) -> tuple[WedgeComplex, str]:
 
 
 def _decompose_pair_full(a: Summand, b: Summand
-                         ) -> tuple[WedgeComplex, list[Branch]]:
+                         ) -> tuple[WedgeComplex, Sequence[Branch]]:
     """Decompose a ^ b for two summands: smashing with a point is a point,
     with a sphere a suspension (of an atom too); elementary pairs go through
     the table."""
@@ -267,7 +290,16 @@ def _decompose_pair_full(a: Summand, b: Summand
     a0, sa = base_form(a)
     b0, sb = base_form(b)
     out, branches = _solve(a0, b0)
-    return suspend(wedge(*out), sa + sb), branches
+    return _placed(tuple(out), sa + sb), branches
+
+
+@cache
+def _placed(out: tuple[Summand, ...], shift: int) -> WedgeComplex:
+    """The canonical wedge of a table answer, suspended by shift; memoised
+    per (answer, shift), below the `_solve` seam, so a patched `_solve` is
+    still placed as it answers."""
+    w = wedge(*out)
+    return suspend(w, shift) if shift else w
 
 
 def smash_decompose(x, y) -> DecompositionResult:

@@ -15,13 +15,15 @@ only the module matters: each pair's tensor is `steenrod.pair_tensor`'s
 memoised module, and each module keeps its profile once computed.  The
 isomorphism search sums the memoised pair tensors and summand modules,
 reads their cached profiles, and its outcome is memoised by the modules of
-X, Y and W.
+X, Y and W.  Profiles are summed degree by degree in place, and the
+obstruction note of each atom summand is formatted once per atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 
 from . import f2
 from .complexes import SmashAtom, Summand, WedgeComplex, wedge
@@ -64,13 +66,14 @@ def _profile(m: SqModule) -> Profile:
 
 
 def _profile_sum(parts) -> Profile:
-    """Profile of the direct sum of modules with the given profiles."""
-    rows: dict[int, list[tuple[int, ...]]] = {}
+    """Profile of the direct sum of modules with the given profiles, each
+    degree's row added up in place."""
+    out: Profile = {}
     for part in parts:
         for d, row in part.items():
-            rows.setdefault(d, []).append(row)
-    return {d: rs[0] if len(rs) == 1 else tuple(map(sum, zip(*rs)))
-            for d, rs in rows.items()}
+            have = out.get(d)
+            out[d] = row if have is None else tuple(map(add, have, row))
+    return out
 
 
 def sq_module_compare(m1: SqModule, m2: SqModule):
@@ -271,12 +274,15 @@ def _search(X: WedgeComplex, Y: WedgeComplex, W: WedgeComplex) -> object:
     return _SEARCHES[key]
 
 
+@cache
 def _obstruction_note(c: SmashAtom) -> str:
+    """The obstruction note of one atom summand, formatted once per atom.
+    Atoms with one module and cell range share one report."""
     key = (module_id(c), c.bottom, c.top)
-    if key not in _OBSTRUCTIONS:
-        _OBSTRUCTIONS[key] = moore_split_obstruction(mod2_cohomology(c),
-                                                     c.bottom, c.top)
-    rep = _OBSTRUCTIONS[key]
+    rep = _OBSTRUCTIONS.get(key)
+    if rep is None:
+        rep = _OBSTRUCTIONS[key] = moore_split_obstruction(
+            mod2_cohomology(c), c.bottom, c.top)
     status = "hold" if rep.applicable else "not applicable"
     return (f"{c}: split obstructions {status}; "
             f"excluded Moore degrees {list(rep.excluded_moore_degrees)}")

@@ -181,6 +181,19 @@ def test_cli_cohomology_sq(capsys):
     assert "Sq^2(u3⊗u3) = u3⊗u5 + u4⊗u4 + u5⊗u3" in out
 
 
+def test_empty_expression_prints_zero():
+    # a module with no classes prints 0 in text mode, as homology does (it
+    # printed nothing before); --sq output and structured output keep theirs
+    from chang.cli import run_command
+    assert run_command(["homology", "*"]) == (0, "0\n")
+    for expr in ("*", "M(3,3)^C(1,5,2)"):
+        assert run_command(["cohomology", expr]) == (0, "0\n")
+        assert run_command(["cohomology", "--sq", expr]) == \
+            (0, "all Sq actions vanish\n")
+    assert run_command(["cohomology", "*", "--format", "structured"]) == \
+        (0, "command = cohomology\ninput = *\n")
+
+
 def test_run_command_captures_output():
     from chang.cli import run_command
     code, out = run_command(["homgroup", "M(2^3,3)", "S(3)"])

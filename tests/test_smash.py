@@ -1,13 +1,17 @@
-import pytest
+from itertools import combinations_with_replacement
 
-from chang.complexes import (POINT, cbot, ceta, cfull, ctop, dual, moore,
-                             smash_atom, sphere, suspend, wedge)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chang.complexes import (POINT, cbot, ceta, cfull, ctop, dual,
+                             infer_sdim, moore, smash_atom, sphere, suspend,
+                             wedge)
 from chang.homology import integral_homology, kunneth
 from chang import smash
 from chang.smash import (UnclassifiedPair, VerificationFailure, decompose_pair,
                          smash_decompose)
 
-from conftest import classified_pairs
+from conftest import WIDE_PIECES, classified_pairs
 
 
 def out(a, b):
@@ -282,3 +286,65 @@ def test_gate_rejects_a_wrong_split_inside_a_wedge(monkeypatch):
     monkeypatch.setattr(smash, "_solve", one_wrong_pair)
     with pytest.raises(VerificationFailure, match="^Sq invariant mismatch"):
         smash_decompose(x, y)
+
+
+def test_memos_sit_below_the_solve_seam(monkeypatch):
+    pairs = list(combinations_with_replacement(WIDE_PIECES, 2))
+    first = [smash_decompose(a, b) for a, b in pairs]
+    x, y = suspend(moore(2, 1, 3), 2), wedge(moore(2, 1, 3))
+    assert smash_decompose(x, y).output == wedge(cfull(1, 10, 1))
+    # every memo is warm: a second pass places each answer from its memo
+    calls = []
+    real = smash.suspend
+    monkeypatch.setattr(smash, "suspend",
+                        lambda *args: calls.append(args) or real(*args))
+    second = [smash_decompose(a, b) for a, b in pairs]
+    assert not calls
+    assert [(r.output, r.branches) for r in second] == \
+        [(r.output, r.branches) for r in first]
+    # a wrong answer for a shifted pair still reaches the gate
+    monkeypatch.setattr(smash, "_solve", lambda a, b, depth=0: (
+        (moore(2, 1, 6), moore(2, 1, 7)), (("fake", "fake"),)))
+    with pytest.raises(VerificationFailure, match="^Sq invariant mismatch"):
+        smash_decompose(x, y)
+
+
+# --- properties over exponents 1..6 and suspensions 0..4 --------------------
+
+@st.composite
+def shifted_pieces(draw):
+    kind = draw(st.sampled_from(["moore", "ceta", "cbot", "ctop", "cfull"]))
+    r, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    piece = {"moore": lambda: moore(draw(st.sampled_from([2, 2, 3])), r, 3),
+             "ceta": lambda: ceta(5), "cbot": lambda: cbot(r, 5),
+             "ctop": lambda: ctop(5, s), "cfull": lambda: cfull(r, 5, s)}[kind]()
+    return suspend(piece, draw(st.integers(0, 4)))
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+@given(shifted_pieces(), shifted_pieces())
+@PROPERTY
+def test_smash_commutes(x, y):
+    res = smash_decompose(x, y)
+    assert res.verification.first_failure() is None
+    assert smash_decompose(y, x).output == res.output
+
+
+@given(st.integers(1, 4), shifted_pieces(), shifted_pieces())
+@PROPERTY
+def test_smash_commutes_with_suspension(k, x, y):
+    res = smash_decompose(suspend(x, k), y)
+    assert res.verification.first_failure() is None
+    assert res.output == suspend(smash_decompose(x, y).output, k)
+
+
+@given(shifted_pieces(), shifted_pieces())
+@PROPERTY
+def test_smash_is_duality_equivariant(x, y):
+    # D_m(X) ^ D_n(Y) = D_{m+n}(X ^ Y), each piece in its own window
+    m, n = infer_sdim(x), infer_sdim(y)
+    res = smash_decompose(dual(x, m), dual(y, n))
+    assert res.verification.first_failure() is None
+    assert res.output == dual(smash_decompose(x, y).output, m + n)
