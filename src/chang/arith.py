@@ -111,11 +111,13 @@ def prime_powers(n: int) -> list[tuple[int, int]]:
 
 
 def power(base: int, exp: int) -> int:
-    """base ** exp for base, exp >= 0, refused when the result would have
-    more than MAX_DIGITS digits."""
+    """base ** exp for exp >= 0, refused when exp is negative or the result
+    would have more than MAX_DIGITS digits."""
+    if exp < 0:
+        raise InputError(f"{base}^{exp} has a negative exponent")
     # the first test keeps a huge exp from overflowing the float product
-    if base > 1 and (exp > 4 * MAX_DIGITS
-                     or exp * math.log10(base) >= MAX_DIGITS):
+    if abs(base) > 1 and (exp > 4 * MAX_DIGITS
+                          or exp * math.log10(abs(base)) >= MAX_DIGITS):
         raise InputError(f"{base}^{exp} has more than {MAX_DIGITS} digits")
     return base ** exp
 

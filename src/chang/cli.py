@@ -55,6 +55,12 @@ def _parse(text: str, *before: Expr) -> Expr:
     return e
 
 
+def _operands(args):
+    """The lowered operands x and y, within the cell budget together."""
+    ex = _parse(args.x)
+    return lower(ex), lower(_parse(args.y, ex))
+
+
 def _emit(lines, fmt, pairs):
     """text mode prints `lines`; structured mode prints `key = value` pairs."""
     if fmt == "structured":
@@ -63,9 +69,7 @@ def _emit(lines, fmt, pairs):
 
 
 def _cmd_smash(args) -> tuple[int, list[str]]:
-    ex = _parse(args.x)
-    X = lower(ex)
-    Y = lower(_parse(args.y, ex))
+    X, Y = _operands(args)
     res = smash_decompose(X, Y)
     v = res.verification
     lines = [str(res.output)]
@@ -135,9 +139,7 @@ def _cmd_pi(args):
 
 
 def _cmd_homgroup(args):
-    ex = _parse(args.x)
-    X = lower(ex)
-    Y = lower(_parse(args.y, ex))
+    X, Y = _operands(args)
     if len(X.summands) == 1 and len(Y.summands) == 1 and not args.deg:
         desc = _cli.hom_group(X.summands[0], Y.summands[0])
         lines = [desc.pretty()] + _generator_lines(desc.generators)
@@ -188,9 +190,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    ex = _parse(args.x)
-    X = lower(ex)
-    Y = lower(_parse(args.y, ex))
+    X, Y = _operands(args)
     W = lower(_parse(args.w))
     rep = check_decomposition(X, Y, W)
     lines = [f"homology: {'ok' if rep.homology_match else 'FAIL'}",

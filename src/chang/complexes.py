@@ -269,9 +269,6 @@ class WedgeComplex:
 
     summands: tuple[Summand, ...] = ()
 
-    def is_point(self) -> bool:
-        return not self.summands
-
     def cells(self) -> list[int]:
         out: list[int] = []
         for c in self.summands:

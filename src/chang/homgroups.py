@@ -8,11 +8,14 @@ the table raise UntabulatedHom -- nothing is ever interpolated.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .arith import integer, power
 from .complexes import (SmashAtom, Summand, WedgeComplex, sphere,
@@ -39,131 +42,190 @@ class HomGroupDescriptor:
         return group_label(self.cyclic)
 
 
-# --- tiny arithmetic/predicate evaluator for the table file ----------------
+# --- the expression reader: table fields and morphism literals ------------
 
-_TOK = re.compile(r"\s*(\d+|[A-Za-z_]+|[()+\-*^,]|<=|>=|!=|=|<|>|\||&)")
-
-
-def _tokenize(text: str) -> list[str]:
-    out, i = [], 0
-    while i < len(text):
-        m = _TOK.match(text, i)
-        if not m:
-            raise InputError(f"bad table expression {text!r} at {i}")
-        out.append(m.group(1))
-        i = m.end()
-    return out
-
-
-class _Expr:
-    def __init__(self, tokens: list[str], env: dict[str, int]):
-        self.toks = tokens
-        self.pos = 0
-        self.env = env
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, tok=None):
-        t = self.peek()
-        if t is None or (tok is not None and t != tok):
-            raise InputError(f"expected {tok!r}, got {t!r}")
-        self.pos += 1
-        return t
-
-    def expr(self) -> int:
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                v += self.term()
-            else:
-                v -= self.term()
-        return v
-
-    def term(self) -> int:
-        v = self.factor()
-        while self.peek() == "*":
-            self.take()
-            v *= self.factor()
-        return v
-
-    def factor(self) -> int:
-        v = self.base()
-        if self.peek() == "^":
-            self.take()
-            v = power(v, self.factor())
-        return v
-
-    def base(self) -> int:
-        t = self.take()
-        if t.isdigit():
-            return integer(t)
-        if t == "(":
-            v = self.expr()
-            self.take(")")
-            return v
-        if t == "-":
-            return -self.base()
-        if t in ("min", "max", "delta"):
-            self.take("(")
-            args = [self.expr()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.expr())
-            self.take(")")
-            if t == "min":
-                return min(args)
-            if t == "max":
-                return max(args)
-            return 0 if args[0] == 1 else 1
-        if t in self.env:
-            return self.env[t]
-        raise InputError(f"unknown name {t!r} in table expression")
+class _Values(NamedTuple):
+    """What _read_expression builds from a text: `what` names the language in
+    error messages, and a name in `calls` followed by '(' is a call."""
+    what: str
+    calls: frozenset
+    num: Callable
+    name: Callable
+    call: Callable | None
+    add: Callable
+    mul: Callable
+    neg: Callable
+    pow: Callable
 
 
-def _eval_int(text: str, env: dict[str, int]) -> int:
-    p = _Expr(_tokenize(text), env)
-    v = p.expr()
-    if p.peek() is not None:
-        raise InputError(f"trailing input in {text!r}")
-    return v
+_TOKEN = re.compile(r"\s*([A-Za-z0-9_']+|[-+*^(),])")
 
 
-def _eval_pred(text: str, env: dict[str, int]) -> bool:
+def _read_expression(text: str, values: _Values):
+    """Read text by one grammar -- sum, product, unary minus, right-associative
+    '^' (binding tighter than unary minus), then numbers, names, calls and
+    brackets -- into what values builds."""
     text = text.strip()
-    if text in ("-", ""):
-        return True
-    for clause in text.split("|"):
-        ok = True
-        for cmp_ in clause.split("&"):
-            m = re.match(r"^(.*?)(<=|>=|!=|=|<|>)(.*)$", cmp_.strip())
-            if not m:
-                raise InputError(f"bad predicate {cmp_!r}")
-            a = _eval_int(m.group(1), env)
-            b = _eval_int(m.group(3), env)
-            op = m.group(2)
-            ok = {"=": a == b, "!=": a != b, "<": a < b, ">": a > b,
-                  "<=": a <= b, ">=": a >= b}[op]
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    toks, i = [], 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if not m:
+            raise InputError(f"bad {values.what} {text!r} at offset {i}")
+        toks.append(m.group(1))
+        i = m.end()
+    toks.append(None)
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def close():
+        if take() != ")":
+            raise InputError(f"missing ')' in {values.what} {text!r}")
+
+    def sum_():
+        v = product()
+        while toks[pos] in ("+", "-"):
+            v = values.add(v, product() if take() == "+"
+                           else values.neg(product()))
+        return v
+
+    def product():
+        v = unary()
+        while toks[pos] == "*":
+            take()
+            v = values.mul(v, unary())
+        return v
+
+    def unary():
+        if toks[pos] == "-":
+            take()
+            return values.neg(unary())
+        v = atom()
+        if toks[pos] == "^":
+            take()
+            v = values.pow(v, unary())
+        return v
+
+    def atom():
+        tok = take()
+        if tok is None:
+            raise InputError(f"unexpected end of {values.what} {text!r}")
+        if tok == "(":
+            v = sum_()
+            close()
+            return v
+        if tok.isdigit():
+            return values.num(integer(tok))
+        if tok in values.calls and toks[pos] == "(":
+            take()
+            args = [sum_()]
+            while toks[pos] == ",":
+                take()
+                args.append(sum_())
+            close()
+            return values.call(tok, args)
+        if tok[0] not in "+*^),":
+            return values.name(tok)
+        raise InputError(f"unexpected {tok!r} in {values.what} {text!r}")
+
+    value = sum_()
+    if toks[pos] is not None:
+        raise InputError(f"trailing input in {values.what} {text!r}")
+    return value
 
 
 # --- table records ----------------------------------------------------------
 
+_FUNCTIONS = {"min": min, "max": max,
+              "delta": lambda args: 0 if args[0] == 1 else 1}
+
+
+def _exponent(name: str):
+    if name not in ("sr", "ss", "tr", "ts"):
+        raise InputError(f"unknown name {name!r} in table expression")
+    return lambda env: env[name]
+
+
+# a table expression compiles to a function of the exponent environment
+_TABLE = _Values(
+    "table expression", frozenset(_FUNCTIONS),
+    num=lambda n: lambda env: n,
+    name=_exponent,
+    call=lambda f, args: lambda env: _FUNCTIONS[f]([a(env) for a in args]),
+    add=lambda a, b: lambda env: a(env) + b(env),
+    mul=lambda a, b: lambda env: a(env) * b(env),
+    neg=lambda a: lambda env: -a(env),
+    pow=lambda a, b: lambda env: power(a(env), b(env)))
+
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "!=": operator.ne,
+            "=": operator.eq, "<": operator.lt, ">": operator.gt}
+
+
+def _comparison(text: str):
+    m = re.fullmatch(r"(.*?)(<=|>=|!=|=|<|>)(.*)", text)
+    if not m:
+        raise InputError(f"bad predicate {text.strip()!r}")
+    op = _COMPARE[m[2]]
+    a, b = _read_expression(m[1], _TABLE), _read_expression(m[3], _TABLE)
+    return lambda env: op(a(env), b(env))
+
+
+def _predicate(text: str):
+    """A WHEN field: '|' of '&' of comparisons; '-' always holds."""
+    if text in ("-", ""):
+        return lambda env: True
+    clauses = [[_comparison(t) for t in c.split("&")] for c in text.split("|")]
+    return lambda env: any(all(t(env) for t in c) for c in clauses)
+
+
+def _order(text: str):
+    """An order: Z (0), or an expression whose value must be at least 1."""
+    if text == "Z":
+        return lambda env: 0
+    value = _read_expression(text, _TABLE)
+
+    def order(env):
+        q = value(env)
+        if q < 1:
+            raise InputError(f"order {text} is {q}, below 1")
+        return q
+    return order
+
+
+def _group(text: str):
+    """A GROUP field such as "Z + Z/2^(ts+1)": its cyclic orders (0 = Z)."""
+    if text == "0":
+        return lambda env: ()
+    factors = [f.strip() for f in _split_top(text, "+")]
+    for f in factors:
+        if f != "Z" and not f.startswith("Z/"):
+            raise InputError(f"cyclic factor {f!r} is neither Z nor Z/n")
+    orders = [_order(f.removeprefix("Z/")) for f in factors]
+    return lambda env: tuple(q(env) for q in orders)
+
+
+def _generators(text: str) -> tuple:
+    """A GENS field: (name, order) for each comma-separated name:order."""
+    gens = []
+    for item in _split_top(text, ",") if text else ():
+        if ":" not in item:
+            raise InputError(f"generator {item.strip()!r} has no order")
+        name, order = item.rsplit(":", 1)
+        gens.append((name.strip(), _order(order.strip())))
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class _Record:
-    kind: str
-    src: str
-    tgt: str
-    off: int
-    when: str
-    group: str
-    gens: str
+    when: Callable          # exponent environment -> bool
+    group: Callable         # exponent environment -> cyclic orders
+    gens: tuple             # (name with {sr}... to substitute, order)
     stable_from: int
     note: str
+    where: str              # file and line, for errors met at lookup
 
 
 def _table_path(name: str) -> str:
@@ -175,32 +237,60 @@ def _table_path(name: str) -> str:
     return str(resources.files("chang").joinpath("data", name))
 
 
+@contextmanager
+def _located(where: str):
+    """Prefix an InputError raised inside with where it came from."""
+    try:
+        yield
+    except InputError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _read_table(path: str, parse) -> list:
-    """parse(fields) for each data line of a ';'-separated table file; an
-    InputError names the file and line it came from."""
+    """parse(fields, where) for each data line of a ';'-separated table
+    file, where naming the file and line; so does an InputError."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                out.append(parse([p.strip() for p in line.split(";")]))
-            except InputError as exc:
-                exc.args = (f"{os.path.basename(path)} line {number}: {exc}",)
-                raise
+            where = f"{os.path.basename(path)} line {number}"
+            with _located(where):
+                out.append(parse([p.strip() for p in line.split(";")], where))
     return out
 
 
 @lru_cache(maxsize=None)
-def load_table(path: str | None = None) -> tuple[_Record, ...]:
-    def record(parts):
+def load_table(path: str | None = None
+               ) -> dict[tuple[str, str, str, int], list[_Record]]:
+    """The hom table, its fields compiled once, with the records under each
+    (kind, src, tgt, off) in file order."""
+    def record(parts, where):
         parts += [""] * (8 - len(parts))
         kind, src, tgt, off, when, group, gens = parts[:7]
-        return _Record(kind, src, tgt, integer(off), when, group, gens,
-                       integer(parts[7]) if parts[7] else 3,
-                       parts[8] if len(parts) > 8 else "")
-    return tuple(_read_table(path or _table_path("hom_tables.txt"), record))
+        return (kind, src, tgt, integer(off)), _Record(
+            _predicate(when), _group(group), _generators(gens),
+            integer(parts[7]) if parts[7] else 3,
+            parts[8] if len(parts) > 8 else "", where)
+    table: dict = {}
+    for key, rec in _read_table(path or _table_path("hom_tables.txt"),
+                                record):
+        table.setdefault(key, []).append(rec)
+    return table
+
+
+def _lookup(key: tuple[str, str, str, int], env: dict[str, int]):
+    """The first record under key whose WHEN holds at env, with its cyclic
+    orders and its generators there; (None, (), ()) if there is none."""
+    for rec in load_table().get(key, ()):
+        with _located(rec.where):
+            if rec.when(env):
+                return rec, rec.group(env), tuple(
+                    (_subst(name, env), order(env), rec.note)
+                    for name, order in rec.gens)
+    return None, (), ()
 
 
 def _classify(c: Summand) -> tuple[str, dict[str, int]] | None:
@@ -224,46 +314,13 @@ def _subst(name: str, env: dict[str, int]) -> str:
 
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on sep at parenthesis depth zero."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _cyclic_orders(group: str, env: dict[str, int]) -> tuple[int, ...]:
-    """Orders stated by a GROUP field such as "Z + Z/2^(ts+1)" (0 = Z)."""
-    if group.strip() == "0":
-        return ()
-    return tuple(0 if p.strip() == "Z" else _eval_int(p.strip()[2:], env)
-                 for p in _split_top(group, "+"))
-
-
-def _build_descriptor(rec: _Record, env: dict[str, int],
-                      source: Summand, target: Summand) -> HomGroupDescriptor:
-    cyclic = _cyclic_orders(rec.group, env)
-    primary: list[int] = []
-    for q in cyclic:
-        primary.extend(primary_factors(q))
-    gens = []
-    if rec.gens.strip():
-        for item in _split_top(rec.gens, ","):
-            if ":" not in item:
-                raise InputError(f"generator {item.strip()!r} has no order")
-            name, order = item.rsplit(":", 1)
-            o = 0 if order.strip() == "Z" else _eval_int(order, env)
-            gens.append((_subst(name.strip(), env), o, rec.note))
-    return HomGroupDescriptor(tuple(sorted(primary)), cyclic, tuple(gens),
-                              str(source), str(target), rec.stable_from,
-                              rec.note)
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 def hom_group(source: Summand, target: Summand) -> HomGroupDescriptor:
@@ -279,17 +336,20 @@ def hom_group(source: Summand, target: Summand) -> HomGroupDescriptor:
     tkind, tenv = ct
     off = source.bottom - target.bottom
     env = {"sr": senv["r"], "ss": senv["s"], "tr": tenv["r"], "ts": tenv["s"]}
-    for rec in load_table():
-        if rec.kind != "hom" or rec.src != skind or rec.tgt != tkind:
-            continue
-        if rec.off != off or not _eval_pred(rec.when, env):
-            continue
-        if target.bottom < rec.stable_from:
-            raise UntabulatedHom(
-                f"[{source}, {target}]: below the stable range of the table "
-                f"entry (needs bottom dimension >= {rec.stable_from})")
-        return _build_descriptor(rec, env, source, target)
-    raise UntabulatedHom(f"[{source}, {target}] (offset {off}) is not tabulated")
+    rec, cyclic, gens = _lookup(("hom", skind, tkind, off), env)
+    if rec is None:
+        raise UntabulatedHom(
+            f"[{source}, {target}] (offset {off}) is not tabulated")
+    if target.bottom < rec.stable_from:
+        raise UntabulatedHom(
+            f"[{source}, {target}]: below the stable range of the table "
+            f"entry (needs bottom dimension >= {rec.stable_from})")
+    primary: list[int] = []
+    for q in cyclic:
+        primary.extend(primary_factors(q))
+    return HomGroupDescriptor(tuple(sorted(primary)), cyclic, gens,
+                              str(source), str(target), rec.stable_from,
+                              rec.note)
 
 
 def atom_homotopy(x: SmashAtom, degree: int) -> HomGroupDescriptor:
@@ -319,11 +379,8 @@ def pi9_smash_extension(r: int, s: int, rp: int, sp: int
     """(sub, quotient) of the extension presenting the degree-9 homotopy of
     a four-cell smash four-cell product, where tabulated."""
     env = {"sr": r, "ss": s, "tr": rp, "ts": sp}
-    for rec in load_table():
-        if rec.kind != "ses":
-            continue
-        if not _eval_pred(rec.when, env):
-            continue
-        return _cyclic_orders(rec.group, env), (2, 2)
+    rec, cyclic, _ = _lookup(("ses", "Cfull", "Cfull", 3), env)
+    if rec is not None:
+        return cyclic, (2, 2)
     raise UntabulatedHom(
         f"pi_9 extension for parameters ({r},{s},{rp},{sp}) is not tabulated")

@@ -20,7 +20,6 @@ anything it does not know raises UnknownComposition instead of guessing.
 from __future__ import annotations
 
 import json
-import re
 from math import gcd
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -31,7 +30,8 @@ from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, ceta, cfull, moore, sphere, suspend,
                         wedge)
 from .errors import ChangError, InputError, UnknownComposition
-from .homgroups import _read_table, _table_path
+from .homgroups import (_Values, _read_expression, _read_table,
+                        _table_path)
 from .homology import GradedAbelianGroup
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
@@ -275,7 +275,7 @@ class RelationTable:
 
     @classmethod
     def load(cls, path: str | None = None) -> "RelationTable":
-        def rule(parts):
+        def rule(parts, where):
             if len(parts) != 4:
                 raise InputError("expected 4 fields separated by ';', "
                                  f"got {len(parts)}")
@@ -385,96 +385,41 @@ def default_table() -> RelationTable:
 
 # --- morphism literals ------------------------------------------------------
 
-_LIT_TOKEN = re.compile(r"\s*([A-Za-z0-9_']+|\^|\*|\+|\-|\(|\))")
+def _vadd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for g, c in b.items():
+        out[g] = out.get(g, Coef(0)) + c
+    return out
+
+
+def _vmul(a: dict, b: dict) -> dict:
+    if list(a) == ["id"]:
+        return {g: a["id"] * c for g, c in b.items()}
+    if list(b) == ["id"]:
+        return {g: c * b["id"] for g, c in a.items()}
+    raise InputError("cannot multiply two generators")
+
+
+def _vint(v: dict) -> int:
+    n = v["id"].const_value() if list(v) == ["id"] else None
+    if n is None:
+        raise InputError("a power in a morphism literal takes integers")
+    return n
+
+
+# a literal reads as {generator: Coef}, "id" holding the scalar part
+_LITERAL = _Values(
+    "morphism literal", frozenset(),
+    num=lambda n: {"id": Coef(n)},
+    name=lambda t: {"id": Coef.bit(t)} if t in BITS else {t: _ONE},
+    call=None, add=_vadd, mul=_vmul,
+    neg=lambda v: {g: -c for g, c in v.items()},
+    pow=lambda a, b: {"id": Coef(power(_vint(a), _vint(b)))})
 
 
 def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
     """Parse a morphism literal into (coefficient, generator) terms."""
-    text = text.strip()
-    if text == "0":
-        return ()
-    toks, i = [], 0
-    while i < len(text):
-        m = _LIT_TOKEN.match(text, i)
-        if not m:
-            raise InputError(f"bad morphism literal {text!r} at offset {i}")
-        toks.append(m.group(1))
-        i = m.end()
-
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
-
-    # values are dicts gen -> Coef ("id" holds the scalar part)
-    def vadd(a, b):
-        out = dict(a)
-        for g, c in b.items():
-            out[g] = out.get(g, Coef(0)) + c
-        return out
-
-    def vmul(a, b):
-        if list(a) == ["id"]:
-            return {g: a["id"] * c for g, c in b.items()}
-        if list(b) == ["id"]:
-            return {g: c * b["id"] for g, c in a.items()}
-        raise InputError(f"cannot multiply two generators in {text!r}")
-
-    def expr():
-        v = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                v = vadd(v, term())
-            else:
-                v = vadd(v, vmul({"id": Coef(-1)}, term()))
-        return v
-
-    def term():
-        v = factor()
-        while peek() == "*":
-            take()
-            v = vmul(v, factor())
-        return v
-
-    def number(t):
-        if t is None or not t.isdigit():
-            raise InputError(f"bad integer in morphism literal {text!r}")
-        return integer(t)
-
-    def factor():
-        t = peek()
-        if t == "-":
-            take()
-            return vmul({"id": Coef(-1)}, factor())
-        return atom()
-
-    def atom():
-        t = take()
-        if t is None:
-            raise InputError(f"unexpected end of literal {text!r}")
-        if t == "(":
-            v = expr()
-            if take() != ")":
-                raise InputError(f"missing ')' in {text!r}")
-            return v
-        if t.isdigit():
-            n = number(t)
-            if peek() == "^":
-                take()
-                n = power(n, number(take()))
-            return {"id": Coef(n)}
-        if t in BITS:
-            return {"id": Coef.bit(t)}
-        return {t: _ONE}
-
-    value = expr()
-    if pos[0] != len(toks):
-        raise InputError(f"trailing input in morphism literal {text!r}")
+    value = _read_expression(text, _LITERAL)
     return tuple((c, g) for g, c in value.items() if not c.is_zero())
 
 

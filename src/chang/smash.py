@@ -52,6 +52,7 @@ __all__ = ["smash_decompose", "decompose_pair", "classified_pairs",
            "VerificationFailure", "Branch"]
 
 Branch = tuple[str, str]        # (pair description, rule id)
+PARAMS = (1, 2, 3)              # the exponent grid of classified_pairs
 
 
 @dataclass(frozen=True)
@@ -227,42 +228,41 @@ def _solve_full_full(a: ElementaryComplex, b: ElementaryComplex,
 
 def classified_pairs() -> list[tuple[ElementaryComplex, ElementaryComplex]]:
     """Every base pair type the rules above classify, over the exponent
-    grid {1,2,3}, one ordering each."""
-    P = (1, 2, 3)
+    grid PARAMS, one ordering each."""
     pairs = []
-    for u, v in product(P, P):
+    for u, v in product(PARAMS, repeat=2):
         pairs.append((moore(2, u, 3), moore(2, v, 3)))
-    for u in P:
+    for u in PARAMS:
         pairs.append((moore(2, u, 3), ceta(5)))
-    for u, r in product(P, P):
+    for u, r in product(PARAMS, repeat=2):
         pairs.append((moore(2, u, 3), cbot(r, 5)))
         pairs.append((moore(2, u, 3), ctop(5, r)))
-    for u, r, s in product(P, P, P):
+    for u, r, s in product(PARAMS, repeat=3):
         pairs.append((moore(2, u, 3), cfull(r, 5, s)))
     pairs.append((ceta(5), ceta(5)))
-    for r in P:
+    for r in PARAMS:
         pairs.append((ceta(5), cbot(r, 5)))
         pairs.append((ceta(5), ctop(5, r)))
-    for r, s in product(P, P):
+    for r, s in product(PARAMS, repeat=2):
         pairs.append((ceta(5), cfull(r, 5, s)))
         pairs.append((cbot(r, 5), cbot(s, 5)))
         pairs.append((cbot(r, 5), ctop(5, s)))
         pairs.append((ctop(5, r), ctop(5, s)))
-    for u, r, s in product(P, P, P):
+    for u, r, s in product(PARAMS, repeat=3):
         pairs.append((cbot(u, 5), cfull(r, 5, s)))
         pairs.append((ctop(5, u), cfull(r, 5, s)))
-    for r, s, rp, sp in product(P, P, P, P):
+    for r, s, rp, sp in product(PARAMS, repeat=4):
         pairs.append((cfull(r, 5, s), cfull(rp, 5, sp)))
     for p in (3, 5):
-        for u in P:
-            for v in P:
+        for u in PARAMS:
+            for v in PARAMS:
                 pairs.append((moore(p, u, 3), moore(p, v, 3)))
                 pairs.append((moore(p, u, 3), moore(2, v, 3)))
             pairs.append((moore(p, u, 3), ceta(5)))
-            for r in P:
+            for r in PARAMS:
                 pairs.append((moore(p, u, 3), cbot(r, 5)))
                 pairs.append((moore(p, u, 3), ctop(5, r)))
-            for r, s in product(P, P):
+            for r, s in product(PARAMS, repeat=2):
                 pairs.append((moore(p, u, 3), cfull(r, 5, s)))
     return pairs
 

@@ -14,7 +14,8 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from . import f2
-from .complexes import ElementaryComplex, Summand, WedgeComplex, wedge
+from .complexes import (ElementaryComplex, SmashAtom, Summand, WedgeComplex,
+                        wedge)
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
            "module_id", "pair_tensor", "poincare_mod2"]
@@ -281,8 +282,10 @@ def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:
     """Sq-module of a wedge; labels carry the summand index when there is
     more than one summand.  A single summand's module is the memoised one,
     so callers must not mutate the result."""
+    if isinstance(x, SmashAtom) and x.left == x.right:
+        x = wedge(x)        # the M(2,3)^M(2,3) atom is C(1,8,1) in a wedge
     if not isinstance(x, WedgeComplex):
-        x = wedge(x)
+        return _summand_sq(x)
     if len(x.summands) == 1:
         return _summand_sq(x.summands[0])
     return wedge_sum([_summand_sq(c) for c in x.summands])

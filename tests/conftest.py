@@ -6,8 +6,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chang import f2, smash
 from chang.complexes import cbot, ceta, cfull, ctop, moore, sphere
+from chang.smash import PARAMS
 
-PARAMS = (1, 2, 3)
 EXPONENTS = (1, 2, 3, 4, 5)
 # the 41 pieces of the benchmark's wide workload
 WIDE_PIECES = ([moore(2, u, 3) for u in EXPONENTS] + [ceta(5)]

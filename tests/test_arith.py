@@ -69,3 +69,14 @@ def test_power_refuses_numbers_too_long_to_print():
         with pytest.raises(InputError, match=f"has more than {MAX_DIGITS} "
                                              "digits$"):
             power(2, exp)
+
+
+def test_power_refuses_negative_exponents():
+    assert power(-2, 3) == -8
+    for base, exp in ((2, -1), (0, -1), (1, -5)):
+        with pytest.raises(InputError, match=f"^{base}\\^{exp} has a "
+                                             "negative exponent$"):
+            power(base, exp)
+    # a negative base is bounded like a positive one
+    with pytest.raises(InputError, match="digits$"):
+        power(-2, 10 ** 400)

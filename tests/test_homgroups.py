@@ -1,7 +1,10 @@
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from chang.complexes import (cbot, ceta, cfull, ctop, dual_elementary, moore,
-                             smash_atom, sphere, wedge)
+                             smash_atom, sphere, suspend, wedge)
 from chang.homgroups import (UntabulatedHom, atom_homotopy, hom_group,
                              pi9_smash_extension, wedge_hom_order)
 
@@ -184,3 +187,148 @@ def test_point_kills_hom_groups():
     from chang.complexes import POINT
     assert hom_group(POINT, sphere(5)).group == ()
     assert hom_group(sphere(5), POINT).group == ()
+
+
+# --- golden of the whole table ----------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "hom_table.txt"
+
+
+def _table_pieces():
+    from chang.complexes import smash_atom
+    out = [sphere(3), moore(3, 1, 3), ceta(5)]
+    for u in PARAMS:
+        out += [moore(2, u, 3), ctop(5, u), cbot(u, 5),
+                smash_atom(moore(2, u, 3), ceta(5))]
+        out += [cfull(u, 5, s) for s in PARAMS]
+        out += [smash_atom(ceta(5), cfull(u, 5, s)) for s in PARAMS]
+    return out + [smash_atom(cbot(1, 5), cbot(2, 5))]
+
+
+def _at(piece, bottom):
+    return suspend(piece, bottom - piece.bottom).summands[0]
+
+
+def hom_table_text() -> str:
+    """Every hom_group descriptor, or its UntabulatedHom text, between
+    sphere, Moore, Chang and atom pieces with exponents 1..3, over offsets
+    -3..4 around target bottom dimensions 4 and 10, then pi9_smash_extension over
+    exponents 1..3."""
+    lines = []
+    pieces = _table_pieces()
+    for a in pieces:
+        for b in pieces:
+            kinds = (getattr(a, "kind", "atom"), getattr(b, "kind", "atom"))
+            if "sphere" not in kinds and kinds != ("moore", "moore"):
+                continue
+            for top in (4, 10):
+                for off in range(-3, 5):
+                    if a.bottom > top + off or b.bottom > top:
+                        continue
+                    src, tgt = _at(a, top + off), _at(b, top)
+                    try:
+                        d = hom_group(src, tgt)
+                    except UntabulatedHom as exc:
+                        lines.append(f"[{src}, {tgt}] untabulated: {exc}")
+                        continue
+                    gens = ", ".join(f"{n}:{o}" for n, o, _ in d.generators)
+                    lines.append(f"[{src}, {tgt}] = {d.pretty()} {d.group} "
+                                 f"gens {gens} from {d.stable_from} "
+                                 f"note {d.note}")
+    for r, s, rp, sp in product(PARAMS, repeat=4):
+        try:
+            got = pi9_smash_extension(r, s, rp, sp)
+        except UntabulatedHom as exc:
+            got = f"untabulated: {exc}"
+        lines.append(f"pi9({r},{s},{rp},{sp}) = {got}")
+    return "\n".join(lines) + "\n"
+
+
+def test_hom_table_matches_golden():
+    assert GOLDEN.read_text(encoding="utf-8") == hom_table_text()
+
+
+# --- the one expression reader ----------------------------------------------
+
+def _table_value(text, **env):
+    from chang.homgroups import _TABLE, _read_expression
+    return _read_expression(text, _TABLE)(env)
+
+
+def _literal_value(text):
+    from chang.matrix import _parse_terms
+    return {g: c.const_value() for c, g in _parse_terms(text)}
+
+
+# (text, value as a table expression, value as a morphism literal); a
+# string is the message of the InputError it is refused with
+READER_CASES = [
+    ("-2^2", -4, {"id": -4}),              # unary minus binds looser
+    ("2^2^3", 256, {"id": 256}),           # '^' is right-associative
+    ("(1+2)*3 - 4", 5, {"id": 5}),
+    ("2*-3", -6, {"id": -6}),
+    ("2^-1", "2^-1 has a negative exponent",
+     "2^-1 has a negative exponent"),
+    ("min(3, 2) + max(1,4) + delta(1)", 6,
+     "trailing input in morphism literal 'min(3, 2) + max(1,4) + delta(1)'"),
+    ("min(", "unexpected end of table expression 'min('",
+     "trailing input in morphism literal 'min('"),
+    ("x(", "unknown name 'x' in table expression",
+     "trailing input in morphism literal 'x('"),
+    ("(2", "missing ')' in table expression '(2'",
+     "missing ')' in morphism literal '(2'"),
+    ("2 3", "trailing input in table expression '2 3'",
+     "trailing input in morphism literal '2 3'"),
+    (">1", "bad table expression '>1' at offset 0",
+     "bad morphism literal '>1' at offset 0"),
+    ("", "unexpected end of table expression ''",
+     "unexpected end of morphism literal ''"),
+    ("2*k - eta + 2^2*eta", "unknown name 'k' in table expression",
+     {"id": None, "eta": 3}),
+    ("eta*eta", "unknown name 'eta' in table expression",
+     "cannot multiply two generators"),
+    ("2^k", "unknown name 'k' in table expression",
+     "a power in a morphism literal takes integers"),
+]
+
+
+@pytest.mark.parametrize("text, table, literal", READER_CASES)
+def test_reader_cases(text, table, literal):
+    from chang.errors import InputError
+    for read, want in ((_table_value, table), (_literal_value, literal)):
+        if isinstance(want, str):
+            with pytest.raises(InputError) as err:
+                read(text)
+            assert str(err.value) == want
+        else:
+            assert read(text) == want
+
+
+def test_table_fields_compile_with_the_environment():
+    from chang.homgroups import _generators, _group, _predicate
+    env = {"sr": 2, "ss": 3, "tr": 1, "ts": 2}
+    assert _predicate("sr>1 & tr=1 | ss<0")(env)
+    assert not _predicate("sr>=3 | tr!=1")(env)
+    assert _group("Z + Z/2^(ts+delta(tr)) + Z/2^min(sr,ss)")(env) == (0, 4, 4)
+    assert [(n, o(env)) for n, o in _generators("η^{sr}:2^sr, (x,y):Z")] \
+        == [("η^{sr}", 4), ("(x,y)", 0)]
+    from chang.errors import InputError
+    for field, text, message in [
+            (_predicate, "tr=>1", "bad table expression '>1' at offset 0"),
+            (_predicate, "tr", "bad predicate 'tr'"),
+            (_group, "4", "cyclic factor '4' is neither Z nor Z/n"),
+            (_generators, "η", "generator 'η' has no order")]:
+        with pytest.raises(InputError) as err:
+            field(text)
+        assert str(err.value) == message
+    for text in ("Z/(1-1)", "Z/(0-3)"):
+        with pytest.raises(InputError, match="below 1$"):
+            _group(text)(env)
+
+
+def test_lookups_read_no_text(monkeypatch):
+    from chang import homgroups
+    homgroups.load_table()                  # every field compiled here
+    monkeypatch.setattr(homgroups, "_read_expression", None)
+    monkeypatch.setattr(homgroups, "_split_top", None)
+    assert hom_table_text() == GOLDEN.read_text(encoding="utf-8")

@@ -233,6 +233,9 @@ _DOCS = {
     "tables/relations.txt": "compose; eta\n",
     "tables/hom_tables.txt": "# kind; src; tgt; off\n"
                              "hom; S; S; x; -; Z; id:Z; 3;\n",
+    "negative/hom_tables.txt": "hom; S; S; 1; -; Z/2^(1-2); η:2^(1-2); 3;\n",
+    "zero/hom_tables.txt": "hom; S; S; 1; -; Z/(1-1); η:2; 3;\n",
+    "name/hom_tables.txt": "hom; S; S; 1; -; Z/2^(foo); η:2; 3;\n",
 }
 
 
@@ -242,10 +245,15 @@ def _bad_relations(monkeypatch):
     default_table.cache_clear()
 
 
-def _bad_hom_tables(monkeypatch):
-    from chang.homgroups import load_table
-    monkeypatch.setenv("CHANG_TABLE_PATH", "tables")
-    load_table.cache_clear()
+def _hom_tables(folder):
+    def setup(monkeypatch):
+        from chang.homgroups import load_table
+        monkeypatch.setenv("CHANG_TABLE_PATH", folder)
+        load_table.cache_clear()
+    return setup
+
+
+_bad_hom_tables = _hom_tables("tables")
 
 
 def _wrong_split(monkeypatch):
@@ -294,8 +302,10 @@ ERROR_TABLE = [
 # entry or a table line names the entry, or the file and line, and a
 # multiple of an identity is a unit only when it is prime to the
 # identity's order, nesting deeper than 200 levels is refused instead
-# of ending in a RecursionError, and an expression over the cell budget is
-# refused instead of running for minutes.
+# of ending in a RecursionError, an expression over the cell budget is
+# refused instead of running for minutes, and a table order that is not a
+# positive integer (it printed as Z/0.5 or Z) or a malformed table
+# expression is refused with its file and line when the table is read.
 CHANGED_ROWS = [
     _row(["reduce", "m1.json"], 2, "error: relations.txt line 1: expected 4 "
          "fields separated by ';', got 2", setup=_bad_relations),
@@ -337,6 +347,13 @@ CHANGED_ROWS = [
     _row(["homology", "^".join(["M(2,3)"] * 40)], 2,
          "error: more than 1024 cells; a smash multiplies the cell counts "
          "of its factors"),
+    _row(["pi", "4", "S(3)"], 2, "error: hom_tables.txt line 1: 2^-1 has a "
+         "negative exponent", setup=_hom_tables("negative")),
+    _row(["pi", "5", "S(4)"], 2, "error: hom_tables.txt line 1: order (1-1) "
+         "is 0, below 1", setup=_hom_tables("zero")),
+    # the lookup is at offset -1; the bad field is read all the same
+    _row(["pi", "3", "S(4)"], 2, "error: hom_tables.txt line 1: unknown name "
+         "'foo' in table expression", setup=_hom_tables("name")),
 ]
 
 
@@ -386,10 +403,11 @@ def test_calls_at_the_cell_budget_still_run(capsys):
                          ERROR_TABLE + CHANGED_ROWS)
 def test_cli_error_table(argv, code, err, setup, tmp_path, monkeypatch,
                          capsys):
+    from chang.homgroups import load_table
     from chang.matrix import default_table
-    (tmp_path / "tables").mkdir()
     for name, doc in _DOCS.items():
         text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     if setup:
@@ -398,7 +416,8 @@ def test_cli_error_table(argv, code, err, setup, tmp_path, monkeypatch,
         assert cli.main(argv) == code
     finally:
         monkeypatch.undo()
-        default_table.cache_clear()     # drop a table read from tmp_path
+        default_table.cache_clear()     # drop the tables read from tmp_path
+        load_table.cache_clear()
     assert capsys.readouterr().err == (err + "\n" if err else "")
 
 

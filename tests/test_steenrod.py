@@ -349,3 +349,17 @@ def test_grid_pass_builds_each_tensor_once():
     assert got["calls"] == got["smashed"] > 0, got
     assert got["again"] == 0, got
     assert got["unshifted"] and got["shared"], got
+
+
+def test_lone_summand_module_is_not_rewedged(monkeypatch):
+    from chang import steenrod
+    from chang.complexes import SmashAtom
+    # a suspended M(2,3)^M(2,3) atom still reads as its four-cell complex
+    square = SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 1)
+    assert steenrod.mod2_cohomology(square) is \
+        steenrod.mod2_cohomology(cfull(1, 9, 1))
+    monkeypatch.setattr(steenrod, "wedge", None)
+    atoms = [smash_atom(cbot(1, 5), cbot(2, 5)),
+             SmashAtom(moore(2, 2, 3), ceta(5), 3)]
+    for c in WIDE_PIECES + atoms:
+        assert steenrod.mod2_cohomology(c) is steenrod._summand_sq(c)
