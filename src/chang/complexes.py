@@ -12,7 +12,7 @@ Chang families are anchored at their top cell k, with bottom cell k-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Union
 
@@ -22,8 +22,8 @@ from .errors import InputError, WindowError
 __all__ = [
     "ElementaryComplex", "SmashAtom", "WedgeComplex", "Summand", "Family",
     "FAMILIES", "POINT", "sphere", "moore", "ceta", "ctop", "cbot", "cfull",
-    "smash_atom", "wedge", "canonicalize", "suspend", "dual",
-    "dual_elementary", "cells_of", "base_form", "WindowError",
+    "piece", "smash_atom", "wedge", "canonicalize", "suspend", "dual",
+    "dual_elementary", "cells_of", "base_form", "unshifted", "WindowError",
 ]
 
 
@@ -97,7 +97,11 @@ class ElementaryComplex:
 
     dim is the anchor dimension (n for spheres and Moore spaces, k for the
     Chang families).  p/r/s must be 0 when the kind does not use them, so
-    that equal pieces compare equal.
+    that equal pieces compare equal.  Build pieces with `piece` (or the
+    named constructors), which hands out one validated instance per value;
+    a piece built here directly is equal to it and hashes alike.  The
+    family, sort key, cells and hash are worked out once, at validation,
+    and take no part in equality.
     """
 
     kind: str
@@ -105,6 +109,10 @@ class ElementaryComplex:
     p: int = 0
     r: int = 0
     s: int = 0
+    family: Family = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    _cells: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fam = FAMILIES.get(self.kind)
@@ -132,27 +140,27 @@ class ElementaryComplex:
         for name in ("p", "r", "s"):
             if name not in fam.params and getattr(self, name):
                 raise InputError(f"{self.kind} does not use parameter {name}")
+        put = object.__setattr__
+        put(self, "family", fam)
+        put(self, "sort_key", (fam.rank, self.dim, self.r, self.s, self.p))
+        put(self, "_cells", tuple(self.dim + off for off, _ in fam.cells))
+        put(self, "_hash", hash((self.kind, self.dim, self.p, self.r, self.s)))
 
-    @property
-    def family(self) -> Family:
-        return FAMILIES[self.kind]
-
-    @property
-    def sort_key(self):
-        return (self.family.rank, self.dim, self.r, self.s, self.p)
+    def __hash__(self):
+        return self._hash
 
     @property
     def bottom(self) -> int:
         """Dimension of the bottom cell."""
-        return min(self.cells(), default=self.dim)
+        return min(self._cells, default=self.dim)
 
     @property
     def top(self) -> int:
-        return max(self.cells(), default=self.dim)
+        return max(self._cells, default=self.dim)
 
-    def cells(self) -> list[int]:
+    def cells(self) -> tuple[int, ...]:
         """Cell dimensions with multiplicity, in chain order."""
-        return [self.dim + off for off, _ in self.family.cells]
+        return self._cells
 
     def _degree(self, spec: str) -> int:
         """An attaching degree written "base^exponent" over the parameters."""
@@ -170,39 +178,54 @@ class ElementaryComplex:
                                            s=self.s)
 
 
-POINT = ElementaryComplex("point", 0)
+def piece(kind: str, dim: int, p: int = 0, r: int = 0,
+          s: int = 0) -> ElementaryComplex:
+    """The one instance of the piece with this value, validated the first
+    time the value is asked for.  A value that fails validation raises on
+    every call."""
+    return _piece(kind, dim, p, r, s)
+
+
+_piece = cache(ElementaryComplex)
+
+POINT = piece("point", 0)
 
 
 def sphere(n: int) -> ElementaryComplex:
-    return ElementaryComplex("sphere", n)
+    return _piece("sphere", n, 0, 0, 0)
 
 
 def moore(p: int, r: int, n: int) -> ElementaryComplex:
-    return ElementaryComplex("moore", n, p=p, r=r)
+    return _piece("moore", n, p, r, 0)
 
 
 def ceta(k: int) -> ElementaryComplex:
-    return ElementaryComplex("ceta", k)
+    return _piece("ceta", k, 0, 0, 0)
 
 
 def ctop(k: int, s: int) -> ElementaryComplex:
-    return ElementaryComplex("ctop", k, s=s)
+    return _piece("ctop", k, 0, 0, s)
 
 
 def cbot(r: int, k: int) -> ElementaryComplex:
-    return ElementaryComplex("cbot", k, r=r)
+    return _piece("cbot", k, 0, r, 0)
 
 
 def cfull(r: int, k: int, s: int) -> ElementaryComplex:
-    return ElementaryComplex("cfull", k, r=r, s=s)
+    return _piece("cfull", k, 0, r, s)
+
+
+def _moved(c: ElementaryComplex, dim: int) -> ElementaryComplex:
+    """c with its anchor at dim."""
+    return _piece(c.kind, dim, c.p, c.r, c.s)
 
 
 @cache
 def base_form(c: ElementaryComplex) -> tuple[ElementaryComplex, int]:
-    """Desuspend to the table dimension (n=3 resp. k=5); return (base, shift).
-    Memoised, so that each piece is validated once at its base dimension."""
+    """Desuspend to the table dimension (n=3 resp. k=5); return
+    (base, shift)."""
     base_dim = c.family.min_dim
-    return replace(c, dim=base_dim), c.dim - base_dim
+    return _moved(c, base_dim), c.dim - base_dim
 
 
 @dataclass(frozen=True)
@@ -216,6 +239,8 @@ class SmashAtom:
     left: ElementaryComplex
     right: ElementaryComplex
     shift: int = 0
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shift < 0:
@@ -228,10 +253,13 @@ class SmashAtom:
         if not smash.stays_whole(self.left, self.right):
             raise InputError(
                 f"{self.left} ^ {self.right} splits; it cannot be an atom")
+        object.__setattr__(self, "sort_key", (9, self.shift)
+                           + self.left.sort_key + self.right.sort_key)
+        object.__setattr__(self, "_hash",
+                           hash((self.left, self.right, self.shift)))
 
-    @property
-    def sort_key(self):
-        return (9, self.shift) + self.left.sort_key + self.right.sort_key
+    def __hash__(self):
+        return self._hash
 
     @property
     def bottom(self) -> int:
@@ -251,6 +279,12 @@ class SmashAtom:
 
 
 Summand = Union[ElementaryComplex, SmashAtom]
+
+
+@cache
+def unshifted(a: SmashAtom) -> SmashAtom:
+    """The atom a with shift 0, built once per atom."""
+    return a if a.shift == 0 else SmashAtom(a.left, a.right)
 
 
 def smash_atom(a: ElementaryComplex, b: ElementaryComplex) -> Summand:
@@ -321,7 +355,7 @@ def suspend(x: Summand | WedgeComplex, m: int) -> WedgeComplex:
     out: list[Summand] = []
     for c in x.summands:
         if isinstance(c, ElementaryComplex):
-            out.append(replace(c, dim=c.dim + m))
+            out.append(_moved(c, c.dim + m))
         else:
             out.append(SmashAtom(c.left, c.right, c.shift + m))
     return canonicalize(WedgeComplex(tuple(out)))
@@ -375,8 +409,8 @@ def dual_elementary(c: ElementaryComplex, m: int) -> ElementaryComplex:
     if not c.cells():
         return c
     kind, params = c.family.dual
-    return ElementaryComplex(kind, _dual_dim(c, m),
-                             **{k: getattr(c, v) for k, v in params.items()})
+    return piece(kind, _dual_dim(c, m),
+                 **{k: getattr(c, v) for k, v in params.items()})
 
 
 def _dual_atom(a: SmashAtom, m: int) -> SmashAtom:

@@ -20,8 +20,9 @@ from typing import Callable, NamedTuple
 from .arith import integer, power
 from .complexes import (SmashAtom, Summand, WedgeComplex, sphere,
                         suspend, wedge)
-from .errors import InputError, UntabulatedHom
+from .errors import InputError, ParseError, UntabulatedHom
 from .homology import group_label, primary_factors
+from .parser import _MAX_NESTING
 
 __all__ = ["HomGroupDescriptor", "UntabulatedHom", "hom_group",
            "atom_homotopy", "wedge_hom_order", "pi9_smash_extension",
@@ -64,72 +65,92 @@ _TOKEN = re.compile(r"\s*([A-Za-z0-9_']+|[-+*^(),])")
 def _read_expression(text: str, values: _Values):
     """Read text by one grammar -- sum, product, unary minus, right-associative
     '^' (binding tighter than unary minus), then numbers, names, calls and
-    brackets -- into what values builds."""
+    brackets -- into what values builds.  Brackets, unary minus and '^'
+    nest at most as deep as the expression language allows (`parser`)."""
     text = text.strip()
-    toks, i = [], 0
+    toks, starts, i = [], [], 0
     while i < len(text):
         m = _TOKEN.match(text, i)
         if not m:
             raise InputError(f"bad {values.what} {text!r} at offset {i}")
         toks.append(m.group(1))
+        starts.append(m.start(1))
         i = m.end()
     toks.append(None)
-    pos = 0
+    pos = depth = 0
 
     def take():
         nonlocal pos
         pos += 1
         return toks[pos - 1]
 
+    def enter():
+        """Go one level deeper, for the opener just taken."""
+        nonlocal depth
+        if depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING}",
+                             starts[pos - 1])
+        depth += 1
+
     def close():
         if take() != ")":
             raise InputError(f"missing ')' in {values.what} {text!r}")
 
+    # a bracket costs two stack frames (sum_, operand) and a unary minus
+    # or '^' one, so the deepest expression stays far from Python's limit
     def sum_():
-        v = product()
-        while toks[pos] in ("+", "-"):
-            v = values.add(v, product() if take() == "+"
-                           else values.neg(product()))
-        return v
+        """Products joined by '+' and '-', left to right."""
+        total, negate = None, False
+        while True:
+            term = operand()
+            while toks[pos] == "*":
+                take()
+                term = values.mul(term, operand())
+            if negate:
+                term = values.neg(term)
+            total = term if total is None else values.add(total, term)
+            if toks[pos] not in ("+", "-"):
+                return total
+            negate = take() == "-"
 
-    def product():
-        v = unary()
-        while toks[pos] == "*":
-            take()
-            v = values.mul(v, unary())
-        return v
-
-    def unary():
-        if toks[pos] == "-":
-            take()
-            return values.neg(unary())
-        v = atom()
-        if toks[pos] == "^":
-            take()
-            v = values.pow(v, unary())
-        return v
-
-    def atom():
+    def operand():
+        """A unary minus, or an atom raised by an optional '^' operand."""
+        nonlocal depth
         tok = take()
+        if tok == "-":
+            enter()
+            v = values.neg(operand())
+            depth -= 1
+            return v
         if tok is None:
             raise InputError(f"unexpected end of {values.what} {text!r}")
         if tok == "(":
+            enter()
             v = sum_()
+            depth -= 1
             close()
-            return v
-        if tok.isdigit():
-            return values.num(integer(tok))
-        if tok in values.calls and toks[pos] == "(":
+        elif tok.isdigit():
+            v = values.num(integer(tok))
+        elif tok in values.calls and toks[pos] == "(":
             take()
+            enter()
             args = [sum_()]
             while toks[pos] == ",":
                 take()
                 args.append(sum_())
+            depth -= 1
             close()
-            return values.call(tok, args)
-        if tok[0] not in "+*^),":
-            return values.name(tok)
-        raise InputError(f"unexpected {tok!r} in {values.what} {text!r}")
+            v = values.call(tok, args)
+        elif tok[0] not in "+*^),":
+            v = values.name(tok)
+        else:
+            raise InputError(f"unexpected {tok!r} in {values.what} {text!r}")
+        if toks[pos] == "^":
+            take()
+            enter()
+            v = values.pow(v, operand())
+            depth -= 1
+        return v
 
     value = sum_()
     if toks[pos] is not None:

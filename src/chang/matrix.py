@@ -27,8 +27,8 @@ from itertools import permutations
 
 from .arith import MAX_DIGITS, integer, power, prime_powers
 from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
-                        WedgeComplex, ceta, cfull, moore, sphere, suspend,
-                        wedge)
+                        WedgeComplex, ceta, cfull, moore, piece, sphere,
+                        suspend, wedge)
 from .errors import ChangError, InputError, UnknownComposition
 from .homgroups import (_Values, _read_expression, _read_table,
                         _table_path)
@@ -830,7 +830,7 @@ def _family_piece(cone: _Cone) -> ElementaryComplex | None:
                 continue
             params = _exponents(edges, cone.boundary)
             if params is not None:
-                return ElementaryComplex(kind, anchor, **params)
+                return piece(kind, anchor, **params)
     return None
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import complexes as cx
 from .arith import MAX_DIGITS
-from .complexes import ElementaryComplex, WedgeComplex
+from .complexes import ElementaryComplex, WedgeComplex, piece
 from .errors import InputError, ParseError, SemanticError
 
 __all__ = ["parse_expression", "print_expression", "ParseError",
@@ -233,7 +233,7 @@ def _atom_complex(e: Expr) -> ElementaryComplex:
     if e.head in _ATOMS:
         kind, params = _atom_params(e)
         try:
-            return ElementaryComplex(kind, **params)
+            return piece(kind, **params)
         except InputError as exc:
             raise SemanticError(f"{print_expression(e)}: {exc}") from None
     raise SemanticError(f"{print_expression(e)} is not an elementary piece")

@@ -9,13 +9,12 @@ expansion.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 from typing import Mapping, Sequence
 
 from . import f2
 from .complexes import (ElementaryComplex, SmashAtom, Summand, WedgeComplex,
-                        wedge)
+                        unshifted, wedge)
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
            "module_id", "pair_tensor", "poincare_mod2"]
@@ -37,13 +36,14 @@ class SqModule:
                  sq2: Mapping[int, Sequence[int]] = (),
                  sq4: Mapping[int, Sequence[int]] = ()):
         self.basis = {d: tuple(v) for d, v in dict(basis).items() if v}
+        dims = {d: len(v) for d, v in self.basis.items()}
         self.ops = {1: {}, 2: {}, 4: {}}
         for k, table in ((1, sq1), (2, sq2), (4, sq4)):
             for d, masks in dict(table).items():
                 masks = tuple(masks)
-                if len(masks) != self.dim(d):
+                if len(masks) != dims.get(d, 0):
                     raise ValueError(f"Sq^{k} at degree {d}: bad source size")
-                width = self.dim(d + k)
+                width = dims.get(d + k, 0)
                 if any(m >> width for m in masks):
                     raise ValueError(f"Sq^{k} at degree {d}: image out of range")
                 if any(masks):
@@ -52,15 +52,26 @@ class SqModule:
         self._check_relations()
 
     def _check_relations(self):
-        for d in self.degrees():
-            one = self.op(1, d)
-            if any(f2.compose(one, self.op(1, d + 1))):
+        # only a degree where Sq^1 or Sq^2 is nonzero can break a relation
+        for d in sorted(self.ops[1].keys() | self.ops[2].keys()):
+            if any(self.composite(d, 1, 1) or ()):
                 raise ValueError(f"Sq^1 Sq^1 != 0 at degree {d}")
-            lhs = f2.compose(self.op(2, d), self.op(2, d + 2))
-            rhs = f2.compose(f2.compose(one, self.op(2, d + 1)),
-                             self.op(1, d + 3))
+            lhs = self.composite(d, 2, 2) or [0] * self.dim(d)
+            rhs = self.composite(d, 1, 2, 1) or [0] * self.dim(d)
             if lhs != rhs:
                 raise ValueError(f"Sq^2 Sq^2 != Sq^1 Sq^2 Sq^1 at degree {d}")
+
+    def composite(self, d: int, *ks: int) -> Sequence[int] | None:
+        """Masks on degree d of Sq^ks[0] followed by Sq^ks[1] and so on;
+        None when one of the blocks it passes through is zero."""
+        masks = None
+        for k in ks:
+            table = self.ops[k].get(d)
+            if table is None:
+                return None
+            masks = table if masks is None else f2.compose(masks, table)
+            d += k
+        return masks
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -76,10 +87,6 @@ class SqModule:
         if table is None:
             return (0,) * self.dim(d)
         return table
-
-    def sq3(self, d: int) -> list[int]:
-        """Sq^3 = Sq^1 Sq^2 (the only decomposition available here)."""
-        return f2.compose(self.op(2, d), self.op(1, d + 2))
 
     def rank(self, k: int, d: int) -> int:
         return f2.rank(self.op(k, d))
@@ -165,11 +172,16 @@ def _elementary_sq(c: ElementaryComplex) -> SqModule:
     return SqModule(basis, ops[1], ops[2])
 
 
-def _sq_rows(m: SqModule, d: int) -> list[list[tuple[int, int]]]:
-    """Nonzero rows (index, mask) of Sq^0..Sq^4 on degree d of m."""
-    tables = ([1 << i for i in range(m.dim(d))], m.op(1, d), m.op(2, d),
-              m.sq3(d), m.op(4, d))
-    return [[(i, mask) for i, mask in enumerate(t) if mask] for t in tables]
+def _sq_rows(m: SqModule, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(p, its nonzero rows (index, mask)) for each of Sq^0..Sq^4 that is
+    nonzero on degree d of m."""
+    tables = [(0, [(i, 1 << i) for i in range(m.dim(d))])]
+    for p, ks in ((1, (1,)), (2, (2,)), (3, (2, 1)), (4, (4,))):
+        masks = m.composite(d, *ks)
+        rows = [(i, mask) for i, mask in enumerate(masks or ()) if mask]
+        if rows:
+            tables.append((p, rows))
+    return tables
 
 
 def cartan_smash_sq(A: SqModule, B: SqModule) -> SqModule:
@@ -179,7 +191,10 @@ def cartan_smash_sq(A: SqModule, B: SqModule) -> SqModule:
     da rising; in block (da, db), x_i @ y_j sits at the block's offset plus
     i * dim_B(db) + j.  So Sq^p x_i @ Sq^q y_j is the mask of Sq^q y_j
     shifted into block (da+p, db+q), once for each set bit k of Sq^p x_i.
+    Only the nonzero rows of Sq^p on A and of Sq^q on B are visited, so a
+    zero product costs nothing.
     """
+    dims_b = {db: len(labels) for db, labels in B.basis.items()}
     basis: dict[int, list[str]] = {}
     offset: dict[tuple[int, int], int] = {}
     for da in A.degrees():
@@ -190,23 +205,24 @@ def cartan_smash_sq(A: SqModule, B: SqModule) -> SqModule:
                           for lb in B.labels(db))
     rows_a = {da: _sq_rows(A, da) for da in A.degrees()}
     rows_b = {db: _sq_rows(B, db) for db in B.degrees()}
-    ops = {n: {d: [0] * len(labels) for d, labels in basis.items()}
-           for n in (1, 2, 4)}
+    ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
     for (da, db), start in offset.items():
-        width = B.dim(db)
-        for n in (1, 2, 4):
-            masks = ops[n][da + db]
-            for p in range(n + 1):
-                q = n - p
-                tgt = offset.get((da + p, db + q))
-                if tgt is None:
+        width = dims_b[db]
+        for p, ra in rows_a[da]:
+            for q, rb in rows_b[db]:
+                n = p + q
+                if n not in ops:
                     continue
-                tgt_width = B.dim(db + q)
-                for i, ma in rows_a[da][p]:
+                # Sq^p x and Sq^q y are nonzero, so (da+p, db+q) is a block
+                tgt, tgt_width = offset[da + p, db + q], dims_b[db + q]
+                masks = ops[n].get(da + db)
+                if masks is None:
+                    masks = ops[n][da + db] = [0] * len(basis[da + db])
+                for i, ma in ra:
                     shifts = [tgt + k * tgt_width
                               for k in range(ma.bit_length()) if ma >> k & 1]
                     row = start + i * width
-                    for j, mb in rows_b[db][q]:
+                    for j, mb in rb:
                         for shift in shifts:
                             masks[row + j] ^= mb << shift
     return SqModule(basis, ops[1], ops[2], ops[4])
@@ -241,7 +257,7 @@ def _summand_sq(c: Summand) -> SqModule:
     if isinstance(c, ElementaryComplex):
         return _elementary_sq(c)
     if c.shift:
-        return _summand_sq(replace(c, shift=0)).shift(c.shift)
+        return _summand_sq(unshifted(c)).shift(c.shift)
     return pair_tensor(c.left, c.right)
 
 

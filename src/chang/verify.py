@@ -48,20 +48,23 @@ def graded_iso(g1: GradedAbelianGroup, g2: GradedAbelianGroup) -> bool:
     return g1 == g2
 
 
+def _rank(masks) -> int:
+    return f2.rank(masks) if masks else 0
+
+
+# the composites whose ranks make up a profile row, after its dimension;
+# (2, 1) is Sq^1 Sq^2, Sq^2 applied first
+_PROFILE_OPS = ((1,), (2,), (4,), (2, 1), (1, 2), (2, 2))
+
+
 def _profile(m: SqModule) -> Profile:
     """Per degree of m: (dim, rk Sq1, rk Sq2, rk Sq4, rk Sq1Sq2, rk Sq2Sq1,
     rk Sq2Sq2).  Every entry adds over direct sums.  Computed once per
-    module and kept on it."""
+    module and kept on it; a zero block has rank 0 without elimination."""
     if m.profile is None:
-        out = {}
-        for d in m.degrees():
-            one, two = m.op(1, d), m.op(2, d)
-            out[d] = (m.dim(d), f2.rank(one), f2.rank(two),
-                      f2.rank(m.op(4, d)),
-                      f2.rank(m.sq3(d)),                           # Sq1 Sq2
-                      f2.rank(f2.compose(one, m.op(2, d + 1))),    # Sq2 Sq1
-                      f2.rank(f2.compose(two, m.op(2, d + 2))))    # Sq2 Sq2
-        m.profile = out
+        m.profile = {d: (m.dim(d), *(_rank(m.composite(d, *ks))
+                                     for ks in _PROFILE_OPS))
+                     for d in m.degrees()}
     return m.profile
 
 

@@ -259,3 +259,81 @@ def test_atom_verdicts_match_the_reference_list():
 def _up(c, m):
     return c if c == POINT else ElementaryComplex(c.kind, c.dim + m, c.p,
                                                   c.r, c.s)
+
+
+# --- interned pieces -------------------------------------------------------
+
+def test_constructors_hand_out_one_instance_per_value():
+    from chang.complexes import base_form, piece
+    from chang.parser import lower, parse_expression
+    pairs = [(sphere(4), piece("sphere", 4)),
+             (moore(3, 2, 5), piece("moore", 5, p=3, r=2)),
+             (ceta(6), piece("ceta", 6)),
+             (ctop(5, 2), piece("ctop", 5, s=2)),
+             (cbot(3, 7), piece("cbot", 7, r=3)),
+             (cfull(1, 5, 2), piece("cfull", 5, r=1, s=2)),
+             (POINT, piece("point", 0)),
+             (suspend(cfull(1, 5, 2), 3).summands[0], cfull(1, 8, 2)),
+             (base_form(cbot(3, 7))[0], cbot(3, 5)),
+             (base_form(moore(3, 2, 5))[0], moore(3, 2, 3)),
+             (dual_elementary(cbot(2, 7), 12), ctop(7, 2)),
+             (dual_elementary(cfull(2, 7, 3), 12), cfull(3, 7, 2)),
+             (lower(parse_expression("C(1,5,2)")).summands[0], cfull(1, 5, 2)),
+             (lower(parse_expression("M(3^2,5)")).summands[0],
+              moore(3, 2, 5))]
+    for got, want in pairs:
+        assert got is want, (got, want)
+
+
+def test_a_directly_built_piece_is_the_interned_value():
+    from chang.homology import _summand_homology
+    from chang.steenrod import _summand_sq, module_id
+    for c in elementary_samples() + [POINT]:
+        direct = ElementaryComplex(c.kind, c.dim, c.p, c.r, c.s)
+        assert direct is not c
+        assert direct == c and hash(direct) == hash(c)
+        assert {direct: 1}[c] == 1 and direct.sort_key == c.sort_key
+        assert _summand_homology(direct) is _summand_homology(c)
+        assert _summand_sq(direct) is _summand_sq(c)
+        want = module_id(c)
+        hits = module_id.cache_info().hits
+        assert module_id(direct) == want
+        assert module_id.cache_info().hits == hits + 1
+    a = smash_atom(moore(2, 3, 4), cbot(1, 7))
+    direct = SmashAtom(a.left, a.right, a.shift)
+    assert direct == a and hash(direct) == hash(a)
+    assert direct.sort_key == a.sort_key
+
+
+def test_invalid_pieces_raise_on_every_call():
+    from chang.complexes import piece
+    builds = [lambda: sphere(2), lambda: moore(4, 1, 3),
+              lambda: cfull(0, 5, 1), lambda: ceta(4),
+              lambda: piece("moore", 3, p=2, r=1, s=7),
+              lambda: piece("sphere", 5, r=2), lambda: piece("point", 3),
+              lambda: ElementaryComplex("moore", 3, p=2, r=1, s=7)]
+    for build in builds:
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                build()
+
+
+def test_stored_keys_follow_the_families():
+    from chang.complexes import FAMILIES
+    from chang.smash import PARAMS
+    pieces = [POINT]
+    for k in (5, 6):
+        pieces += [sphere(k), ceta(k)]
+        for u in PARAMS:
+            pieces += [moore(2, u, k), moore(3, u, k), cbot(u, k), ctop(k, u)]
+            pieces += [cfull(u, k, s) for s in PARAMS]
+    for c in pieces:
+        fam = FAMILIES[c.kind]
+        assert c.family is fam
+        assert c.sort_key == (fam.rank, c.dim, c.r, c.s, c.p)
+        assert list(c.cells()) == [c.dim + off for off, _ in fam.cells]
+        assert hash(c) == hash((c.kind, c.dim, c.p, c.r, c.s))
+    # the stored keys order wedges as before: family rank, then dimension
+    assert [str(c) for c in wedge(cfull(1, 5, 2), moore(2, 1, 6), sphere(5),
+                                  cbot(1, 5), ctop(5, 1)).summands] == \
+        ["S(5)", "M(2^1,6)", "Ctop(5,1)", "Cbot(1,5)", "C(1,5,2)"]

@@ -202,6 +202,10 @@ def test_run_command_captures_output():
 
 # --- the error table: one input per path to a refusal ------------------------
 
+# 3,000 levels of brackets, and of unary minus, around one number
+_DEEP = "(" * 3000 + "1" + ")" * 3000
+_MINUS = "-" * 3000 + "1"
+
 _DOCS = {
     "bad.json": '{"rows": [',
     "m1.json": {"rows": ["S(5)"], "cols": ["S(5)"], "entries": [[1, 1, "2"]]},
@@ -230,12 +234,17 @@ _DOCS = {
                  "entries": [[1, 1, "x("]]},
     "m3.json": {"rows": ["M(3^2,7)"], "cols": ["M(3^2,7)"],
                 "entries": [[1, 1, "3"]]},
+    "deep.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                  "entries": [[1, 1, _DEEP]]},
+    "minus.json": {"rows": ["S(5)"], "cols": ["S(5)"],
+                   "entries": [[1, 1, _MINUS]]},
     "tables/relations.txt": "compose; eta\n",
     "tables/hom_tables.txt": "# kind; src; tgt; off\n"
                              "hom; S; S; x; -; Z; id:Z; 3;\n",
     "negative/hom_tables.txt": "hom; S; S; 1; -; Z/2^(1-2); η:2^(1-2); 3;\n",
     "zero/hom_tables.txt": "hom; S; S; 1; -; Z/(1-1); η:2; 3;\n",
     "name/hom_tables.txt": "hom; S; S; 1; -; Z/2^(foo); η:2; 3;\n",
+    "deep/hom_tables.txt": f"hom; S; S; 1; -; Z/{_DEEP}; η:2; 3;\n",
 }
 
 
@@ -354,6 +363,12 @@ CHANGED_ROWS = [
     # the lookup is at offset -1; the bad field is read all the same
     _row(["pi", "3", "S(4)"], 2, "error: hom_tables.txt line 1: unknown name "
          "'foo' in table expression", setup=_hom_tables("name")),
+    _row(["reduce", "deep.json"], 2, f"error: matrix entry [1, 1, {_DEEP!r}]: "
+         "nesting deeper than 200 at offset 200"),
+    _row(["reduce", "minus.json"], 2, f"error: matrix entry [1, 1, "
+         f"{_MINUS!r}]: nesting deeper than 200 at offset 200"),
+    _row(["pi", "4", "S(4)"], 2, "error: hom_tables.txt line 1: nesting "
+         "deeper than 200 at offset 200", setup=_hom_tables("deep")),
 ]
 
 
@@ -365,6 +380,18 @@ def test_nesting_at_the_bound_still_runs():
         assert run_command(["homology", text]) == (0, out)
         code, _ = run_command(["smash", text, "S(3)"])
         assert code == 0
+
+
+def test_expression_nesting_at_the_bound_still_reads():
+    from chang.homgroups import _TABLE, _read_expression
+    from chang.matrix import Coef, _parse_terms
+    for text, value in (("(" * 200 + "2" + ")" * 200, 2),
+                        ("-" * 200 + "2", 2), ("-" * 199 + "2", -2),
+                        ("min(" * 200 + "2" + ")" * 200, 2),
+                        ("1^" * 200 + "2", 1)):
+        assert _read_expression(text, _TABLE)({}) == value, text
+        if not text.startswith("min"):
+            assert _parse_terms(text) == ((Coef(value), "id"),), text
 
 
 def test_cell_count_rules():

@@ -156,7 +156,8 @@ def test_atom_module_inside_wedge_gets_prefixed_labels():
 
 def _cartan_oracle(A: SqModule, B: SqModule) -> SqModule:
     """The Cartan formula component by component: every x_i @ y_j indexed
-    through a dict, every output bit looked up separately."""
+    through a dict, every output bit looked up separately, and Sq^3 x
+    worked out entry by entry as Sq^1 of Sq^2 x."""
     index: dict[tuple[int, int, int, int], int] = {}
     keys: dict[int, list[tuple[int, int, int, int]]] = {}
     basis: dict[int, list[str]] = {}
@@ -168,10 +169,20 @@ def _cartan_oracle(A: SqModule, B: SqModule) -> SqModule:
                     keys[da + db].append((da, i, db, j))
                     basis.setdefault(da + db, []).append(f"{la}⊗{lb}")
 
+    def sq3(m: SqModule, d: int) -> list[int]:
+        out = []
+        for two in m.op(2, d):
+            acc = 0
+            for j in range(m.dim(d + 2)):
+                if two >> j & 1:
+                    acc ^= m.op(1, d + 2)[j]
+            out.append(acc)
+        return out
+
     def masks_of(m: SqModule, k: int, d: int) -> list[int]:
         if k == 0:
             return [1 << i for i in range(m.dim(d))]
-        return m.sq3(d) if k == 3 else list(m.op(k, d))
+        return sq3(m, d) if k == 3 else list(m.op(k, d))
 
     ops: dict[int, dict[int, list[int]]] = {1: {}, 2: {}, 4: {}}
     for d, ks in keys.items():
@@ -216,9 +227,30 @@ def _same_module(got: SqModule, want: SqModule) -> bool:
 
 
 def test_cartan_kernel_matches_componentwise_oracle():
-    for a, b in combinations_with_replacement(WIDE_PIECES, 2):
+    # every ordered pair: the kernel visits the nonzero rows of each side
+    # apart, so A @ B and B @ A take different paths through it
+    for a, b in product(WIDE_PIECES, repeat=2):
         A, B = mod2_cohomology(a), mod2_cohomology(b)
         assert _same_module(cartan_smash_sq(A, B), _cartan_oracle(A, B)), (a, b)
+    atoms = [smash_atom(moore(2, 3, 4), cbot(1, 7)),
+             smash_atom(ceta(6), cfull(2, 5, 3)),
+             smash_atom(cbot(1, 5), ctop(7, 2)),
+             smash_atom(moore(2, 1, 5), ceta(5))]
+    for atom, c in product(atoms, (cfull(1, 5, 1), moore(2, 1, 3), atoms[0])):
+        assert atom.shift > 0, atom
+        A, B = mod2_cohomology(atom), mod2_cohomology(c)
+        for X, Y in ((A, B), (B, A)):
+            assert _same_module(cartan_smash_sq(X, Y), _cartan_oracle(X, Y))
+    # on every piece and atom Sq^1 Sq^2 = Sq^2 Sq^1; on RP^4 they differ
+    # (Sq^2 Sq^1 x = x^4, Sq^1 Sq^2 x = 0), so only here does it matter
+    # which of the two stands in for Sq^3
+    rp4 = SqModule({d: (f"x{d}",) for d in (1, 2, 3, 4)},
+                   sq1={1: [1], 3: [1]}, sq2={2: [1]})
+    assert rp4.composite(1, 2, 1) is None and rp4.composite(1, 1, 2) == [1]
+    for c in WIDE_PIECES[:12] + atoms:
+        A = mod2_cohomology(c)
+        for X, Y in ((A, rp4), (rp4, A)):
+            assert _same_module(cartan_smash_sq(X, Y), _cartan_oracle(X, Y))
     wedges = [(wedge(moore(2, 1, 3), cfull(1, 5, 2)), wedge(ceta(5), cbot(1, 5))),
               (wedge(cfull(2, 5, 1), ctop(5, 1), moore(2, 3, 3)),
                wedge(cfull(1, 5, 1), cbot(2, 5))),
@@ -349,6 +381,64 @@ def test_grid_pass_builds_each_tensor_once():
     assert got["calls"] == got["smashed"] > 0, got
     assert got["again"] == 0, got
     assert got["unshifted"] and got["shared"], got
+
+
+# The 861 pairs of the 41 wide pieces, twice, in a fresh process: each piece
+# value is validated once (the constructors intern it), and each ordered
+# pair of module ids gets one Cartan product.  Counts, not timings, so the
+# gain of interning and of the pair-tensor memo cannot slip unseen.
+_WIDE_BUILDS = """
+import json, sys
+from collections import Counter
+from chang import steenrod
+from chang.complexes import ElementaryComplex, SmashAtom
+from chang.smash import smash_decompose
+from conftest import WIDE_PIECES
+
+checks = Counter()
+check = ElementaryComplex.__post_init__
+def counted_check(c):
+    checks[c.kind, c.dim, c.p, c.r, c.s] += 1
+    check(c)
+ElementaryComplex.__post_init__ = counted_check
+calls = []
+build = steenrod.cartan_smash_sq
+for name, mod in list(sys.modules.items()):
+    if name.split(".")[0] == "chang" and hasattr(mod, "cartan_smash_sq"):
+        mod.cartan_smash_sq = lambda A, B: calls.append(1) or build(A, B)
+pairs = [(a, b) for i, a in enumerate(WIDE_PIECES) for b in WIDE_PIECES[i:]]
+smashed = set()
+for a, b in pairs:
+    x, y = (a, b) if a.sort_key <= b.sort_key else (b, a)
+    smashed.add((steenrod.module_id(x), steenrod.module_id(y)))
+    for c in smash_decompose(a, b).output.summands:
+        if isinstance(c, SmashAtom):
+            smashed.add((steenrod.module_id(c.left), steenrod.module_id(c.right)))
+first, validated = len(calls), sum(checks.values())
+for a, b in pairs:
+    smash_decompose(b, a)
+print(json.dumps({
+    "pairs": len(pairs), "calls": first, "again": len(calls) - first,
+    "smashed": len(smashed), "validated": validated,
+    "values": len(checks), "most": max(checks.values()),
+    "revalidated": sum(checks.values()) - validated,
+}))
+"""
+
+
+def test_wide_pairs_validate_each_piece_and_build_each_tensor_once():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    out = subprocess.run([sys.executable, "-c", _WIDE_BUILDS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["pairs"] == 861, got
+    assert got["validated"] == got["values"] > 0 and got["most"] == 1, got
+    assert got["revalidated"] == 0, got
+    assert got["calls"] == got["smashed"] > 0, got
+    assert got["again"] == 0, got
 
 
 def test_lone_summand_module_is_not_rewedged(monkeypatch):

@@ -191,7 +191,8 @@ def _invariant_vector(m: SqModule):
     for d in range(min(degs), max(degs) + 1):
         one, two = m.op(1, d), m.op(2, d)
         vec.append((d, m.dim(d), f2.rank(one), f2.rank(two),
-                    f2.rank(m.op(4, d)), f2.rank(m.sq3(d)),
+                    f2.rank(m.op(4, d)),
+                    f2.rank(f2.compose(two, m.op(1, d + 2))),
                     f2.rank(f2.compose(one, m.op(2, d + 1))),
                     f2.rank(f2.compose(two, m.op(2, d + 2)))))
     return tuple(vec)
