@@ -337,7 +337,8 @@ def canonicalize(w: WedgeComplex) -> WedgeComplex:
     out: list[Summand] = []
     for c in w.summands:
         if isinstance(c, SmashAtom):
-            if c.left == c.right == _M2:
+            # sort keys fix a piece's value, and compare without __eq__
+            if c.left.sort_key == c.right.sort_key == _M2.sort_key:
                 c = cfull(1, 8 + c.shift, 1)
         elif c.kind == "point":
             continue

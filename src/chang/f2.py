@@ -3,7 +3,9 @@
 A linear map V -> W is a sequence of masks, one per basis vector of V: bit j
 of masks[i] is the coefficient of basis vector j of W in the image of basis
 vector i.  Every rank, composite and kernel in the library goes through this
-module, and `kernel` is its one elimination loop.
+module.  `kernel` and `rank` are its two elimination loops: `kernel` keeps,
+with each pivot, the mask of the columns it was reduced from, and `rank`
+keeps the pivots only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,17 @@ def kernel(columns: Sequence[int]) -> list[int]:
 
 def rank(vectors: Sequence[int]) -> int:
     """Dimension of the span of the vectors."""
-    return len(vectors) - len(kernel(vectors))
+    # pivots by bit length, as in kernel, without the dependency masks
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            pv = pivots.get(top)
+            if pv is None:
+                pivots[top] = v
+                break
+            v ^= pv
+    return len(pivots)
 
 
 def compose(first: Sequence[int], second: Sequence[int]) -> list[int]:

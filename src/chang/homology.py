@@ -167,7 +167,10 @@ def wedge_homology(parts: Iterable[GradedAbelianGroup]) -> GradedAbelianGroup:
 
 def integral_homology(x: Summand | WedgeComplex) -> GradedAbelianGroup:
     """Reduced integral homology; atoms go through the Kunneth formula.
-    A single summand's homology is the memoised one."""
+    A single summand's homology, alone or as a one-summand wedge, is the
+    memoised one, so callers must not mutate the result."""
+    if isinstance(x, WedgeComplex) and len(x.summands) == 1:
+        x = x.summands[0]
     if not isinstance(x, WedgeComplex):
         return _summand_homology(x)
     return wedge_homology(_summand_homology(c) for c in x.summands)

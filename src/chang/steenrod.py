@@ -249,33 +249,50 @@ def wedge_sum(parts: Sequence[SqModule]) -> SqModule:
     return SqModule(basis, ops[1], ops[2], ops[4])
 
 
+_MODULE_IDS: dict[tuple, int] = {}
+# mod-2 class of a piece -> (its Sq-module, the module's id)
+_CLASSES: dict[tuple, tuple[SqModule, int]] = {}
+
+
+def _mod2_class(c: ElementaryComplex) -> tuple[SqModule, int]:
+    """The Sq-module of a piece and its id, built once per mod-2 class: the
+    kind, the dimension and each attaching degree taken as odd (1), 2 mod 4
+    (2) or 0 mod 4 (0), which is all that `_elementary_sq` reads.  The id is
+    interned from the module's content, so classes with equal modules (the
+    zero module of every odd Moore space) share one."""
+    key = (c.kind, c.dim,
+           *(1 if q % 2 else q % 4 for q in c.boundary().values()))
+    got = _CLASSES.get(key)
+    if got is None:
+        m = _elementary_sq(c)
+        content = (tuple(sorted(m.basis.items())),
+                   tuple(tuple(sorted(m.ops[k].items())) for k in (1, 2, 4)))
+        got = _CLASSES[key] = (
+            m, _MODULE_IDS.setdefault(content, len(_MODULE_IDS)))
+    return got
+
+
 @cache
 def _summand_sq(c: Summand) -> SqModule:
     """Sq-module of one summand, built once per process and shared by every
-    caller; an unshifted atom's module is its pair's tensor, and a shifted
-    atom's is that tensor shifted."""
+    caller; a piece's is its mod-2 class's, an unshifted atom's module is
+    its pair's tensor, and a shifted atom's is that tensor shifted."""
     if isinstance(c, ElementaryComplex):
-        return _elementary_sq(c)
+        return _mod2_class(c)[0]
     if c.shift:
         return _summand_sq(unshifted(c)).shift(c.shift)
     return pair_tensor(c.left, c.right)
-
-
-_MODULE_IDS: dict[tuple, int] = {}
 
 
 @cache
 def module_id(c: Summand) -> int:
     """Small id of the summand's Sq-module, interned once per process: equal
     ids mean equal modules (labels and masks), so work on a module can be
-    shared by every summand that has it.  A piece is keyed by its module's
-    content, an atom by its factors' ids and its shift."""
+    shared by every summand that has it.  A piece takes its mod-2 class's
+    id, an atom is keyed by its factors' ids and its shift."""
     if isinstance(c, ElementaryComplex):
-        m = _summand_sq(c)
-        key = (tuple(sorted(m.basis.items())),
-               tuple(tuple(sorted(m.ops[k].items())) for k in (1, 2, 4)))
-    else:
-        key = (module_id(c.left), module_id(c.right), c.shift)
+        return _mod2_class(c)[1]
+    key = (module_id(c.left), module_id(c.right), c.shift)
     return _MODULE_IDS.setdefault(key, len(_MODULE_IDS))
 
 
@@ -298,8 +315,10 @@ def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:
     """Sq-module of a wedge; labels carry the summand index when there is
     more than one summand.  A single summand's module is the memoised one,
     so callers must not mutate the result."""
-    if isinstance(x, SmashAtom) and x.left == x.right:
-        x = wedge(x)        # the M(2,3)^M(2,3) atom is C(1,8,1) in a wedge
+    # the M(2,3)^M(2,3) atom is C(1,8,1) in a wedge; sort keys fix a
+    # piece's value and compare without a call to __eq__
+    if isinstance(x, SmashAtom) and x.left.sort_key == x.right.sort_key:
+        x = wedge(x)
     if not isinstance(x, WedgeComplex):
         return _summand_sq(x)
     if len(x.summands) == 1:

@@ -15,8 +15,17 @@ only the module matters: each pair's tensor is `steenrod.pair_tensor`'s
 memoised module, and each module keeps its profile once computed.  The
 isomorphism search sums the memoised pair tensors and summand modules,
 reads their cached profiles, and its outcome is memoised by the modules of
-X, Y and W.  Profiles are summed degree by degree in place, and the
-obstruction note of each atom summand is formatted once per atom.
+the summand pairs and of W.  Profiles are summed degree by degree in
+place, and the obstruction note of each atom summand is formatted once per
+atom.
+
+`check_decomposition` checks any claim X ^ Y ~ W as a whole (`chang
+verify`).  `smash_decompose` knows more: the claim w for each summand pair,
+with W the wedge of them.  `check_claims` checks each claim a ^ b ~ w once
+per process and adds up only mod-2 dimensions per op.  When w's module is
+the pair tensor itself, the pair's own atom, the identity is the
+isomorphism witness, so such a claim is certified without a profile or a
+search.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from .steenrod import (SqModule, cartan_smash_sq, mod2_cohomology,  # noqa: F401
                        module_id, pair_tensor, wedge_sum)
 
 __all__ = ["graded_iso", "sq_module_compare", "moore_split_obstruction",
-           "check_decomposition", "VerificationReport", "ObstructionReport",
-           "SEARCH_BUDGET_BITS"]
+           "check_decomposition", "check_claims", "VerificationReport",
+           "ObstructionReport", "SEARCH_BUDGET_BITS"]
 
 SEARCH_BUDGET_BITS = 24     # isomorphism search cap: maps of 24 entries
 
@@ -233,15 +242,10 @@ def _smash_homology(X: WedgeComplex, Y: WedgeComplex) -> GradedAbelianGroup:
 
 
 # memos keyed by Sq-module ids (`module_id`): obstruction reports per
-# (module, bottom, top), search outcomes per (modules of X, of Y, of W)
+# (module, bottom, top), search outcomes per (modules of the ordered summand
+# pairs, of W)
 _OBSTRUCTIONS: dict[tuple[int, int, int], ObstructionReport] = {}
 _SEARCHES: dict[tuple[tuple[int, ...], ...], object] = {}
-
-
-def _pair_tensors(X: WedgeComplex, Y: WedgeComplex) -> list[SqModule]:
-    """The memoised tensor of each summand pair of X ^ Y; for a pair that
-    stays whole it is the atom's own module."""
-    return [pair_tensor(a, b) for a, b in _summand_pairs(X, Y)]
 
 
 def _direct_sum(parts: list[SqModule]) -> SqModule:
@@ -256,7 +260,8 @@ def _direct_sum(parts: list[SqModule]) -> SqModule:
 
 def _smash_profile(X: WedgeComplex, Y: WedgeComplex) -> Profile:
     """Profile of H*(X) @ H*(Y), summed over the summand pairs."""
-    return _profile_sum(map(_profile, _pair_tensors(X, Y)))
+    return _profile_sum(_profile(pair_tensor(a, b))
+                        for a, b in _summand_pairs(X, Y))
 
 
 def _wedge_profile(W: WedgeComplex) -> Profile:
@@ -264,17 +269,27 @@ def _wedge_profile(W: WedgeComplex) -> Profile:
     return _profile_sum(_profile(mod2_cohomology(c)) for c in W.summands)
 
 
-def _search(X: WedgeComplex, Y: WedgeComplex, W: WedgeComplex) -> object:
-    """Outcome of the Sq-isomorphism search for X ^ Y ~ W.  It depends only
-    on the modules, so it is kept per module ids.  The sum of the pair
-    tensors is isomorphic to H*(X) @ H*(Y), and the search is exhaustive,
-    so searching it gives the whole-op tensor's outcome."""
-    key = tuple(tuple(module_id(c) for c in v.summands) for v in (X, Y, W))
+def _search(pairs, W: WedgeComplex) -> object:
+    """Outcome of the Sq-isomorphism search for X ^ Y ~ W, given the
+    summand pairs of X ^ Y.  It depends only on the modules, so it is kept
+    per module ids.  The sum of the pair tensors is isomorphic to
+    H*(X) @ H*(Y), and the search is exhaustive, so searching it gives the
+    whole-op tensor's outcome."""
+    key = (tuple(module_id(c) for pair in pairs for c in pair),
+           tuple(module_id(c) for c in W.summands))
     if key not in _SEARCHES:
-        tensor = _direct_sum(_pair_tensors(X, Y))
+        tensor = _direct_sum([pair_tensor(a, b) for a, b in pairs])
         module = _direct_sum([mod2_cohomology(c) for c in W.summands])
         _SEARCHES[key] = sq_module_compare(tensor, module)[1]
     return _SEARCHES[key]
+
+
+def _iso_verdict(dims: dict[int, int], pairs, W: WedgeComplex) -> object:
+    """The whole-op search when a degreewise map of the given dimensions
+    has at most SEARCH_BUDGET_BITS entries, else "skipped"."""
+    if sum(n * n for n in dims.values()) > SEARCH_BUDGET_BITS:
+        return "skipped"
+    return _search(pairs, W)
 
 
 @cache
@@ -301,8 +316,103 @@ def check_decomposition(x, y, w) -> VerificationReport:
     dims = {d: row[0] for d, row in tensor.items()}
     mod2_ok = dims == {d: row[0] for d, row in module.items()}
     inv_ok = tensor == module
-    small = sum(n * n for n in dims.values()) <= SEARCH_BUDGET_BITS
-    iso = (_search(X, Y, W) if small else "skipped") if inv_ok else None
-    notes = tuple(_obstruction_note(c) for c in W.summands
-                  if isinstance(c, SmashAtom))
-    return VerificationReport(homology_ok, mod2_ok, inv_ok, iso, notes)
+    iso = _iso_verdict(dims, list(_summand_pairs(X, Y)), W) if inv_ok else None
+    return VerificationReport(homology_ok, mod2_ok, inv_ok, iso, _notes(W))
+
+
+def _notes(W: WedgeComplex) -> tuple[str, ...]:
+    return tuple(_obstruction_note(c) for c in W.summands
+                 if isinstance(c, SmashAtom))
+
+
+# --- the smash path's gate: one check per claim ---------------------------
+#
+# smash_decompose claims a ^ b ~ w for each summand pair (a, b) of X ^ Y,
+# and W is the wedge of the claimed w.  Each claim is checked once per
+# process, keyed by its ordered pair and its w; its Sq check is shared by
+# every claim with the same module ids.  The op itself only adds up mod-2
+# dimensions, so that a wedge that drops or merges a summand still fails.
+
+Claim = tuple[Summand, Summand, WedgeComplex]
+
+# (ordered pair, w) -> (homology ok, Sq invariants ok, identity witness,
+# mod-2 dimensions of the pair tensor as (degree, dim) items)
+_CLAIMS: dict[Claim, tuple[bool, bool, bool, tuple]] = {}
+# (module ids of the ordered pair, of w's summands) -> the last three
+_SQ_CLAIMS: dict[tuple, tuple[bool, bool, tuple]] = {}
+
+
+def _sq_claim(a: Summand, b: Summand, w: WedgeComplex
+              ) -> tuple[bool, bool, tuple]:
+    """The Sq check of the claim a ^ b ~ w, per module ids.  When w is one
+    summand whose module is the pair tensor itself (the pair's own atom),
+    the identity is an isomorphism; otherwise the tensor's profile is
+    compared with the summed profiles of w's summands."""
+    key = (module_id(a), module_id(b),
+           tuple(module_id(c) for c in w.summands))
+    got = _SQ_CLAIMS.get(key)
+    if got is None:
+        tensor = pair_tensor(a, b)
+        parts = [mod2_cohomology(c) for c in w.summands]
+        if len(parts) == 1 and parts[0] is tensor:
+            inv_ok = identity = True
+        else:
+            identity = False
+            inv_ok = _profile(tensor) == _profile_sum(map(_profile, parts))
+        got = _SQ_CLAIMS[key] = (inv_ok, identity,
+                                 tuple(tensor.dims().items()))
+    return got
+
+
+def _claim(a: Summand, b: Summand, w: WedgeComplex
+           ) -> tuple[bool, bool, bool, tuple]:
+    """The checks of one claim a ^ b ~ w, with the pair ordered by sort_key
+    as `_summand_pairs` orders it."""
+    key = (a, b, w)
+    got = _CLAIMS.get(key)
+    if got is None:
+        got = _CLAIMS[key] = (
+            graded_iso(_pair_homology(a, b), integral_homology(w)),
+            *_sq_claim(a, b, w))
+    return got
+
+
+@cache
+def _summand_dims(c: Summand) -> tuple[tuple[int, int], ...]:
+    return tuple(mod2_cohomology(c).dims().items())
+
+
+def check_claims(claims: list[Claim], W: WedgeComplex
+                 ) -> VerificationReport:
+    """Cross-check X ^ Y ~ W from the claims (a, b, w), one per summand
+    pair (a, b) of X ^ Y, where W is the wedge of the claimed w.
+
+    Homology and Sq invariants are checked per claim; mod-2 dimensions are
+    summed over the claims and compared with W's.  sq_iso_found is True
+    when every claim has the identity witness; otherwise it is the whole-op
+    search's outcome, or "skipped" for size, as in check_decomposition."""
+    homology_ok = inv_ok = identity = True
+    pairs = []
+    dims: dict[int, int] = {}
+    for a, b, w in claims:
+        if a.sort_key > b.sort_key:
+            a, b = b, a
+        pairs.append((a, b))
+        h_ok, sq_ok, own, tensor_dims = _claim(a, b, w)
+        homology_ok &= h_ok
+        inv_ok &= sq_ok
+        identity &= own
+        for d, n in tensor_dims:
+            dims[d] = dims.get(d, 0) + n
+    have: dict[int, int] = {}
+    for c in W.summands:
+        for d, n in _summand_dims(c):
+            have[d] = have.get(d, 0) + n
+    if not inv_ok:
+        iso = None
+    elif identity:
+        iso = True
+    else:
+        iso = _iso_verdict(dims, pairs, W)
+    return VerificationReport(homology_ok, dims == have, inv_ok, iso,
+                              _notes(W))

@@ -28,6 +28,19 @@ def classified_pairs():
     ]
 
 
+def every_piece():
+    """Every piece of every kind at exponents 1..6, primes 2, 3, 5 and 7,
+    and the four lowest dimensions of its kind."""
+    out = []
+    for k in range(4):
+        out += [sphere(3 + k), ceta(5 + k)]
+        for e in range(1, 7):
+            out += [moore(p, e, 3 + k) for p in (2, 3, 5, 7)]
+            out += [cbot(e, 5 + k), ctop(5 + k, e)]
+            out += [cfull(e, 5 + k, f) for f in range(1, 7)]
+    return out
+
+
 def elementary_samples():
     out = [sphere(3), sphere(4), sphere(6), moore(2, 1, 3), moore(2, 3, 4),
            moore(3, 2, 5), ceta(5), ceta(7), ctop(5, 2), cbot(3, 6),

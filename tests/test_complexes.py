@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WindowError,
-                             canonicalize, cbot, ceta, cells_of, cfull, ctop,
-                             dual, dual_elementary, moore, smash_atom, sphere,
-                             suspend, wedge)
+from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WedgeComplex,
+                             WindowError, canonicalize, cbot, ceta, cells_of,
+                             cfull, ctop, dual, dual_elementary, moore,
+                             smash_atom, sphere, suspend, wedge)
 from chang.homology import integral_homology, kunneth
 
 from conftest import elementary_samples
@@ -35,6 +35,20 @@ def test_torsion_square_rewrites_to_four_cell_complex():
     assert smash_atom(moore(2, 1, 3), moore(2, 1, 3)) == cfull(1, 8, 1)
     # shifted copies land at the shifted dimension
     assert smash_atom(moore(2, 1, 4), moore(2, 1, 5)) == cfull(1, 11, 1)
+
+
+def test_hand_built_torsion_square_still_rewrites():
+    # factors built directly, not the interned instances: canonicalize
+    # compares sort keys, which fix the value, and still rewrites the atom
+    m2 = ElementaryComplex("moore", 3, 2, 1)
+    assert m2 is not moore(2, 1, 3)
+    for shift in (0, 2):
+        raw = SmashAtom(m2, ElementaryComplex("moore", 3, 2, 1), shift)
+        assert canonicalize(WedgeComplex((raw, sphere(3)))) == \
+            wedge(sphere(3), cfull(1, 8 + shift, 1))
+    # an atom of two equal but different pieces is not rewritten
+    raw = SmashAtom(ElementaryComplex("ceta", 5), ceta(5))
+    assert canonicalize(WedgeComplex((raw,))).summands == (raw,)
 
 
 def test_atom_factory_rejects_decomposable_pairs():

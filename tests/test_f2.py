@@ -78,3 +78,12 @@ def test_kernel_matches_dense_elimination():
         # independent masks, as many as the dependencies among the columns
         assert dense_rank(dense(got, cols)) == len(got)
         assert len(got) == cols - dense_rank(dense(columns, width))
+
+
+def test_rank_is_columns_less_dependencies():
+    # the pivot-only rank agrees with the kernel's count of dependencies
+    rng = random.Random(14)
+    for _ in range(2000):
+        rows, width = rng.randint(0, 8), rng.randint(0, 8)
+        masks = random_masks(rng, rows, width)
+        assert f2.rank(masks) == len(masks) - len(f2.kernel(masks))

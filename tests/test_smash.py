@@ -3,13 +3,16 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chang.complexes import (POINT, cbot, ceta, cfull, ctop, dual,
+from chang.complexes import (POINT, ElementaryComplex, SmashAtom,
+                             WedgeComplex, cbot, ceta, cfull, ctop, dual,
                              infer_sdim, moore, smash_atom, sphere, suspend,
                              wedge)
 from chang.homology import integral_homology, kunneth
 from chang import smash
 from chang.smash import (UnclassifiedPair, VerificationFailure, decompose_pair,
                          smash_decompose)
+from chang.steenrod import module_id
+from chang.verify import check_claims, check_decomposition
 
 from conftest import WIDE_PIECES, classified_pairs
 
@@ -26,6 +29,19 @@ def test_sphere_rule_is_suspension():
 def test_point_rule():
     assert smash_decompose(wedge(), wedge(cbot(1, 5))).output == wedge()
     assert out(POINT, ceta(5)) == wedge()
+
+
+def test_a_directly_built_point_is_the_point():
+    # the point rule compares sort keys, which fix the value, so a point
+    # built without the factory is still the point
+    direct = ElementaryComplex("point", 0)
+    assert direct is not POINT
+    for a, b in ((direct, ceta(5)), (cbot(2, 5), direct), (direct, direct)):
+        assert decompose_pair(a, b) == (wedge(), "point")
+    atom = smash_atom(cbot(1, 5), cbot(2, 5))
+    assert decompose_pair(atom, direct) == (wedge(), "point")
+    # a point is no sphere, and a sphere is no point
+    assert decompose_pair(sphere(3), ceta(5)) == (wedge(ceta(8)), "sphere")
 
 
 def test_main_statement_branches():
@@ -307,6 +323,66 @@ def test_memos_sit_below_the_solve_seam(monkeypatch):
         (moore(2, 1, 6), moore(2, 1, 7)), (("fake", "fake"),)))
     with pytest.raises(VerificationFailure, match="^Sq invariant mismatch"):
         smash_decompose(x, y)
+
+
+def test_claim_gate_fails_an_output_missing_a_summand(monkeypatch):
+    x = wedge(moore(2, 2, 3), cbot(1, 5))
+    y = wedge(cfull(1, 5, 2), ceta(5))
+    claims = [(a, b, decompose_pair(a, b)[0])
+              for a in x.summands for b in y.summands]
+    w = wedge(*(c for *_, c in claims))
+    assert check_claims(claims, w).all_true()
+    for i in range(len(w.summands)):
+        short = WedgeComplex(w.summands[:i] + w.summands[i + 1:])
+        rep = check_claims(claims, short)
+        # each claim still holds; only the op-level sum sees the loss
+        assert rep.homology_match and rep.sq_invariants_match
+        assert rep.first_failure() == "mod-2 dimension"
+    # a wedge of the pieces that drops the last claim's summands
+    assert smash_decompose(x, y).output == w       # every memo is warm
+    real = smash.wedge
+    monkeypatch.setattr(smash, "wedge",
+                        lambda *parts: real(*parts[:-1] or parts))
+    with pytest.raises(VerificationFailure, match="^mod-2 dimension mismatch"):
+        smash_decompose(x, y)
+
+
+def test_wrong_exponent_atom_claim_fails_homology(monkeypatch):
+    # Cbot(2,5) and Cbot(3,5) have one Sq-module, so the claimed atom's
+    # module is the pair tensor itself and the identity is a Sq witness;
+    # the integral homology (Z/4 against Z/8) still refutes the claim
+    a, b = cbot(1, 5), cbot(2, 5)
+    wrong = SmashAtom(cbot(1, 5), cbot(3, 5))
+    assert module_id(b) == module_id(wrong.right)
+    rep = check_claims([(a, b, wedge(wrong))], wedge(wrong))
+    assert rep.mod2_match and rep.sq_invariants_match
+    assert rep.sq_iso_found is True
+    assert not rep.homology_match and rep.first_failure() == "homology"
+    monkeypatch.setattr(smash, "_solve", lambda a, b, depth=0: (
+        (wrong,), (("fake", "fake"),)))
+    with pytest.raises(VerificationFailure, match="^homology mismatch"):
+        smash_decompose(a, b)
+
+
+def test_warm_claims_are_not_summed_again(monkeypatch):
+    from chang import homology, verify
+    pairs = list(combinations_with_replacement(WIDE_PIECES, 2))
+    for a, b in pairs:
+        smash_decompose(a, b)
+    calls = []
+    for mod, name in ((homology, "wedge_homology"), (verify, "wedge_homology"),
+                      (verify, "_profile_sum")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    for a, b in pairs:
+        smash_decompose(a, b)
+        smash_decompose(b, a)
+    assert calls == []
+    # the whole-op oracle sums on every call, through the same names
+    a, b = pairs[-1]
+    check_decomposition(a, b, smash_decompose(a, b).output)
+    assert {"wedge_homology", "_profile_sum"} <= set(calls)
 
 
 # --- properties over exponents 1..6 and suspensions 0..4 --------------------

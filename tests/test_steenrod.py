@@ -14,7 +14,7 @@ from chang.smash import smash_decompose
 from chang.steenrod import (SqModule, _summand_sq, cartan_smash_sq,
                             mod2_cohomology, module_id, poincare_mod2)
 
-from conftest import PARAMS, WIDE_PIECES, classified_pairs
+from conftest import PARAMS, WIDE_PIECES, classified_pairs, every_piece
 
 
 def _action(m: SqModule, k: int, label: str) -> set[str]:
@@ -443,13 +443,77 @@ def test_wide_pairs_validate_each_piece_and_build_each_tensor_once():
 
 def test_lone_summand_module_is_not_rewedged(monkeypatch):
     from chang import steenrod
-    from chang.complexes import SmashAtom
+    from chang.complexes import ElementaryComplex, SmashAtom
     # a suspended M(2,3)^M(2,3) atom still reads as its four-cell complex
     square = SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 1)
     assert steenrod.mod2_cohomology(square) is \
         steenrod.mod2_cohomology(cfull(1, 9, 1))
+    # so does one whose factors are built directly, not interned
+    direct = SmashAtom(ElementaryComplex("moore", 3, 2, 1),
+                       ElementaryComplex("moore", 3, 2, 1))
+    assert steenrod.mod2_cohomology(direct) is \
+        steenrod.mod2_cohomology(cfull(1, 8, 1))
     monkeypatch.setattr(steenrod, "wedge", None)
     atoms = [smash_atom(cbot(1, 5), cbot(2, 5)),
              SmashAtom(moore(2, 2, 3), ceta(5), 3)]
     for c in WIDE_PIECES + atoms:
         assert steenrod.mod2_cohomology(c) is steenrod._summand_sq(c)
+
+
+def test_class_modules_are_each_pieces_own_module():
+    # one module per mod-2 class, shared by its pieces: each piece's module
+    # is the one _elementary_sq builds for it, labels and masks included,
+    # and ids stay module equality
+    from chang import steenrod
+    ids: dict = {}
+    for c in every_piece():
+        direct = steenrod._elementary_sq(c)
+        assert steenrod._summand_sq(c) == direct, str(c)
+        content = (tuple(sorted(direct.basis.items())),
+                   tuple(tuple(sorted(direct.ops[k].items()))
+                         for k in (1, 2, 4)))
+        assert ids.setdefault(content, module_id(c)) == module_id(c), str(c)
+    assert len(set(ids.values())) == len(ids)
+
+
+# Every piece of every_piece, and the outputs of the 861 wide pairs, in a
+# fresh process: _elementary_sq runs once per mod-2 class (kind, dimension,
+# each attaching degree as odd, 2 mod 4 or 0 mod 4), not once per piece.
+_CLASS_BUILDS = """
+import json
+from collections import Counter
+from chang import steenrod
+from chang.smash import smash_decompose
+from conftest import WIDE_PIECES, every_piece
+
+built = Counter()
+build = steenrod._elementary_sq
+def counted(c):
+    degrees = c.boundary().values()
+    built[c.kind, c.dim, tuple(1 if q % 2 else q % 4 for q in degrees)] += 1
+    return build(c)
+steenrod._elementary_sq = counted
+pieces = set(every_piece())
+for c in pieces:
+    steenrod.module_id(c)
+    steenrod.mod2_cohomology(c)
+for i, a in enumerate(WIDE_PIECES):
+    for b in WIDE_PIECES[i:]:
+        for c in smash_decompose(a, b).output.summands:
+            pieces.add(c)
+            steenrod.module_id(c)
+print(json.dumps({"pieces": len(pieces), "builds": sum(built.values()),
+                  "classes": len(built), "most": max(built.values())}))
+"""
+
+
+def test_elementary_modules_are_built_once_per_mod2_class():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    out = subprocess.run([sys.executable, "-c", _CLASS_BUILDS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["most"] == 1 and got["builds"] == got["classes"], got
+    assert got["classes"] * 4 < got["pieces"], got

@@ -311,6 +311,42 @@ def test_summed_invariants_match_whole_modules_on_wide_ops():
         _assert_sums_match_whole_op(wedge(x), wedge(y), w)
 
 
+def _gate_against_oracle(X, Y, isos: Counter) -> None:
+    """smash_decompose's claim gate agrees with the whole-op oracle on every
+    invariant; its iso verdict differs only where the identity witness
+    certifies what the oracle skipped for size."""
+    res = smash_decompose(X, Y)
+    got, want = res.verification, check_decomposition(X, Y, res.output)
+    assert (got.homology_match, got.mod2_match, got.sq_invariants_match) == \
+        (want.homology_match, want.mod2_match, want.sq_invariants_match)
+    assert got.obstruction_notes == want.obstruction_notes
+    if want.sq_iso_found is True:
+        assert got.sq_iso_found is True
+    if got.sq_iso_found is True:
+        assert want.sq_iso_found is not False
+    if got.sq_iso_found != want.sq_iso_found:
+        assert (got.sq_iso_found, want.sq_iso_found) == (True, "skipped")
+    isos[got.sq_iso_found, want.sq_iso_found] += 1
+
+
+def test_claim_gate_agrees_with_the_whole_op_oracle():
+    wide, grid, ops = Counter(), Counter(), Counter()
+    for a, b in combinations_with_replacement(WIDE_PIECES, 2):
+        _gate_against_oracle(wedge(a), wedge(b), wide)
+    for a, b in classified_pairs():
+        _gate_against_oracle(wedge(a), wedge(b), grid)
+    rng = random.Random(2016)
+    for _ in range(360):
+        X, Y = (wedge(*rng.choices(WIDE_PIECES, k=rng.randint(1, 3)))
+                for _side in range(2))
+        _gate_against_oracle(X, Y, ops)
+    assert sum(wide.values()) == 861 and sum(grid.values()) == 371
+    # the identity witness certifies claims the capped search skips
+    for isos in (wide, grid, ops):
+        assert isos[True, True] and isos[True, "skipped"]
+        assert isos["skipped", "skipped"]
+
+
 def _search_by_backtracking(m1: SqModule, m2: SqModule) -> bool:
     """Reference: a degree-by-degree search over invertible blocks for a map
     commuting with Sq1, Sq2 and Sq4."""
