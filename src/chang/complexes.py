@@ -23,7 +23,7 @@ __all__ = [
     "ElementaryComplex", "SmashAtom", "WedgeComplex", "Summand", "Family",
     "FAMILIES", "POINT", "sphere", "moore", "ceta", "ctop", "cbot", "cfull",
     "piece", "smash_atom", "wedge", "canonicalize", "suspend", "dual",
-    "dual_elementary", "cells_of", "base_form", "unshifted", "WindowError",
+    "dual_elementary", "cells_of", "base_form", "WindowError",
 ]
 
 
@@ -91,17 +91,17 @@ FAMILIES: dict[str, Family] = {
 _LONG_EXPONENT = MAX_DIGITS // 20
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ElementaryComplex:
     """One indecomposable piece: kind plus integer parameters.
 
     dim is the anchor dimension (n for spheres and Moore spaces, k for the
-    Chang families).  p/r/s must be 0 when the kind does not use them, so
-    that equal pieces compare equal.  Build pieces with `piece` (or the
-    named constructors), which hands out one validated instance per value;
-    a piece built here directly is equal to it and hashes alike.  The
-    family, sort key, cells and hash are worked out once, at validation,
-    and take no part in equality.
+    Chang families).  p/r/s must be 0 when the kind does not use them.
+    There is one instance per value: calling the class (or `piece`, or a
+    named constructor) hands it out, validating the value the first time it
+    is asked for, so equality and hashing are identity.  A value that fails
+    validation is not kept and raises on every call.  The family, sort key
+    and cells are worked out once, at validation.
     """
 
     kind: str
@@ -109,18 +109,28 @@ class ElementaryComplex:
     p: int = 0
     r: int = 0
     s: int = 0
-    family: Family = field(init=False, repr=False, compare=False)
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    _cells: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    family: Family = field(init=False, repr=False)
+    sort_key: tuple = field(init=False, repr=False)
+    _cells: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __new__(cls, kind: str, dim: int, p: int = 0, r: int = 0, s: int = 0):
+        # True == 1 would find 1's instance, and 1.5 is no degree: refuse
+        # both before the lookup
+        if not type(dim) is type(p) is type(r) is type(s) is int:
+            raise InputError(f"{kind} dim, p, r, s must be integers, "
+                             f"got {dim!r}, {p!r}, {r!r}, {s!r}")
+        return _interned(cls, (kind, dim, p, r, s))
+
+    def __reduce__(self):
+        return ElementaryComplex, (self.kind, self.dim, self.p, self.r, self.s)
+
+    def _validate(self):
         fam = FAMILIES.get(self.kind)
         if fam is None:
             raise InputError(f"unknown kind {self.kind!r}")
         if not fam.cells and self.dim != fam.min_dim:
-            # a point has no cells to place; any dim would make it unequal
-            # to POINT
+            # a point has no cells to place; any dim would make a second
+            # point
             raise InputError(f"{self.kind} takes no dimension, got {self.dim}")
         if self.dim < fam.min_dim:
             raise InputError(
@@ -144,10 +154,6 @@ class ElementaryComplex:
         put(self, "family", fam)
         put(self, "sort_key", (fam.rank, self.dim, self.r, self.s, self.p))
         put(self, "_cells", tuple(self.dim + off for off, _ in fam.cells))
-        put(self, "_hash", hash((self.kind, self.dim, self.p, self.r, self.s)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def bottom(self) -> int:
@@ -178,46 +184,52 @@ class ElementaryComplex:
                                            s=self.s)
 
 
-def piece(kind: str, dim: int, p: int = 0, r: int = 0,
-          s: int = 0) -> ElementaryComplex:
-    """The one instance of the piece with this value, validated the first
-    time the value is asked for.  A value that fails validation raises on
-    every call."""
-    return _piece(kind, dim, p, r, s)
+# pieces and atoms, keyed by the values of their init fields (five for a
+# piece, three for an atom, so the two kinds of key never meet)
+_INSTANCES: dict[tuple, ElementaryComplex | SmashAtom] = {}
 
 
-_piece = cache(ElementaryComplex)
+def _interned(cls, value: tuple):
+    """The one instance of cls whose init fields hold value: looked up, or
+    else built, validated and kept.  A value that fails is not kept."""
+    self = _INSTANCES.get(value)
+    if self is None:
+        self = object.__new__(cls)
+        vars(self).update(zip(cls.__match_args__, value))
+        self._validate()
+        _INSTANCES[value] = self
+    return self
 
-POINT = piece("point", 0)
+
+# the class hands out the one validated instance per value; the factory name
+# stays for callers that read better with it
+piece = ElementaryComplex
+
+POINT = ElementaryComplex("point", 0)
 
 
 def sphere(n: int) -> ElementaryComplex:
-    return _piece("sphere", n, 0, 0, 0)
+    return ElementaryComplex("sphere", n)
 
 
 def moore(p: int, r: int, n: int) -> ElementaryComplex:
-    return _piece("moore", n, p, r, 0)
+    return ElementaryComplex("moore", n, p, r)
 
 
 def ceta(k: int) -> ElementaryComplex:
-    return _piece("ceta", k, 0, 0, 0)
+    return ElementaryComplex("ceta", k)
 
 
 def ctop(k: int, s: int) -> ElementaryComplex:
-    return _piece("ctop", k, 0, 0, s)
+    return ElementaryComplex("ctop", k, 0, 0, s)
 
 
 def cbot(r: int, k: int) -> ElementaryComplex:
-    return _piece("cbot", k, 0, r, 0)
+    return ElementaryComplex("cbot", k, 0, r)
 
 
 def cfull(r: int, k: int, s: int) -> ElementaryComplex:
-    return _piece("cfull", k, 0, r, s)
-
-
-def _moved(c: ElementaryComplex, dim: int) -> ElementaryComplex:
-    """c with its anchor at dim."""
-    return _piece(c.kind, dim, c.p, c.r, c.s)
+    return ElementaryComplex("cfull", k, 0, r, s)
 
 
 @cache
@@ -225,24 +237,33 @@ def base_form(c: ElementaryComplex) -> tuple[ElementaryComplex, int]:
     """Desuspend to the table dimension (n=3 resp. k=5); return
     (base, shift)."""
     base_dim = c.family.min_dim
-    return _moved(c, base_dim), c.dim - base_dim
+    return (ElementaryComplex(c.kind, base_dim, c.p, c.r, c.s),
+            c.dim - base_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SmashAtom:
     """Smash of two elementary pieces that does not split further.
 
     Factors are stored at base dimension with the total suspension in
-    shift, and ordered so the pair is canonical.
+    shift, and ordered so the pair is canonical.  Like a piece, an atom has
+    one instance per value, validated the first time it is built.
     """
 
     left: ElementaryComplex
     right: ElementaryComplex
     shift: int = 0
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __new__(cls, left, right, shift: int = 0):
+        if type(shift) is not int:
+            raise InputError(f"atom shift must be an integer, got {shift!r}")
+        return _interned(cls, (left, right, shift))
+
+    def __reduce__(self):
+        return SmashAtom, (self.left, self.right, self.shift)
+
+    def _validate(self):
         if self.shift < 0:
             raise InputError("atom shift must be >= 0")
         for c in (self.left, self.right):
@@ -255,11 +276,6 @@ class SmashAtom:
                 f"{self.left} ^ {self.right} splits; it cannot be an atom")
         object.__setattr__(self, "sort_key", (9, self.shift)
                            + self.left.sort_key + self.right.sort_key)
-        object.__setattr__(self, "_hash",
-                           hash((self.left, self.right, self.shift)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def bottom(self) -> int:
@@ -279,12 +295,6 @@ class SmashAtom:
 
 
 Summand = Union[ElementaryComplex, SmashAtom]
-
-
-@cache
-def unshifted(a: SmashAtom) -> SmashAtom:
-    """The atom a with shift 0, built once per atom."""
-    return a if a.shift == 0 else SmashAtom(a.left, a.right)
 
 
 def smash_atom(a: ElementaryComplex, b: ElementaryComplex) -> Summand:
@@ -337,8 +347,7 @@ def canonicalize(w: WedgeComplex) -> WedgeComplex:
     out: list[Summand] = []
     for c in w.summands:
         if isinstance(c, SmashAtom):
-            # sort keys fix a piece's value, and compare without __eq__
-            if c.left.sort_key == c.right.sort_key == _M2.sort_key:
+            if c.left is c.right is _M2:
                 c = cfull(1, 8 + c.shift, 1)
         elif c.kind == "point":
             continue
@@ -356,7 +365,7 @@ def suspend(x: Summand | WedgeComplex, m: int) -> WedgeComplex:
     out: list[Summand] = []
     for c in x.summands:
         if isinstance(c, ElementaryComplex):
-            out.append(_moved(c, c.dim + m))
+            out.append(ElementaryComplex(c.kind, c.dim + m, c.p, c.r, c.s))
         else:
             out.append(SmashAtom(c.left, c.right, c.shift + m))
     return canonicalize(WedgeComplex(tuple(out)))

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from .arith import prime_powers
-from .complexes import ElementaryComplex, Summand, WedgeComplex, unshifted
+from .complexes import ElementaryComplex, SmashAtom, Summand, WedgeComplex
 
 __all__ = ["GradedAbelianGroup", "integral_homology", "kunneth",
            "wedge_homology", "primary_factors", "cyclic_label",
@@ -151,7 +151,7 @@ def _summand_homology(c: Summand) -> GradedAbelianGroup:
     if isinstance(c, ElementaryComplex):
         return _elementary_homology(c)
     if c.shift:
-        return _summand_homology(unshifted(c)).shift(c.shift)
+        return _summand_homology(SmashAtom(c.left, c.right)).shift(c.shift)
     return kunneth(_summand_homology(c.left), _summand_homology(c.right))
 
 

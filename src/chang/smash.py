@@ -83,14 +83,7 @@ def _solve(a: ElementaryComplex, b: ElementaryComplex,
     if a.sort_key > b.sort_key:
         a, b = b, a
     out, branches = _table(a, b, depth)
-    return (_whole(a, b) if out is None else out), branches
-
-
-@cache
-def _whole(a: ElementaryComplex, b: ElementaryComplex
-           ) -> tuple[SmashAtom, ...]:
-    """The atom of an ordered base pair the table keeps whole, built once."""
-    return (SmashAtom(a, b),)
+    return ((SmashAtom(a, b),) if out is None else out), branches
 
 
 def stays_whole(a: ElementaryComplex, b: ElementaryComplex) -> bool:
@@ -283,8 +276,7 @@ def _decompose_pair_full(a: Summand, b: Summand
     """Decompose a ^ b for two summands: smashing with a point is a point,
     with a sphere a suspension (of an atom too); elementary pairs go through
     the table."""
-    # sort keys fix a piece's value and compare without a call to __eq__
-    if POINT.sort_key in (a.sort_key, b.sort_key):
+    if POINT in (a, b):
         return wedge(), [_br(a, b, "point")]
     for x, y in ((a, b), (b, a)):
         if isinstance(x, ElementaryComplex) and x.kind == "sphere":

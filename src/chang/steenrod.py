@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from . import f2
 from .complexes import (ElementaryComplex, SmashAtom, Summand, WedgeComplex,
-                        unshifted, wedge)
+                        wedge)
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
            "module_id", "pair_tensor", "poincare_mod2"]
@@ -280,7 +280,7 @@ def _summand_sq(c: Summand) -> SqModule:
     if isinstance(c, ElementaryComplex):
         return _mod2_class(c)[0]
     if c.shift:
-        return _summand_sq(unshifted(c)).shift(c.shift)
+        return _summand_sq(SmashAtom(c.left, c.right)).shift(c.shift)
     return pair_tensor(c.left, c.right)
 
 
@@ -315,9 +315,8 @@ def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:
     """Sq-module of a wedge; labels carry the summand index when there is
     more than one summand.  A single summand's module is the memoised one,
     so callers must not mutate the result."""
-    # the M(2,3)^M(2,3) atom is C(1,8,1) in a wedge; sort keys fix a
-    # piece's value and compare without a call to __eq__
-    if isinstance(x, SmashAtom) and x.left.sort_key == x.right.sort_key:
+    # the M(2,3)^M(2,3) atom is C(1,8,1) in a wedge
+    if isinstance(x, SmashAtom) and x.left is x.right:
         x = wedge(x)
     if not isinstance(x, WedgeComplex):
         return _summand_sq(x)

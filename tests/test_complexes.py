@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WedgeComplex,
                              WindowError, canonicalize, cbot, ceta, cells_of,
-                             cfull, ctop, dual, dual_elementary, moore,
-                             smash_atom, sphere, suspend, wedge)
+                             cfull, ctop, dual, dual_elementary, infer_sdim,
+                             moore, smash_atom, sphere, suspend, wedge)
 from chang.homology import integral_homology, kunneth
 
 from conftest import elementary_samples
@@ -38,15 +38,15 @@ def test_torsion_square_rewrites_to_four_cell_complex():
 
 
 def test_hand_built_torsion_square_still_rewrites():
-    # factors built directly, not the interned instances: canonicalize
-    # compares sort keys, which fix the value, and still rewrites the atom
+    # factors built by calling the class are the interned instances, so
+    # canonicalize's identity test sees the torsion square and rewrites it
     m2 = ElementaryComplex("moore", 3, 2, 1)
-    assert m2 is not moore(2, 1, 3)
+    assert m2 is moore(2, 1, 3)
     for shift in (0, 2):
         raw = SmashAtom(m2, ElementaryComplex("moore", 3, 2, 1), shift)
         assert canonicalize(WedgeComplex((raw, sphere(3)))) == \
             wedge(sphere(3), cfull(1, 8 + shift, 1))
-    # an atom of two equal but different pieces is not rewritten
+    # an atom of another square is not rewritten
     raw = SmashAtom(ElementaryComplex("ceta", 5), ceta(5))
     assert canonicalize(WedgeComplex((raw,))).summands == (raw,)
 
@@ -294,7 +294,10 @@ def test_constructors_hand_out_one_instance_per_value():
              (dual_elementary(cfull(2, 7, 3), 12), cfull(3, 7, 2)),
              (lower(parse_expression("C(1,5,2)")).summands[0], cfull(1, 5, 2)),
              (lower(parse_expression("M(3^2,5)")).summands[0],
-              moore(3, 2, 5))]
+              moore(3, 2, 5)),
+             (ElementaryComplex("cfull", 5, 0, 1, 2), cfull(1, 5, 2)),
+             (ElementaryComplex("moore", 5, p=3, r=2), moore(3, 2, 5)),
+             (ElementaryComplex("point", 0), POINT)]
     for got, want in pairs:
         assert got is want, (got, want)
 
@@ -304,7 +307,7 @@ def test_a_directly_built_piece_is_the_interned_value():
     from chang.steenrod import _summand_sq, module_id
     for c in elementary_samples() + [POINT]:
         direct = ElementaryComplex(c.kind, c.dim, c.p, c.r, c.s)
-        assert direct is not c
+        assert direct is c
         assert direct == c and hash(direct) == hash(c)
         assert {direct: 1}[c] == 1 and direct.sort_key == c.sort_key
         assert _summand_homology(direct) is _summand_homology(c)
@@ -315,7 +318,7 @@ def test_a_directly_built_piece_is_the_interned_value():
         assert module_id.cache_info().hits == hits + 1
     a = smash_atom(moore(2, 3, 4), cbot(1, 7))
     direct = SmashAtom(a.left, a.right, a.shift)
-    assert direct == a and hash(direct) == hash(a)
+    assert direct is a and hash(direct) == hash(a)
     assert direct.sort_key == a.sort_key
 
 
@@ -325,7 +328,12 @@ def test_invalid_pieces_raise_on_every_call():
               lambda: cfull(0, 5, 1), lambda: ceta(4),
               lambda: piece("moore", 3, p=2, r=1, s=7),
               lambda: piece("sphere", 5, r=2), lambda: piece("point", 3),
-              lambda: ElementaryComplex("moore", 3, p=2, r=1, s=7)]
+              lambda: ElementaryComplex("moore", 3, p=2, r=1, s=7),
+              # only exact ints: True would share 1's instance, and 1.5 is
+              # no exponent
+              lambda: cbot(True, 7), lambda: cfull(1.5, 5, 2),
+              lambda: sphere(3.0), lambda: moore(2, 1, True),
+              lambda: SmashAtom(moore(2, 3, 3), ceta(5), True)]
     for build in builds:
         for _ in range(3):
             with pytest.raises(ValueError):
@@ -333,7 +341,7 @@ def test_invalid_pieces_raise_on_every_call():
 
 
 def test_stored_keys_follow_the_families():
-    from chang.complexes import FAMILIES
+    from chang.complexes import FAMILIES, piece
     from chang.smash import PARAMS
     pieces = [POINT]
     for k in (5, 6):
@@ -346,8 +354,49 @@ def test_stored_keys_follow_the_families():
         assert c.family is fam
         assert c.sort_key == (fam.rank, c.dim, c.r, c.s, c.p)
         assert list(c.cells()) == [c.dim + off for off, _ in fam.cells]
-        assert hash(c) == hash((c.kind, c.dim, c.p, c.r, c.s))
+        # the hash follows the value: the value is the instance
+        assert hash(piece(c.kind, c.dim, c.p, c.r, c.s)) == hash(c)
     # the stored keys order wedges as before: family rank, then dimension
     assert [str(c) for c in wedge(cfull(1, 5, 2), moore(2, 1, 6), sphere(5),
                                   cbot(1, 5), ctop(5, 1)).summands] == \
         ["S(5)", "M(2^1,6)", "Ctop(5,1)", "Cbot(1,5)", "C(1,5,2)"]
+
+
+def test_a_refused_bool_does_not_take_the_place_of_an_int():
+    with pytest.raises(ValueError, match="must be integers, got 7, 0, True"):
+        cbot(True, 7)
+    assert str(cbot(1, 7)) == "Cbot(1,7)"
+    assert repr(cbot(1, 7)).endswith("r=1, s=0)")
+
+
+def test_equality_and_hashing_are_identity():
+    for cls in (ElementaryComplex, SmashAtom):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    a = smash_atom(moore(2, 3, 4), cbot(1, 7))
+    assert SmashAtom(a.left, a.right, a.shift) is a
+    assert smash_atom(cbot(1, 6), moore(2, 3, 5)) is a
+    assert suspend(smash_atom(moore(2, 3, 3), cbot(1, 5)), 3).summands[0] is a
+    m = infer_sdim(wedge(a))
+    assert dual(dual(a, m), m).summands[0] is a
+
+
+def test_copies_and_pickles_keep_identity():
+    import copy
+    import pickle
+    from dataclasses import replace
+    base = smash_atom(moore(2, 3, 3), cbot(1, 5))
+    atom = suspend(base, 1).summands[0]
+    values = [cfull(1, 5, 2), moore(3, 2, 6), POINT, base, atom]
+    for x in values:
+        for clone in (copy.copy, copy.deepcopy,
+                      lambda v: pickle.loads(pickle.dumps(v))):
+            assert clone(x) is x, (x, clone)
+    w = wedge(*values)
+    for clone in (copy.copy(w), copy.deepcopy(w),
+                  pickle.loads(pickle.dumps(w))):
+        assert clone == w and hash(clone) == hash(w)
+        assert all(x is y for x, y in zip(clone.summands, w.summands))
+    assert replace(cfull(1, 5, 2), dim=6) is cfull(1, 6, 2)
+    assert replace(base, shift=2) is suspend(base, 2).summands[0]
+    with pytest.raises(ValueError):
+        replace(cfull(1, 5, 2), r=0)

@@ -109,6 +109,9 @@ def test_replay_quotient_eta_full():
     rep = split_cone(out)
     assert rep.pieces == wedge(ctop(9, 2), SmashAtom(moore(2, 3, 3), ceta(5), 1))
     assert not rep.residual
+    # the named cone pieces are the interned instances
+    assert rep.pieces.summands[0] is ctop(9, 2)
+    assert rep.pieces.summands[1] is smash_atom(moore(2, 3, 4), ceta(5))
 
 
 def test_replay_skeleton_eta_full():

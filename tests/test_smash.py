@@ -32,10 +32,10 @@ def test_point_rule():
 
 
 def test_a_directly_built_point_is_the_point():
-    # the point rule compares sort keys, which fix the value, so a point
-    # built without the factory is still the point
+    # calling the class hands out the interned point, which the point rule
+    # recognises by identity
     direct = ElementaryComplex("point", 0)
-    assert direct is not POINT
+    assert direct is POINT
     for a, b in ((direct, ceta(5)), (cbot(2, 5), direct), (direct, direct)):
         assert decompose_pair(a, b) == (wedge(), "point")
     atom = smash_atom(cbot(1, 5), cbot(2, 5))
@@ -424,3 +424,78 @@ def test_smash_is_duality_equivariant(x, y):
     res = smash_decompose(dual(x, m), dual(y, n))
     assert res.verification.first_failure() is None
     assert res.output == dual(smash_decompose(x, y).output, m + n)
+
+
+# --- the rule table as a function of exponents ------------------------------
+
+@st.composite
+def base_pieces(draw):
+    from chang.complexes import FAMILIES, piece
+    kind = draw(st.sampled_from(["sphere", "moore", "ceta", "ctop", "cbot",
+                                 "cfull"]))
+    fam = FAMILIES[kind]
+    params = {name: draw(st.sampled_from([2, 3, 5, 7]) if name == "p"
+                         else st.integers(1, 60)) for name in fam.params}
+    return piece(kind, fam.min_dim, **params)
+
+
+def _exponents_mapped(c, to):
+    """c with every exponent v replaced by to[v]; primes and dims kept."""
+    from dataclasses import replace
+    if isinstance(c, SmashAtom):
+        return replace(c, left=_exponents_mapped(c.left, to),
+                       right=_exponents_mapped(c.right, to))
+    return replace(c, r=to[c.r], s=to[c.s])
+
+
+def _pair_outcome(a, b):
+    try:
+        w, branches = smash._decompose_pair_full(a, b)
+    except UnclassifiedPair:
+        return None, "unclassified"
+    return w, [rule for _, rule in branches]
+
+
+@given(base_pieces(), base_pieces())
+@settings(max_examples=400, deadline=None)
+def test_rule_table_sees_only_the_order_type_of_the_exponents(a, b):
+    # the rules compare exponents by <, = and == 1 only: map them
+    # monotonically onto 1..5, keeping 1 as 1, and the answer maps along
+    used = sorted({v for c in (a, b) for v in (c.r, c.s) if v > 1})
+    to = {0: 0, 1: 1} | {v: i for i, v in enumerate(used, start=2)}
+    back = {i: v for v, i in to.items()}
+    w, rules = _pair_outcome(a, b)
+    small_w, small_rules = _pair_outcome(_exponents_mapped(a, to),
+                                         _exponents_mapped(b, to))
+    assert small_rules == rules, (a, b)
+    if w is not None:
+        assert wedge(*[_exponents_mapped(c, back)
+                       for c in small_w.summands]) == w, (a, b)
+
+
+def test_rule_table_is_associative_where_it_decides():
+    # every unordered triple of base pieces at exponents 1..3, odd Moore
+    # spaces included: wherever two of (a^b)^c, (a^c)^b and (b^c)^a are
+    # decided (an atom meets a non-sphere only undecided), they agree
+    E = (1, 2, 3)
+    pieces = ([moore(p, u, 3) for p in (2, 3, 5) for u in E] + [ceta(5)]
+              + [ctop(5, s) for s in E] + [cbot(r, 5) for r in E]
+              + [cfull(r, 5, s) for r in E for s in E])
+
+    def smashed(x, y, z):
+        try:
+            return wedge(*[decompose_pair(c, z)[0]
+                           for c in decompose_pair(x, y)[0].summands])
+        except UnclassifiedPair:
+            return None
+
+    triples = list(combinations_with_replacement(pieces, 3))
+    assert len(triples) == 2925
+    decided = twice = 0
+    for a, b, c in triples:
+        outs = [w for w in (smashed(a, b, c), smashed(a, c, b),
+                            smashed(b, c, a)) if w is not None]
+        assert len(set(outs)) <= 1, (a, b, c, outs)
+        decided += bool(outs)
+        twice += len(outs) >= 2
+    assert (decided, twice) == (1775, 1630)

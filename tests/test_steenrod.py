@@ -396,11 +396,11 @@ from chang.smash import smash_decompose
 from conftest import WIDE_PIECES
 
 checks = Counter()
-check = ElementaryComplex.__post_init__
+check = ElementaryComplex._validate
 def counted_check(c):
     checks[c.kind, c.dim, c.p, c.r, c.s] += 1
     check(c)
-ElementaryComplex.__post_init__ = counted_check
+ElementaryComplex._validate = counted_check
 calls = []
 build = steenrod.cartan_smash_sq
 for name, mod in list(sys.modules.items()):
@@ -448,7 +448,7 @@ def test_lone_summand_module_is_not_rewedged(monkeypatch):
     square = SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 1)
     assert steenrod.mod2_cohomology(square) is \
         steenrod.mod2_cohomology(cfull(1, 9, 1))
-    # so does one whose factors are built directly, not interned
+    # so does one whose factors are built by calling the class
     direct = SmashAtom(ElementaryComplex("moore", 3, 2, 1),
                        ElementaryComplex("moore", 3, 2, 1))
     assert steenrod.mod2_cohomology(direct) is \
