@@ -1,9 +1,12 @@
 """Spanier-Whitehead duality on the classified universe.
 
 dual(X, sdim=m) applies the m-duality; with no argument the smallest
-window consistent with every summand is inferred.  The functor is an
-involution, swaps the three-cell families, reverses the four-cell
-exponents, and is equivariant for smash decomposition.
+window consistent with every summand is inferred.  At a fixed window m the
+functor is an involution, dual(dual(X, m), m) == X; it swaps the
+three-cell families, reverses the four-cell exponents, and is equivariant
+for smash decomposition.  With the window inferred, each call infers its
+own window, so it is not an involution in general: dual(dual(S(5))) is
+S(3).  The mixed wedge below happens to come back to itself.
 """
 
 from chang import (cbot, ceta, cfull, ctop, dual, integral_homology, moore,

@@ -261,7 +261,9 @@ def _build_argparser() -> argparse.ArgumentParser:
         help="cross-check the claim X ^ Y ~ W")
     p = add("table", _cmd_table,
             help="decision-table branch coverage over the parameter grid")
-    p.add_argument("--branch-coverage", action="store_true")
+    p.add_argument("--branch-coverage", action="store_true",
+                   help="accepted and changes nothing: the coverage table "
+                        "is always printed")
     return ap
 
 

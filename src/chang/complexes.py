@@ -451,7 +451,11 @@ def infer_sdim(x: WedgeComplex) -> int:
 
 
 def dual(x: Summand | WedgeComplex, sdim: int | None = None) -> WedgeComplex:
-    """Summand-wise m-duality; m inferred when not given."""
+    """Summand-wise m-duality; m inferred when not given (`infer_sdim`).
+
+    At a fixed m it is an involution: dual(dual(x, m), m) == x.  With m
+    inferred it is not in general, since each call infers its own window:
+    dual(dual(S(5))) is S(3)."""
     if not isinstance(x, WedgeComplex):
         x = wedge(x)
     m = infer_sdim(x) if sdim is None else sdim

@@ -5,8 +5,8 @@ elementary pieces; smash_decompose distributes over wedges, reduces every
 decomposable summand the rules emit, and will not hand back a result that an
 independent cross-check refutes (homology against the Kunneth value, mod-2
 dimensions, Sq invariants, or a search that finds no Sq-isomorphism).  The
-check goes claim by claim: each summand pair's answer is checked once per
-process (`verify.check_claims`).
+check goes claim by claim: each summand pair's answer is one claim, checked
+once per process (`verify.check_claims`).
 
 The same table decides which atoms exist: a pair it keeps whole
 (stays_whole) is the only kind of pair a SmashAtom may hold.
@@ -49,7 +49,7 @@ from .complexes import (POINT, ElementaryComplex, SmashAtom, Summand,
 from .errors import UnclassifiedPair, VerificationFailure
 # check_decomposition is no longer called here, but
 # `chang.smash.check_decomposition` stays a name that bench/tracing.py wraps
-from .verify import (VerificationReport, check_claims,  # noqa: F401
+from .verify import (Claim, VerificationReport, check_claims,  # noqa: F401
                      check_decomposition)
 
 __all__ = ["smash_decompose", "decompose_pair", "classified_pairs",
@@ -310,14 +310,14 @@ def smash_decompose(x, y) -> DecompositionResult:
     """
     X = x if isinstance(x, WedgeComplex) else wedge(x)
     Y = y if isinstance(y, WedgeComplex) else wedge(y)
-    claims: list[tuple[Summand, Summand, WedgeComplex]] = []
+    claims: list[Claim] = []
     branches: list[Branch] = []
     for cx in X.summands:
         for cy in Y.summands:
             w, brs = _decompose_pair_full(cx, cy)
-            claims.append((cx, cy, w))
+            claims.append((((cx, cy),), w))
             branches.extend(brs)
-    output = wedge(*(w for _, _, w in claims))
+    output = wedge(*(w for _, w in claims))
     report = check_claims(claims, output)
     failed = report.first_failure()
     if failed:

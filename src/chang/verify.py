@@ -5,33 +5,37 @@ formula, mod-2 data through the Cartan formula, and module isomorphism is
 decided by invariant profiles plus a bounded search of the F2 kernel of
 the maps commuting with Sq1, Sq2 and Sq4; `f2` does all the linear algebra.
 
-Certification works summand by summand.  Homology and the invariant
-profile (per degree: dimension and the ranks of Sq1, Sq2, Sq4, Sq1Sq2,
-Sq2Sq1, Sq2Sq2) add over wedges, and the tensor product distributes over
-them, so the values for X ^ Y are sums over the summand pairs of X and Y,
-and those for W sums over its summands.  Each pair and summand is worked
-out once per process, keyed by Sq-module type (`steenrod.module_id`) where
-only the module matters: each pair's tensor is `steenrod.pair_tensor`'s
-memoised module, and each module keeps its profile once computed.  The
-isomorphism search sums the memoised pair tensors and summand modules,
-reads their cached profiles, and its outcome is memoised by the modules of
-the summand pairs and of W.  Profiles are summed degree by degree in
-place, and the obstruction note of each atom summand is formatted once per
-atom.
+One gate, `check_claims`, checks X ^ Y ~ W given as claims (pairs, w): the
+wedge of a ^ b over the summand pairs (a, b) in pairs is w, and W is the
+wedge of the claimed w.  It has two callers.  `smash_decompose` knows the
+table's answer for each summand pair and passes one claim per pair;
+`check_decomposition` (`chang verify`) knows only W and passes one claim
+that holds every pair of X ^ Y.
 
-`check_decomposition` checks any claim X ^ Y ~ W as a whole (`chang
-verify`).  `smash_decompose` knows more: the claim w for each summand pair,
-with W the wedge of them.  `check_claims` checks each claim a ^ b ~ w once
-per process and adds up only mod-2 dimensions per op.  When w's module is
-the pair tensor itself, the pair's own atom, the identity is the
-isomorphism witness, so such a claim is certified without a profile or a
-search.
+Homology and the invariant profile (per degree: dimension and the ranks of
+Sq1, Sq2, Sq4, Sq1Sq2, Sq2Sq1, Sq2Sq2) add over wedges, and the tensor
+product distributes over them, so a claim's values are sums over its pairs
+and w's are sums over its summands.  Each claim is checked once per
+process, keyed by its ordered pairs and w's summands; its Sq check is
+shared by every claim with the same Sq-module types (`steenrod.module_id`).
+Each pair's tensor is `steenrod.pair_tensor`'s memoised module, and each
+module keeps its profile once computed.  When a claim is one pair and w's
+module is the pair tensor itself, the pair's own atom, the identity is the
+isomorphism witness, so the claim is certified without a profile.
+
+The op itself adds up only mod-2 dimensions, so that a wedge that drops or
+merges a summand still fails.  Its isomorphism verdict is True when every
+claim has the identity witness; otherwise a search runs on the sum of the
+pair tensors against the sum of W's summand modules, when it is small
+enough, memoised by their module types.  The obstruction note of each atom
+summand is formatted once per atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from operator import add
 
 from . import f2
@@ -222,28 +226,38 @@ class VerificationReport:
         return next((name for name, ok in checks if not ok), None)
 
 
-def _summand_pairs(X: WedgeComplex, Y: WedgeComplex):
-    """Each summand pair of X ^ Y, ordered by sort_key as an atom orders its
-    factors.  The Kunneth and Cartan formulas are symmetric up to
-    isomorphism, so the two orders of a pair share one memo entry."""
-    for a in X.summands:
-        for b in Y.summands:
-            yield (a, b) if a.sort_key <= b.sort_key else (b, a)
+Pair = tuple[Summand, Summand]
+# (the summand pairs (a, b), w): the wedge of the a ^ b is claimed to be w
+Claim = tuple[tuple[Pair, ...], WedgeComplex]
 
 
-@cache
+def _summand_pairs(X: WedgeComplex, Y: WedgeComplex) -> tuple[Pair, ...]:
+    """Each summand pair of X ^ Y; `check_claims` orders them."""
+    return tuple(product(X.summands, Y.summands))
+
+
 def _pair_homology(a: Summand, b: Summand) -> GradedAbelianGroup:
     return kunneth(integral_homology(a), integral_homology(b))
 
 
-def _smash_homology(X: WedgeComplex, Y: WedgeComplex) -> GradedAbelianGroup:
-    """H(X ^ Y) by the Kunneth formula, summed over the summand pairs."""
-    return wedge_homology(_pair_homology(a, b) for a, b in _summand_pairs(X, Y))
+def _dim_sum(parts) -> dict[int, int]:
+    """Per degree, the sum of the (degree, dimension) items of the parts."""
+    out: dict[int, int] = {}
+    for items in parts:
+        for d, n in items:
+            out[d] = out.get(d, 0) + n
+    return out
+
+
+def _module_key(pairs, w: WedgeComplex) -> tuple[tuple[int, ...], ...]:
+    """The Sq-module ids of the ordered pairs and of w's summands, which
+    decide every Sq check of a claim or an op."""
+    return (tuple(module_id(c) for pair in pairs for c in pair),
+            tuple(module_id(c) for c in w.summands))
 
 
 # memos keyed by Sq-module ids (`module_id`): obstruction reports per
-# (module, bottom, top), search outcomes per (modules of the ordered summand
-# pairs, of W)
+# (module, bottom, top), search outcomes per `_module_key` of the op
 _OBSTRUCTIONS: dict[tuple[int, int, int], ObstructionReport] = {}
 _SEARCHES: dict[tuple[tuple[int, ...], ...], object] = {}
 
@@ -258,38 +272,22 @@ def _direct_sum(parts: list[SqModule]) -> SqModule:
     return total
 
 
-def _smash_profile(X: WedgeComplex, Y: WedgeComplex) -> Profile:
-    """Profile of H*(X) @ H*(Y), summed over the summand pairs."""
-    return _profile_sum(_profile(pair_tensor(a, b))
-                        for a, b in _summand_pairs(X, Y))
-
-
-def _wedge_profile(W: WedgeComplex) -> Profile:
-    """Profile of H*(W), summed over its summands."""
-    return _profile_sum(_profile(mod2_cohomology(c)) for c in W.summands)
-
-
-def _search(pairs, W: WedgeComplex) -> object:
-    """Outcome of the Sq-isomorphism search for X ^ Y ~ W, given the
-    summand pairs of X ^ Y.  It depends only on the modules, so it is kept
-    per module ids.  The sum of the pair tensors is isomorphic to
-    H*(X) @ H*(Y), and the search is exhaustive, so searching it gives the
-    whole-op tensor's outcome."""
-    key = (tuple(module_id(c) for pair in pairs for c in pair),
-           tuple(module_id(c) for c in W.summands))
+def _iso_verdict(dims: dict[int, int], pairs: list[Pair],
+                 W: WedgeComplex) -> object:
+    """Outcome of the Sq-isomorphism search for X ^ Y ~ W, given the ordered
+    summand pairs of X ^ Y, or "skipped" when a degreewise map of the given
+    dimensions has more than SEARCH_BUDGET_BITS entries.  The outcome
+    depends only on the modules, so it is kept per module ids.  The sum of
+    the pair tensors is isomorphic to H*(X) @ H*(Y), and the search is
+    exhaustive, so searching it gives the whole-op tensor's outcome."""
+    if sum(n * n for n in dims.values()) > SEARCH_BUDGET_BITS:
+        return "skipped"
+    key = _module_key(pairs, W)
     if key not in _SEARCHES:
         tensor = _direct_sum([pair_tensor(a, b) for a, b in pairs])
         module = _direct_sum([mod2_cohomology(c) for c in W.summands])
         _SEARCHES[key] = sq_module_compare(tensor, module)[1]
     return _SEARCHES[key]
-
-
-def _iso_verdict(dims: dict[int, int], pairs, W: WedgeComplex) -> object:
-    """The whole-op search when a degreewise map of the given dimensions
-    has at most SEARCH_BUDGET_BITS entries, else "skipped"."""
-    if sum(n * n for n in dims.values()) > SEARCH_BUDGET_BITS:
-        return "skipped"
-    return _search(pairs, W)
 
 
 @cache
@@ -306,74 +304,51 @@ def _obstruction_note(c: SmashAtom) -> str:
             f"excluded Moore degrees {list(rep.excluded_moore_degrees)}")
 
 
-def check_decomposition(x, y, w) -> VerificationReport:
-    """Cross-check the claim X ^ Y ~ W without consulting the rule table."""
-    X = x if isinstance(x, WedgeComplex) else wedge(x)
-    Y = y if isinstance(y, WedgeComplex) else wedge(y)
-    W = w if isinstance(w, WedgeComplex) else wedge(w)
-    homology_ok = graded_iso(_smash_homology(X, Y), integral_homology(W))
-    tensor, module = _smash_profile(X, Y), _wedge_profile(W)
-    dims = {d: row[0] for d, row in tensor.items()}
-    mod2_ok = dims == {d: row[0] for d, row in module.items()}
-    inv_ok = tensor == module
-    iso = _iso_verdict(dims, list(_summand_pairs(X, Y)), W) if inv_ok else None
-    return VerificationReport(homology_ok, mod2_ok, inv_ok, iso, _notes(W))
-
-
 def _notes(W: WedgeComplex) -> tuple[str, ...]:
     return tuple(_obstruction_note(c) for c in W.summands
                  if isinstance(c, SmashAtom))
 
 
-# --- the smash path's gate: one check per claim ---------------------------
-#
-# smash_decompose claims a ^ b ~ w for each summand pair (a, b) of X ^ Y,
-# and W is the wedge of the claimed w.  Each claim is checked once per
-# process, keyed by its ordered pair and its w; its Sq check is shared by
-# every claim with the same module ids.  The op itself only adds up mod-2
-# dimensions, so that a wedge that drops or merges a summand still fails.
-
-Claim = tuple[Summand, Summand, WedgeComplex]
-
-# (ordered pair, w) -> (homology ok, Sq invariants ok, identity witness,
-# mod-2 dimensions of the pair tensor as (degree, dim) items)
-_CLAIMS: dict[Claim, tuple[bool, bool, bool, tuple]] = {}
-# (module ids of the ordered pair, of w's summands) -> the last three
+# (ordered pairs, w's summands) -> (homology ok, Sq invariants ok, identity
+# witness, mod-2 dimensions of the pairs' tensors as (degree, dim) items);
+# a canonical wedge is fixed by its summands
+_CLAIMS: dict[tuple, tuple[bool, bool, bool, tuple]] = {}
+# `_module_key` of the claim -> the last three
 _SQ_CLAIMS: dict[tuple, tuple[bool, bool, tuple]] = {}
 
 
-def _sq_claim(a: Summand, b: Summand, w: WedgeComplex
+def _sq_claim(pairs: tuple[Pair, ...], w: WedgeComplex
               ) -> tuple[bool, bool, tuple]:
-    """The Sq check of the claim a ^ b ~ w, per module ids.  When w is one
-    summand whose module is the pair tensor itself (the pair's own atom),
-    the identity is an isomorphism; otherwise the tensor's profile is
-    compared with the summed profiles of w's summands."""
-    key = (module_id(a), module_id(b),
-           tuple(module_id(c) for c in w.summands))
+    """The Sq check of a claim, per module ids.  When the claim is one pair
+    and w is one summand whose module is the pair tensor itself (the pair's
+    own atom), the identity is an isomorphism; otherwise the summed
+    profiles of the pair tensors are compared with those of w's summands."""
+    key = _module_key(pairs, w)
     got = _SQ_CLAIMS.get(key)
     if got is None:
-        tensor = pair_tensor(a, b)
+        tensors = [pair_tensor(a, b) for a, b in pairs]
         parts = [mod2_cohomology(c) for c in w.summands]
-        if len(parts) == 1 and parts[0] is tensor:
-            inv_ok = identity = True
-        else:
-            identity = False
-            inv_ok = _profile(tensor) == _profile_sum(map(_profile, parts))
-        got = _SQ_CLAIMS[key] = (inv_ok, identity,
-                                 tuple(tensor.dims().items()))
+        identity = len(tensors) == len(parts) == 1 and parts[0] is tensors[0]
+        inv_ok = identity or (_profile_sum(map(_profile, tensors))
+                              == _profile_sum(map(_profile, parts)))
+        dims = _dim_sum(t.dims().items() for t in tensors)
+        got = _SQ_CLAIMS[key] = (inv_ok, identity, tuple(dims.items()))
     return got
 
 
-def _claim(a: Summand, b: Summand, w: WedgeComplex
+def _claim(pairs: tuple[Pair, ...], w: WedgeComplex
            ) -> tuple[bool, bool, bool, tuple]:
-    """The checks of one claim a ^ b ~ w, with the pair ordered by sort_key
-    as `_summand_pairs` orders it."""
-    key = (a, b, w)
+    """The checks of one claim, its pairs ordered; a one-pair claim takes
+    the pair's Kunneth value as it is."""
+    key = (pairs, w.summands)
     got = _CLAIMS.get(key)
     if got is None:
-        got = _CLAIMS[key] = (
-            graded_iso(_pair_homology(a, b), integral_homology(w)),
-            *_sq_claim(a, b, w))
+        if len(pairs) == 1:
+            homology = _pair_homology(*pairs[0])
+        else:
+            homology = wedge_homology(_pair_homology(a, b) for a, b in pairs)
+        got = _CLAIMS[key] = (graded_iso(homology, integral_homology(w)),
+                              *_sq_claim(pairs, w))
     return got
 
 
@@ -384,35 +359,44 @@ def _summand_dims(c: Summand) -> tuple[tuple[int, int], ...]:
 
 def check_claims(claims: list[Claim], W: WedgeComplex
                  ) -> VerificationReport:
-    """Cross-check X ^ Y ~ W from the claims (a, b, w), one per summand
-    pair (a, b) of X ^ Y, where W is the wedge of the claimed w.
+    """Cross-check X ^ Y ~ W from claims (pairs, w) that between them hold
+    every summand pair of X ^ Y once, where W is the wedge of the claimed w.
 
-    Homology and Sq invariants are checked per claim; mod-2 dimensions are
-    summed over the claims and compared with W's.  sq_iso_found is True
-    when every claim has the identity witness; otherwise it is the whole-op
-    search's outcome, or "skipped" for size, as in check_decomposition."""
+    Each pair is ordered by sort_key, as an atom orders its factors; the
+    Kunneth and Cartan formulas are symmetric up to isomorphism, so the two
+    orders of a pair share one memo entry.  Homology and Sq invariants are
+    checked per claim; mod-2 dimensions are summed over the claims and
+    compared with W's.  sq_iso_found is True when every claim has the
+    identity witness, None on an Sq invariant mismatch, and otherwise the
+    whole-op search's outcome, or "skipped" for size."""
     homology_ok = inv_ok = identity = True
-    pairs = []
-    dims: dict[int, int] = {}
-    for a, b, w in claims:
-        if a.sort_key > b.sort_key:
-            a, b = b, a
-        pairs.append((a, b))
-        h_ok, sq_ok, own, tensor_dims = _claim(a, b, w)
+    ordered: list[Pair] = []
+    tensor_dims = []
+    for pairs, w in claims:
+        pairs = tuple([(a, b) if a.sort_key <= b.sort_key else (b, a)
+                       for a, b in pairs])
+        ordered += pairs
+        h_ok, sq_ok, own, pair_dims = _claim(pairs, w)
         homology_ok &= h_ok
         inv_ok &= sq_ok
         identity &= own
-        for d, n in tensor_dims:
-            dims[d] = dims.get(d, 0) + n
-    have: dict[int, int] = {}
-    for c in W.summands:
-        for d, n in _summand_dims(c):
-            have[d] = have.get(d, 0) + n
+        tensor_dims.append(pair_dims)
+    dims = _dim_sum(tensor_dims)
     if not inv_ok:
         iso = None
     elif identity:
         iso = True
     else:
-        iso = _iso_verdict(dims, pairs, W)
-    return VerificationReport(homology_ok, dims == have, inv_ok, iso,
-                              _notes(W))
+        iso = _iso_verdict(dims, ordered, W)
+    return VerificationReport(homology_ok,
+                              dims == _dim_sum(map(_summand_dims, W.summands)),
+                              inv_ok, iso, _notes(W))
+
+
+def check_decomposition(x, y, w) -> VerificationReport:
+    """Cross-check the claim X ^ Y ~ W without consulting the rule table:
+    one claim that holds every summand pair of X ^ Y."""
+    X = x if isinstance(x, WedgeComplex) else wedge(x)
+    Y = y if isinstance(y, WedgeComplex) else wedge(y)
+    W = w if isinstance(w, WedgeComplex) else wedge(w)
+    return check_claims([(_summand_pairs(X, Y), W)], W)

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WedgeComplex,
                              moore, smash_atom, sphere, suspend, wedge)
 from chang.homology import integral_homology, kunneth
 
-from conftest import elementary_samples
+from conftest import WIDE_PIECES, elementary_samples, every_piece
 
 
 def test_suspend_shifts_dimensions():
@@ -378,6 +380,21 @@ def test_equality_and_hashing_are_identity():
     assert suspend(smash_atom(moore(2, 3, 3), cbot(1, 5)), 3).summands[0] is a
     m = infer_sdim(wedge(a))
     assert dual(dual(a, m), m).summands[0] is a
+
+
+def test_dual_is_an_involution_at_a_fixed_window():
+    # every piece, and every atom the 861 wide pairs decompose into, comes
+    # back at its own inferred window m
+    from chang.smash import smash_decompose
+    atoms = {c for a, b in combinations_with_replacement(WIDE_PIECES, 2)
+             for c in smash_decompose(a, b).output.summands
+             if isinstance(c, SmashAtom)}
+    assert len(atoms) == 236
+    for x in every_piece() + sorted(atoms, key=lambda c: c.sort_key):
+        m = infer_sdim(wedge(x))
+        assert dual(dual(x, m), m) == wedge(x), (str(x), m)
+    # with the window inferred anew by each call it is not an involution
+    assert dual(dual(sphere(5))) == wedge(sphere(3))
 
 
 def test_copies_and_pickles_keep_identity():

@@ -155,6 +155,29 @@ def test_cli_exit_codes(capsys):
     assert code == 3
 
 
+def test_cli_verify_certifies_a_pair_against_its_own_atom(capsys):
+    # the claim is one pair whose W is the pair's own atom, so the identity
+    # is its Sq-isomorphism witness, where the capped search would skip
+    argv = ("verify", "Cbot(1,5)", "C(1,5,2)", "Cbot(1,5)^C(1,5,2)")
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0 and out == (
+        "homology: ok\nmod2 dimensions: ok\nsq invariants: ok\n"
+        "sq isomorphism: True\nnote: Cbot(1,5)^C(1,5,2): split obstructions "
+        "hold; excluded Moore degrees [7, 8]\n")
+    code, out = run_cli(*argv, "--format", "structured", capsys=capsys)
+    assert code == 0 and out == (
+        "command = verify\nx = Cbot(1,5)\ny = C(1,5,2)\n"
+        "w = Cbot(1,5)^C(1,5,2)\nhomology = true\nmod2 = true\n"
+        "sq_invariants = true\nsq_iso = true\n")
+    # a wrong exponent in the atom keeps its Sq-module, so the identity is
+    # still a witness, but the integral homology refutes the claim
+    code, out = run_cli("verify", "Cbot(1,5)", "Cbot(2,5)",
+                        "Cbot(1,5)^Cbot(3,5)", capsys=capsys)
+    assert code == 1
+    assert out.startswith("homology: FAIL\n")
+    assert "sq isomorphism: True\n" in out
+
+
 def test_cli_homology_and_dual(capsys):
     code, out = run_cli("homology", "C(1,5,2)^C(2,5,3)", capsys=capsys)
     assert code == 0
@@ -172,6 +195,10 @@ def test_cli_table_coverage(capsys):
     assert "cfull-cfull/dual" in out
     assert "moore-moore/coprime" in out
     assert "total pairs: 367; rules hit: 35" in out.splitlines()
+    # the flag is accepted and changes nothing
+    assert run_cli("table", capsys=capsys) == (code, out)
+    code, out = run_cli("table", "--help", capsys=capsys)
+    assert code == 0 and "accepted and changes nothing" in out
 
 
 def test_cli_cohomology_sq(capsys):

@@ -328,9 +328,9 @@ def test_memos_sit_below_the_solve_seam(monkeypatch):
 def test_claim_gate_fails_an_output_missing_a_summand(monkeypatch):
     x = wedge(moore(2, 2, 3), cbot(1, 5))
     y = wedge(cfull(1, 5, 2), ceta(5))
-    claims = [(a, b, decompose_pair(a, b)[0])
+    claims = [(((a, b),), decompose_pair(a, b)[0])
               for a in x.summands for b in y.summands]
-    w = wedge(*(c for *_, c in claims))
+    w = wedge(*(c for _, c in claims))
     assert check_claims(claims, w).all_true()
     for i in range(len(w.summands)):
         short = WedgeComplex(w.summands[:i] + w.summands[i + 1:])
@@ -354,7 +354,7 @@ def test_wrong_exponent_atom_claim_fails_homology(monkeypatch):
     a, b = cbot(1, 5), cbot(2, 5)
     wrong = SmashAtom(cbot(1, 5), cbot(3, 5))
     assert module_id(b) == module_id(wrong.right)
-    rep = check_claims([(a, b, wedge(wrong))], wedge(wrong))
+    rep = check_claims([(((a, b),), wedge(wrong))], wedge(wrong))
     assert rep.mod2_match and rep.sq_invariants_match
     assert rep.sq_iso_found is True
     assert not rep.homology_match and rep.first_failure() == "homology"
@@ -369,6 +369,8 @@ def test_warm_claims_are_not_summed_again(monkeypatch):
     pairs = list(combinations_with_replacement(WIDE_PIECES, 2))
     for a, b in pairs:
         smash_decompose(a, b)
+    x, y = wedge(*WIDE_PIECES[:2]), wedge(WIDE_PIECES[2])
+    w = smash_decompose(x, y).output
     calls = []
     for mod, name in ((homology, "wedge_homology"), (verify, "wedge_homology"),
                       (verify, "_profile_sum")):
@@ -379,10 +381,31 @@ def test_warm_claims_are_not_summed_again(monkeypatch):
         smash_decompose(a, b)
         smash_decompose(b, a)
     assert calls == []
-    # the whole-op oracle sums on every call, through the same names
-    a, b = pairs[-1]
-    check_decomposition(a, b, smash_decompose(a, b).output)
+    # a cold claim of several pairs sums through the same names, and its
+    # warm repeat does not
+    monkeypatch.setattr(verify, "_CLAIMS", {})
+    monkeypatch.setattr(verify, "_SQ_CLAIMS", {})
+    cold = check_decomposition(x, y, w)
     assert {"wedge_homology", "_profile_sum"} <= set(calls)
+    calls.clear()
+    assert check_decomposition(x, y, w) == cold and calls == []
+
+
+def test_claim_memo_never_hashes_a_wedge(monkeypatch):
+    # the memo keys on w's summand tuple, whose hash is C-level, where the
+    # dataclass hash of a wedge is a Python call
+    from chang import verify
+    calls = []
+    real = WedgeComplex.__hash__
+    monkeypatch.setattr(WedgeComplex, "__hash__",
+                        lambda w: calls.append(w) or real(w))
+    monkeypatch.setattr(verify, "_CLAIMS", {})
+    monkeypatch.setattr(verify, "_SQ_CLAIMS", {})
+    pairs = list(combinations_with_replacement(WIDE_PIECES, 2))
+    for _warm in (False, True):
+        for a, b in pairs:
+            smash_decompose(a, b)
+    assert len(verify._CLAIMS) > 100 and calls == []
 
 
 # --- properties over exponents 1..6 and suspensions 0..4 --------------------
