@@ -25,10 +25,9 @@ isomorphism witness, so the claim is certified without a profile.
 
 The op itself adds up only mod-2 dimensions, so that a wedge that drops or
 merges a summand still fails.  Its isomorphism verdict is True when every
-claim has the identity witness; otherwise a search runs on the sum of the
-pair tensors against the sum of W's summand modules, when it is small
-enough, memoised by their module types.  The obstruction note of each atom
-summand is formatted once per atom.
+claim has the identity witness, on the smash path only; otherwise a search
+runs on the sum of the pair tensors against W's summand modules, when small
+enough, memoised by their module types.  Obstruction notes are per atom.
 """
 
 from __future__ import annotations
@@ -357,8 +356,8 @@ def _summand_dims(c: Summand) -> tuple[tuple[int, int], ...]:
     return tuple(mod2_cohomology(c).dims().items())
 
 
-def check_claims(claims: list[Claim], W: WedgeComplex
-                 ) -> VerificationReport:
+def check_claims(claims: list[Claim], W: WedgeComplex, *,
+                 identity_witness: bool = True) -> VerificationReport:
     """Cross-check X ^ Y ~ W from claims (pairs, w) that between them hold
     every summand pair of X ^ Y once, where W is the wedge of the claimed w.
 
@@ -366,9 +365,9 @@ def check_claims(claims: list[Claim], W: WedgeComplex
     Kunneth and Cartan formulas are symmetric up to isomorphism, so the two
     orders of a pair share one memo entry.  Homology and Sq invariants are
     checked per claim; mod-2 dimensions are summed over the claims and
-    compared with W's.  sq_iso_found is True when every claim has the
-    identity witness, None on an Sq invariant mismatch, and otherwise the
-    whole-op search's outcome, or "skipped" for size."""
+    compared with W's.  sq_iso_found is True when identity_witness is set
+    and every claim has that witness, None on an Sq invariant mismatch, and
+    otherwise the whole-op search's outcome, or "skipped" for size."""
     homology_ok = inv_ok = identity = True
     ordered: list[Pair] = []
     tensor_dims = []
@@ -384,7 +383,7 @@ def check_claims(claims: list[Claim], W: WedgeComplex
     dims = _dim_sum(tensor_dims)
     if not inv_ok:
         iso = None
-    elif identity:
+    elif identity and identity_witness:
         iso = True
     else:
         iso = _iso_verdict(dims, ordered, W)
@@ -395,8 +394,9 @@ def check_claims(claims: list[Claim], W: WedgeComplex
 
 def check_decomposition(x, y, w) -> VerificationReport:
     """Cross-check the claim X ^ Y ~ W without consulting the rule table:
-    one claim that holds every summand pair of X ^ Y."""
+    one claim of every summand pair of X ^ Y, its verdict the search's."""
     X = x if isinstance(x, WedgeComplex) else wedge(x)
     Y = y if isinstance(y, WedgeComplex) else wedge(y)
     W = w if isinstance(w, WedgeComplex) else wedge(w)
-    return check_claims([(_summand_pairs(X, Y), W)], W)
+    return check_claims([(_summand_pairs(X, Y), W)], W,
+                        identity_witness=False)

@@ -155,22 +155,27 @@ def test_cli_exit_codes(capsys):
     assert code == 3
 
 
-def test_cli_verify_certifies_a_pair_against_its_own_atom(capsys):
-    # the claim is one pair whose W is the pair's own atom, so the identity
-    # is its Sq-isomorphism witness, where the capped search would skip
+def test_cli_verify_on_a_pair_and_its_own_atom(capsys):
+    # the claim is one pair whose W is the pair's own atom: the smash path
+    # takes the identity as its witness, but `chang verify` reports the
+    # capped search, which skips a module this size
+    from chang.complexes import cbot, cfull
+    from chang.smash import smash_decompose
+    assert smash_decompose(cbot(1, 5), cfull(1, 5, 2)).verification \
+        .sq_iso_found is True
     argv = ("verify", "Cbot(1,5)", "C(1,5,2)", "Cbot(1,5)^C(1,5,2)")
     code, out = run_cli(*argv, capsys=capsys)
     assert code == 0 and out == (
         "homology: ok\nmod2 dimensions: ok\nsq invariants: ok\n"
-        "sq isomorphism: True\nnote: Cbot(1,5)^C(1,5,2): split obstructions "
-        "hold; excluded Moore degrees [7, 8]\n")
+        "sq isomorphism: skipped\nnote: Cbot(1,5)^C(1,5,2): split "
+        "obstructions hold; excluded Moore degrees [7, 8]\n")
     code, out = run_cli(*argv, "--format", "structured", capsys=capsys)
     assert code == 0 and out == (
         "command = verify\nx = Cbot(1,5)\ny = C(1,5,2)\n"
         "w = Cbot(1,5)^C(1,5,2)\nhomology = true\nmod2 = true\n"
-        "sq_invariants = true\nsq_iso = true\n")
-    # a wrong exponent in the atom keeps its Sq-module, so the identity is
-    # still a witness, but the integral homology refutes the claim
+        "sq_invariants = true\nsq_iso = skipped\n")
+    # a wrong exponent in the atom keeps its Sq-module, so the search finds
+    # an isomorphism, but the integral homology refutes the claim
     code, out = run_cli("verify", "Cbot(1,5)", "Cbot(2,5)",
                         "Cbot(1,5)^Cbot(3,5)", capsys=capsys)
     assert code == 1

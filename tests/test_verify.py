@@ -1,6 +1,5 @@
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings, strategies as st
@@ -252,9 +251,7 @@ def _whole_op_report(X, Y, W) -> VerificationReport:
 def _assert_sums_match_whole_op(X, Y, W, report=True):
     """The engine's sums over the summand pairs of X ^ Y and the summands of
     W equal the whole-op values, and its report equals the whole-op
-    oracle's.  The one difference allowed is the identity witness: it
-    certifies a one-pair claim whose W is the pair's own atom, which the
-    capped search skips."""
+    oracle's, isomorphism verdict included."""
     pairs = verify._summand_pairs(X, Y)
     tensor = cartan_smash_sq(mod2_cohomology(X), mod2_cohomology(Y))
     assert _dense(verify._profile_sum(verify._profile(pair_tensor(a, b))
@@ -267,13 +264,8 @@ def _assert_sums_match_whole_op(X, Y, W, report=True):
         kunneth(_folded_homology(X), _folded_homology(Y))
     assert integral_homology(W) == _folded_homology(W)
     if report:
-        got, want = check_decomposition(X, Y, W), _whole_op_report(X, Y, W)
-        if got.sq_iso_found != want.sq_iso_found:
-            assert (got.sq_iso_found, want.sq_iso_found) == (True, "skipped")
-            (a, b), = pairs
-            assert W == wedge(smash_atom(a, b))
-            got = replace(got, sq_iso_found="skipped")
-        assert repr(got) == repr(want)
+        assert repr(check_decomposition(X, Y, W)) == \
+            repr(_whole_op_report(X, Y, W))
 
 
 def test_summed_invariants_match_whole_modules_on_wide_pairs():
@@ -330,9 +322,10 @@ def test_summed_invariants_match_whole_modules_on_wide_ops():
 
 def test_cli_verify_verdicts_over_the_grid_claims(capsys):
     # `chang verify` on each grid pair's own output, the bench's 371 verify
-    # claims: every verdict is the whole-op oracle's, except that a pair
-    # claimed as its own atom reads True where the capped search skips
-    changed = 0
+    # claims: every verdict is the whole-op oracle's, also where the pair is
+    # claimed as its own atom, whose identity witness only the smash path
+    # takes
+    own_atoms = Counter()
     for a, b in classified_pairs():
         w = smash_decompose(a, b).output
         code = cli.main(["verify", str(a), str(b), str(w),
@@ -341,26 +334,23 @@ def test_cli_verify_verdicts_over_the_grid_claims(capsys):
                    for line in capsys.readouterr().out.splitlines())
         want = _whole_op_report(wedge(a), wedge(b), w)
         assert code == 0 and want.first_failure() is None
-        if out["sq_iso"] != str(want.sq_iso_found).lower():
-            assert (out["sq_iso"], want.sq_iso_found) == ("true", "skipped")
-            assert isinstance(w.summands[0], SmashAtom)
+        assert out["sq_iso"] == str(want.sq_iso_found).lower()
+        if len(w.summands) == 1 and isinstance(w.summands[0], SmashAtom):
             assert w == wedge(smash_atom(a, b))
-            changed += 1
-    assert changed == 20
+            own_atoms[out["sq_iso"]] += 1
+    assert own_atoms == {"true": 52, "skipped": 20}
 
 
 def _gate_against_oracle(X, Y, isos: Counter) -> None:
     """smash_decompose's claims, one per summand pair, agree with
-    check_decomposition's one claim of every pair on every invariant.  On a
-    one-pair op the verdicts agree exactly; on more pairs they differ only
-    where the identity witness certifies what the capped search skips."""
+    check_decomposition's one claim of every pair on every invariant; the
+    iso verdicts differ only where the identity witness, which only the
+    smash path takes, certifies what the capped search skips."""
     res = smash_decompose(X, Y)
     got, want = res.verification, check_decomposition(X, Y, res.output)
     assert (got.homology_match, got.mod2_match, got.sq_invariants_match) == \
         (want.homology_match, want.mod2_match, want.sq_invariants_match)
     assert got.obstruction_notes == want.obstruction_notes
-    if len(X.summands) * len(Y.summands) == 1:
-        assert repr(got.sq_iso_found) == repr(want.sq_iso_found)
     if want.sq_iso_found is True:
         assert got.sq_iso_found is True
     if got.sq_iso_found is True:
@@ -382,10 +372,10 @@ def test_claim_gate_agrees_with_the_whole_op_oracle():
                 for _side in range(2))
         _gate_against_oracle(X, Y, ops)
     assert sum(wide.values()) == 861 and sum(grid.values()) == 371
-    for isos in (wide, grid):
-        assert isos[True, True] and isos["skipped", "skipped"]
-    # the identity witness certifies ops the capped search skips
-    assert ops[True, True] and ops[True, "skipped"] and ops["skipped", "skipped"]
+    # the identity witness certifies claims the capped search skips
+    for isos in (wide, grid, ops):
+        assert isos[True, True] and isos[True, "skipped"]
+        assert isos["skipped", "skipped"]
 
 
 def _search_by_backtracking(m1: SqModule, m2: SqModule) -> bool:
