@@ -406,11 +406,7 @@ def _dual_dim(c: ElementaryComplex, m: int) -> int:
     return m - c.bottom - c.top + c.dim
 
 
-def _dualizable_at(c: Summand, m: int) -> bool:
-    if isinstance(c, SmashAtom):
-        _, sl = base_form(dual_elementary(c.left, 8))
-        _, sr = base_form(dual_elementary(c.right, 8))
-        return m - 16 - c.shift + sl + sr >= 0
+def _dualizable_at(c: ElementaryComplex, m: int) -> bool:
     return not c.cells() or _dual_dim(c, m) >= c.family.min_dim
 
 
@@ -427,6 +423,8 @@ def _dual_atom(a: SmashAtom, m: int) -> SmashAtom:
     dl, sl = base_form(dual_elementary(a.left, 8))
     dr, sr = base_form(dual_elementary(a.right, 8))
     shift = (m - 16 - a.shift) + sl + sr
+    if shift < 0:
+        raise WindowError(f"{a} has no dual in the S^{m} window")
     if dl.sort_key > dr.sort_key:
         dl, dr = dr, dl
     return SmashAtom(dl, dr, shift)
@@ -461,12 +459,12 @@ def dual(x: Summand | WedgeComplex, sdim: int | None = None) -> WedgeComplex:
     m = infer_sdim(x) if sdim is None else sdim
     out: list[Summand] = []
     for c in x.summands:
-        if not _dualizable_at(c, m):
-            raise WindowError(f"{c} has no dual in the S^{m} window")
         if isinstance(c, SmashAtom):
             out.append(_dual_atom(c, m))
-        else:
+        elif _dualizable_at(c, m):
             out.append(dual_elementary(c, m))
+        else:
+            raise WindowError(f"{c} has no dual in the S^{m} window")
     return canonicalize(WedgeComplex(tuple(out)))
 
 

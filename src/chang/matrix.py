@@ -13,6 +13,9 @@ eta attachments).  `homology_of_cone` reads its boundary, and `split_cone`
 names a block by matching the complex against the cells, boundary and eta
 pairs of each `complexes.FAMILIES` entry; only the few cones that are not
 the cells of a single family are written out here.
+Each term is spelled once, by `spell`: printed with Greek bits and display
+names, or as the ASCII literal that `parse_morphism` reads back, which is
+what `matrix_to_json` writes.
 Composition is resolved through a deliberately partial relation table:
 anything it does not know raises UnknownComposition instead of guessing.
 """
@@ -132,43 +135,48 @@ class Coef:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
+    def spell(self, ascii: bool = False) -> str:
+        """Printed with Greek bits, or with ascii as a literal that
+        `parse_morphism` reads back: bits k, k2, e, e2 and '*' between
+        factors."""
+        sep = "*" if ascii else ""
         parts = []
         for m in sorted(self.terms, key=lambda m: (len(m), sorted(m))):
-            c = self.terms[m]
-            mono = "".join(_BIT_DISPLAY[b] for b in sorted(m))
-            if not mono:
-                parts.append(_pretty_int(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{_pretty_int(c)}{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+            mono = sep.join(b if ascii else _BIT_DISPLAY[b] for b in sorted(m))
+            parts.append(_times(_pretty_int(self.terms[m]), mono, sep))
+        return _signed_sum(parts)
 
-    def literal(self) -> str:
-        """Parseable ASCII spelling (bits as k, k2, e, e2)."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (len(m), sorted(m))):
-            c = self.terms[m]
-            mono = "*".join(sorted(m))
-            if not mono:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{mono}" if c != 1 else mono)
-        return " + ".join(parts).replace("+ -", "- ")
+
+def _times(c: str, x: str, sep: str) -> str:
+    """The spelling of c times x, sep between them, where x is empty for a
+    scalar: a coefficient +-1 is left out, and one that is a sum is
+    bracketed."""
+    if not x:
+        return c
+    if c == "1":
+        return x
+    if c == "-1":
+        return "-" + x
+    if "+" in c[1:] or "-" in c[1:]:
+        c = f"({c})"
+    return c + sep + x
+
+
+def _signed_sum(parts: list[str]) -> str:
+    """The terms joined by their signs, '+' where a term has none."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p
+                              for p in parts[1:])
+
+
+def _pin_bits(terms, values: dict[str, int]) -> tuple[tuple[Coef, str], ...]:
+    """The (coefficient, generator) terms with the bits pinned to values."""
+    return tuple((Coef(c.evaluate(values)), g) for c, g in terms)
 
 
 def _pretty_int(c: int) -> str:
-    a, n = abs(c), abs(c)
+    n = abs(c)
     e = 0
     while n % 2 == 0 and n > 1:
         n //= 2
@@ -177,9 +185,6 @@ def _pretty_int(c: int) -> str:
         body = f"2^{e}" if e > 1 else "2"
         return "-" + body if c < 0 else body
     return str(c)
-
-
-_ONE = Coef(1)
 
 
 # --- generators and morphisms ----------------------------------------------
@@ -218,8 +223,7 @@ class FormalMorphism:
 
     def evaluate_bits(self, values: dict[str, int]) -> "FormalMorphism":
         return FormalMorphism(self.source, self.target,
-                              tuple((Coef(c.evaluate(values)), g)
-                                    for c, g in self.terms))
+                              _pin_bits(self.terms, values))
 
     def scale(self, k: int) -> "FormalMorphism":
         return FormalMorphism(self.source, self.target,
@@ -228,41 +232,20 @@ class FormalMorphism:
     def negate(self) -> "FormalMorphism":
         return self.scale(-1)
 
-    def literal(self) -> str:
-        """Parseable spelling with semantic generator names."""
-        if not self.terms:
-            return "0"
+    def spell(self, ascii: bool = False) -> str:
+        """Printed with display names (η, ξ_2^1, ...), or with ascii as the
+        literal that `parse_morphism` reads back."""
         parts = []
         for c, g in self.terms:
             if g == "id":
-                parts.append(c.literal() if len(c.terms) == 1
-                             else f"({c.literal()})")
-            elif c == _ONE:
-                parts.append(g)
+                name = ""
             else:
-                parts.append(f"({c.literal()})*{g}")
-        return " + ".join(parts)
+                name = g if ascii else _gen_display(g, self.source, self.target)
+            parts.append(_times(c.spell(ascii), name, "*" if ascii else ""))
+        return _signed_sum(parts)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for c, g in self.terms:
-            cs = c.render()
-            if g == "id":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(_gen_display(g, self.source, self.target))
-            elif cs == "-1":
-                parts.append("-" + _gen_display(g, self.source, self.target))
-            else:
-                if "+" in cs[1:] or "-" in cs[1:]:
-                    cs = f"({cs})"
-                parts.append(cs + _gen_display(g, self.source, self.target))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return self.spell()
 
 
 # --- the relation table -----------------------------------------------------
@@ -285,11 +268,8 @@ class RelationTable:
 
     def evaluate_bits(self, values: dict[str, int]) -> "RelationTable":
         """The table with the undetermined bits pinned to concrete values."""
-        rules = {}
-        for key, terms in self.compose_rules.items():
-            rules[key] = tuple((Coef(c.evaluate(values)), g)
-                               for c, g in terms)
-        return RelationTable(rules)
+        return RelationTable({key: _pin_bits(terms, values)
+                              for key, terms in self.compose_rules.items()})
 
     # generator order in [src, tgt]; 0 means no reduction applies
     def order(self, gen: str, src: Summand, tgt: Summand) -> int:
@@ -325,40 +305,35 @@ class RelationTable:
             return 2
         return 0
 
-    def rewrite(self, gen: str, coef: Coef, src: Summand, tgt: Summand):
+    def rewrite(self, gen: str, coef: Coef, src: Summand,
+                tgt: Summand) -> tuple[Coef, str]:
         """Rewrite a term into the canonical basis of [src, tgt]."""
         se, te = _moore_exp(src), _moore_exp(tgt)
         if se is None or te is None:
-            return [(coef, gen)]
+            return coef, gen
         same_dim = src.dim == tgt.dim
         if same_dim and gen == "B" and se == te:
-            return [(coef, "id")]
+            return coef, "id"
         if same_dim and se == te == 1 and gen == "ietaq":
-            return [(coef.scale(2), "id")]
+            return coef.scale(2), "id"
         if src.dim == tgt.dim + 1 and gen == "ietaetaq":
             if se > 1 and te == 1:
-                return [(coef.scale(2), "xiM")]
+                return coef.scale(2), "xiM"
             if se == 1 and te > 1:
-                return [(coef.scale(2), "etamix")]
-        return [(coef, gen)]
+                return coef.scale(2), "etamix"
+        return coef, gen
 
     def normalize(self, m: FormalMorphism) -> FormalMorphism:
         acc: dict[str, Coef] = {}
         for coef, gen in m.terms:
-            for c2, g2 in self.rewrite(gen, coef, m.source, m.target):
-                acc[g2] = acc.get(g2, Coef(0)) + c2
+            c2, g2 = self.rewrite(gen, coef, m.source, m.target)
+            acc[g2] = acc.get(g2, Coef(0)) + c2
         out = []
         for gen in sorted(acc):
             c = acc[gen].reduce_mod(self.order(gen, m.source, m.target))
             if not c.is_zero():
                 out.append((c, gen))
         return FormalMorphism(m.source, m.target, tuple(out))
-
-    def compose_gens(self, g: str, f: str) -> tuple:
-        """Terms of g o f (names only; identity handled by the caller)."""
-        if (g, f) in self.compose_rules:
-            return self.compose_rules[(g, f)]
-        raise UnknownComposition(f"no rule for {g!r} o {f!r}")
 
     def compose(self, f: FormalMorphism, g: FormalMorphism) -> FormalMorphism:
         """f o g (so target(g) = source(f)), bilinear over the table."""
@@ -372,9 +347,11 @@ class RelationTable:
                     terms.append((c, gg))
                 elif gg == "id":
                     terms.append((c, gf))
-                else:
-                    for cr, gr in self.compose_gens(gf, gg):
+                elif (gf, gg) in self.compose_rules:
+                    for cr, gr in self.compose_rules[(gf, gg)]:
                         terms.append((c * cr, gr))
+                else:
+                    raise UnknownComposition(f"no rule for {gf!r} o {gg!r}")
         return self.normalize(FormalMorphism(g.source, f.target, tuple(terms)))
 
 
@@ -411,7 +388,7 @@ def _vint(v: dict) -> int:
 _LITERAL = _Values(
     "morphism literal", frozenset(),
     num=lambda n: {"id": Coef(n)},
-    name=lambda t: {"id": Coef.bit(t)} if t in BITS else {t: _ONE},
+    name=lambda t: {"id": Coef.bit(t)} if t in BITS else {t: Coef(1)},
     call=None, add=_vadd, mul=_vmul,
     neg=lambda v: {g: -c for g, c in v.items()},
     pow=lambda a, b: {"id": Coef(power(_vint(a), _vint(b)))})
@@ -1025,7 +1002,7 @@ def matrix_from_json(doc, table: RelationTable | None = None) -> MorphismMatrix:
 def matrix_to_json(M: MorphismMatrix) -> dict:
     return {"rows": [str(r) for r in M.rows],
             "cols": [str(c) for c in M.cols],
-            "entries": [[i + 1, j + 1, M.entry(i, j).literal()]
+            "entries": [[i + 1, j + 1, M.entry(i, j).spell(ascii=True)]
                         for i in range(len(M.rows))
                         for j in range(len(M.cols))
                         if not M.entry(i, j).is_zero()]}

@@ -264,39 +264,30 @@ def parse_summand(text: str) -> ElementaryComplex:
     return _atom_complex(e)
 
 
+def _fold(e: Expr, leaf, plus, times):
+    """Evaluate e along its structure: plus over the parts of a wedge, times
+    over the factors of a smash from left to right, a shift for susp, and
+    leaf on the lowered wedge of a piece or D(...)."""
+    if e.head == "wedge":
+        return plus([_fold(kid, leaf, plus, times) for kid in e.kids])
+    if e.head == "smash":
+        out = _fold(e.kids[0], leaf, plus, times)
+        for kid in e.kids[1:]:
+            out = times(out, _fold(kid, leaf, plus, times))
+        return out
+    if e.head == "susp":
+        return _fold(e.kids[0], leaf, plus, times).shift(e.args[0])
+    return leaf(lower(e))
+
+
 def homology_of_expression(e: Expr):
     """Integral homology along the structure of the expression: smash nodes
     use the Kunneth formula directly, independent of the decision table."""
-    from .homology import integral_homology, kunneth
-    if e.head == "wedge":
-        out = homology_of_expression(e.kids[0])
-        for kid in e.kids[1:]:
-            out = out.direct_sum(homology_of_expression(kid))
-        return out
-    if e.head == "smash":
-        out = homology_of_expression(e.kids[0])
-        for kid in e.kids[1:]:
-            out = kunneth(out, homology_of_expression(kid))
-        return out
-    if e.head == "susp":
-        return homology_of_expression(e.kids[0]).shift(e.args[0])
-    if e.head == "dual":
-        return integral_homology(lower(e))
-    return integral_homology(cx.wedge(_atom_complex(e)))
+    from .homology import integral_homology, kunneth, wedge_homology
+    return _fold(e, integral_homology, wedge_homology, kunneth)
 
 
 def sqmodule_of_expression(e: Expr):
     """Mod-2 cohomology along the structure: smashes by the Cartan formula."""
     from .steenrod import cartan_smash_sq, mod2_cohomology, wedge_sum
-    if e.head == "wedge":
-        return wedge_sum([sqmodule_of_expression(kid) for kid in e.kids])
-    if e.head == "smash":
-        out = sqmodule_of_expression(e.kids[0])
-        for kid in e.kids[1:]:
-            out = cartan_smash_sq(out, sqmodule_of_expression(kid))
-        return out
-    if e.head == "susp":
-        return sqmodule_of_expression(e.kids[0]).shift(e.args[0])
-    if e.head == "dual":
-        return mod2_cohomology(lower(e))
-    return mod2_cohomology(cx.wedge(_atom_complex(e)))
+    return _fold(e, mod2_cohomology, wedge_sum, cartan_smash_sq)

@@ -249,6 +249,23 @@ def test_matrix_json_roundtrip():
     M, _ = load_case("quotient_full_full")
     again = matrix_from_json(matrix_to_json(M))
     assert again == M
+    # every corpus matrix, before and after its replay, reads back from the
+    # JSON text that matrix_to_json writes
+    seen = []
+    for M, steps in _corpus_cases(1500, 2016):
+        seen.append(M)
+        try:
+            seen.append(run_script(M, steps))
+        except (ValueError, UnknownComposition):
+            pass
+    for M in seen:
+        assert matrix_from_json(json.dumps(matrix_to_json(M))) == M
+    assert len(seen) == 2281
+    # the corpus spells bits and coefficients of more than one term
+    coefs = {c for M in seen for line in M.entries for e in line
+             for c, _ in e.terms}
+    assert any(c.bits_used() for c in coefs)
+    assert any(len(c.terms) > 1 for c in coefs)
 
 
 def test_render_matrix_shape():
@@ -653,14 +670,12 @@ def _corpus_step(rng, rows, cols):
     return RowCompose(lit, m, n)
 
 
-def matrix_corpus(count=400, seed=2016):
-    """Replay random steps on random matrices over spheres and 2-primary
-    Moore spaces and split each cone; returns the transcript lines and the
-    number of unit cancellations."""
+def _corpus_cases(count, seed):
+    """(matrix, steps) for each case: a random matrix over spheres and
+    2-primary Moore spaces and 0-3 random steps to replay on it."""
     import random
     rng = random.Random(seed)
-    out, cancels = [], 0
-    for case in range(count):
+    for _case in range(count):
         rows = [rng.choice(_CORPUS_POOL) for _ in range(rng.randint(1, 4))]
         cols = rows[:rng.randint(0, len(rows))] + [
             rng.choice(_CORPUS_POOL) for _ in range(rng.randint(0, 2))]
@@ -669,8 +684,15 @@ def matrix_corpus(count=400, seed=2016):
         M = M_of(rows, cols, {(i, j): _corpus_literal(rng, c, r)
                               for i, r in enumerate(rows)
                               for j, c in enumerate(cols)})
-        steps = [_corpus_step(rng, rows, cols)
-                 for _ in range(rng.randint(0, 3))]
+        yield M, [_corpus_step(rng, rows, cols)
+                  for _ in range(rng.randint(0, 3))]
+
+
+def matrix_corpus(count=400, seed=2016):
+    """Replay the steps of each corpus case and split each cone; returns
+    the transcript lines and the number of unit cancellations."""
+    out, cancels = [], 0
+    for case, (M, steps) in enumerate(_corpus_cases(count, seed)):
         out += [f"case {case}", render_matrix(M)] + [repr(s) for s in steps]
         try:
             M = run_script(M, steps)

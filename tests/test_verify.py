@@ -342,12 +342,12 @@ def test_cli_verify_verdicts_over_the_grid_claims(capsys):
 
 
 def _gate_against_oracle(X, Y, isos: Counter) -> None:
-    """smash_decompose's claims, one per summand pair, agree with
-    check_decomposition's one claim of every pair on every invariant; the
-    iso verdicts differ only where the identity witness, which only the
-    smash path takes, certifies what the capped search skips."""
+    """smash_decompose's claims, one per summand pair, agree with the
+    whole-op oracle, which reads no claim memo, on every invariant; the iso
+    verdicts differ only where the identity witness, which only the smash
+    path takes, certifies what the capped search skips."""
     res = smash_decompose(X, Y)
-    got, want = res.verification, check_decomposition(X, Y, res.output)
+    got, want = res.verification, _whole_op_report(X, Y, res.output)
     assert (got.homology_match, got.mod2_match, got.sq_invariants_match) == \
         (want.homology_match, want.mod2_match, want.sq_invariants_match)
     assert got.obstruction_notes == want.obstruction_notes
