@@ -12,9 +12,8 @@ Chang families are anchored at their top cell k, with bottom cell k-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .arith import MAX_DIGITS, PRIME_LIMIT, is_prime, power
 from .errors import InputError, WindowError
@@ -27,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything the library knows about one kind of elementary piece.
 
     Cells are (offset from the anchor dimension, cohomology label prefix)
@@ -46,8 +44,9 @@ class Family:
     spelling: str
     hom_name: str = ""              # row name in the hom tables
     noun: str = ""                  # used in parameter error messages
-    params: dict[str, str] = field(default_factory=dict)  # name -> message word
-    boundary: dict[tuple[int, int], str] = field(default_factory=dict)
+    # the defaults are shared by every family that takes them: never mutated
+    params: dict[str, str] = {}     # name -> message word
+    boundary: dict[tuple[int, int], str] = {}
     eta: tuple[tuple[int, int], ...] = ()
 
 
@@ -91,8 +90,26 @@ FAMILIES: dict[str, Family] = {
 _LONG_EXPONENT = MAX_DIGITS // 20
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class ElementaryComplex:
+class _Frozen:
+    """Base of the immutable values: every field is set once, when the value
+    is built, and the repr names the fields in __match_args__."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ElementaryComplex(_Frozen):
     """One indecomposable piece: kind plus integer parameters.
 
     dim is the anchor dimension (n for spheres and Moore spaces, k for the
@@ -104,14 +121,15 @@ class ElementaryComplex:
     and cells are worked out once, at validation.
     """
 
+    __match_args__ = ("kind", "dim", "p", "r", "s")
     kind: str
     dim: int
-    p: int = 0
-    r: int = 0
-    s: int = 0
-    family: Family = field(init=False, repr=False)
-    sort_key: tuple = field(init=False, repr=False)
-    _cells: tuple[int, ...] = field(init=False, repr=False)
+    p: int
+    r: int
+    s: int
+    family: Family
+    sort_key: tuple
+    _cells: tuple[int, ...]
 
     def __new__(cls, kind: str, dim: int, p: int = 0, r: int = 0, s: int = 0):
         # True == 1 would find 1's instance, and 1.5 is no degree: refuse
@@ -184,13 +202,13 @@ class ElementaryComplex:
                                            s=self.s)
 
 
-# pieces and atoms, keyed by the values of their init fields (five for a
+# pieces and atoms, keyed by the values of their __match_args__ (five for a
 # piece, three for an atom, so the two kinds of key never meet)
 _INSTANCES: dict[tuple, ElementaryComplex | SmashAtom] = {}
 
 
 def _interned(cls, value: tuple):
-    """The one instance of cls whose init fields hold value: looked up, or
+    """The one instance of cls whose __match_args__ hold value: looked up, or
     else built, validated and kept.  A value that fails is not kept."""
     self = _INSTANCES.get(value)
     if self is None:
@@ -241,8 +259,7 @@ def base_form(c: ElementaryComplex) -> tuple[ElementaryComplex, int]:
             c.dim - base_dim)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class SmashAtom:
+class SmashAtom(_Frozen):
     """Smash of two elementary pieces that does not split further.
 
     Factors are stored at base dimension with the total suspension in
@@ -250,10 +267,11 @@ class SmashAtom:
     one instance per value, validated the first time it is built.
     """
 
+    __match_args__ = ("left", "right", "shift")
     left: ElementaryComplex
     right: ElementaryComplex
-    shift: int = 0
-    sort_key: tuple = field(init=False, repr=False)
+    shift: int
+    sort_key: tuple
 
     def __new__(cls, left, right, shift: int = 0):
         if type(shift) is not int:
@@ -307,11 +325,27 @@ def smash_atom(a: ElementaryComplex, b: ElementaryComplex) -> Summand:
     return wedge(SmashAtom(a0, b0, sa + sb)).summands[0]
 
 
-@dataclass(frozen=True)
-class WedgeComplex:
-    """Finite wedge, kept in canonical (sorted, point-free) form."""
+class WedgeComplex(_Frozen):
+    """Finite wedge, kept in canonical (sorted, point-free) form.  Two
+    wedges are equal when their summands are; a wedge equals nothing else."""
 
-    summands: tuple[Summand, ...] = ()
+    __slots__ = ("summands",)
+    __match_args__ = ("summands",)
+    summands: tuple[Summand, ...]
+
+    def __init__(self, summands: tuple[Summand, ...] = ()):
+        object.__setattr__(self, "summands", summands)
+
+    def __eq__(self, other):
+        if type(other) is not WedgeComplex:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self) -> int:
+        return hash(self.summands)
+
+    def __reduce__(self):
+        return WedgeComplex, (self.summands,)
 
     def cells(self) -> list[int]:
         out: list[int] = []

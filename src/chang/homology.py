@@ -76,6 +76,8 @@ class GradedAbelianGroup:
         return GradedAbelianGroup({d + m: v for d, v in self.components.items()})
 
     def direct_sum(self, other: "GradedAbelianGroup") -> "GradedAbelianGroup":
+        """The homology of a wedge of two; a test helper, since the library
+        folds many summands at once with `wedge_homology`."""
         return wedge_homology((self, other))
 
     def __str__(self) -> str:

@@ -124,6 +124,7 @@ class Coef:
         return self.terms.get(frozenset(), 0)
 
     def bits_used(self) -> set[str]:
+        """The bits this coefficient reads; a test helper."""
         out: set[str] = set()
         for m in self.terms:
             out |= m

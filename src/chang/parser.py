@@ -15,7 +15,7 @@ summands, and parse o print is the identity on printed forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import complexes as cx
 from .arith import MAX_DIGITS
@@ -27,8 +27,7 @@ __all__ = ["parse_expression", "print_expression", "ParseError",
            "check_cells", "MAX_CELLS"]
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """AST node: head in {S, M, Ceta, Ctop, Cbot, C, point, susp, dual,
     smash, wedge}; ints in args, children in kids."""
     head: str

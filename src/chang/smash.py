@@ -39,9 +39,9 @@ of it fails the homology check and is rejected).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .complexes import (POINT, ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, base_form, cbot, ceta, cfull, ctop,
@@ -60,8 +60,7 @@ Branch = tuple[str, str]        # (pair description, rule id)
 PARAMS = (1, 2, 3)              # the exponent grid of classified_pairs
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     input: tuple[WedgeComplex, WedgeComplex]
     output: WedgeComplex
     branches: tuple[Branch, ...]

@@ -105,7 +105,10 @@ class SqModule:
                         {d + m: v for d, v in self.ops[4].items()})
 
     def permuted(self, perms: Mapping[int, Sequence[int]]) -> "SqModule":
-        """Reorder the basis in selected degrees (perm[i] = old index of new i)."""
+        """Reorder the basis in selected degrees (perm[i] = old index of new i).
+
+        A test helper: it builds isomorphic copies for the isomorphism
+        search to find."""
         # back[d] sends old basis vector i of degree d to its new position;
         # composing with it rewrites images in the new basis of the target
         back = {}

@@ -32,10 +32,10 @@ enough, memoised by their module types.  Obstruction notes are per atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import add
+from typing import NamedTuple
 
 from . import f2
 from .complexes import SmashAtom, Summand, WedgeComplex, wedge
@@ -149,8 +149,7 @@ def sq_module_compare(m1: SqModule, m2: SqModule):
     return True, all(invertible(p, vs) for p, vs in parts.items())
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     applicable: bool
     sq4_bottom_to_top: bool = False
     two_classes_hit_top: bool = False
@@ -205,8 +204,7 @@ def moore_split_obstruction(m: SqModule, bottom: int, top: int) -> ObstructionRe
                              tuple(sorted(excluded)), tuple(notes))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     homology_match: bool
     mod2_match: bool
     sq_invariants_match: bool
@@ -214,6 +212,8 @@ class VerificationReport:
     obstruction_notes: tuple[str, ...] = ()
 
     def all_true(self) -> bool:
+        """Whether homology, mod-2 dimensions and Sq invariants all match; a
+        test helper (the library reads `first_failure`)."""
         return self.homology_match and self.mod2_match and self.sq_invariants_match
 
     def first_failure(self) -> str | None:

@@ -48,6 +48,13 @@ def elementary_samples():
     return out
 
 
+def rebuilt(x, **changes):
+    """x built anew through its class, from the fields named in
+    __match_args__ with the changes applied."""
+    fields = {name: getattr(x, name) for name in x.__match_args__}
+    return type(x)(**(fields | changes))
+
+
 def invertible(n):
     """Every invertible n x n matrix over F2, as mask tuples (small n only)."""
     if n == 0:

@@ -9,7 +9,7 @@ from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WedgeComplex,
                              moore, smash_atom, sphere, suspend, wedge)
 from chang.homology import integral_homology, kunneth
 
-from conftest import WIDE_PIECES, elementary_samples, every_piece
+from conftest import WIDE_PIECES, elementary_samples, every_piece, rebuilt
 
 
 def test_suspend_shifts_dimensions():
@@ -400,7 +400,6 @@ def test_dual_is_an_involution_at_a_fixed_window():
 def test_copies_and_pickles_keep_identity():
     import copy
     import pickle
-    from dataclasses import replace
     base = smash_atom(moore(2, 3, 3), cbot(1, 5))
     atom = suspend(base, 1).summands[0]
     values = [cfull(1, 5, 2), moore(3, 2, 6), POINT, base, atom]
@@ -413,7 +412,7 @@ def test_copies_and_pickles_keep_identity():
                   pickle.loads(pickle.dumps(w))):
         assert clone == w and hash(clone) == hash(w)
         assert all(x is y for x, y in zip(clone.summands, w.summands))
-    assert replace(cfull(1, 5, 2), dim=6) is cfull(1, 6, 2)
-    assert replace(base, shift=2) is suspend(base, 2).summands[0]
+    assert rebuilt(cfull(1, 5, 2), dim=6) is cfull(1, 6, 2)
+    assert rebuilt(base, shift=2) is suspend(base, 2).summands[0]
     with pytest.raises(ValueError):
-        replace(cfull(1, 5, 2), r=0)
+        rebuilt(cfull(1, 5, 2), r=0)

@@ -1,6 +1,6 @@
 """Each module of the package imports on its own in a fresh interpreter,
-and a cold CLI call imports `homgroups` and `matrix` only for the commands
-that run them.
+a cold CLI call imports `homgroups` and `matrix` only for the commands
+that run them, and the smash path loads neither `dataclasses` nor `inspect`.
 
 complexes and smash import each other on purpose (SmashAtom validates
 against the decision table), which in-process tests cannot see: there every
@@ -40,6 +40,18 @@ for argv in {argvs!r}:
     print(code, *(m for m in ("chang.matrix", "chang.homgroups", "json")
                   if m in sys.modules), file=sys.stderr)
 """
+# The same for the imports of the smash path: after each import and each
+# call, which of the slow-to-import modules are loaded.
+_LEAN = """
+import sys
+slow = ("dataclasses", "inspect")
+for name in ("chang", "chang.smash", "chang.cli"):
+    __import__(name)
+    print(name, *(m for m in slow if m in sys.modules), file=sys.stderr)
+for argv in {argvs!r}:
+    code = sys.modules["chang.cli"].main(argv)
+    print(code, *(m for m in slow if m in sys.modules), file=sys.stderr)
+"""
 SCRIPTS = SRC / "chang" / "data" / "scripts"
 
 
@@ -78,6 +90,16 @@ def test_cold_cli_loads_homgroups_and_matrix_only_where_run():
     ]
     seen = _run(_CALLS.format(argvs=[argv for argv, _ in calls])).splitlines()
     assert seen == [want for _, want in calls]
+
+
+def test_the_smash_path_never_loads_dataclasses_or_inspect():
+    # together they cost more than the rest of a worker's set-up
+    argvs = [["smash", "M(2,3)", "Ceta(5)"],
+             ["verify", "Cbot(1,5)", "C(1,5,1)", "C(1,9,1) v Ceta(5)^C(1,5,1)"],
+             ["homology", "C(1,5,1)"], ["cohomology", "--sq", "C(1,5,1)"],
+             ["dual", "C(1,5,1)"], ["table", "--branch-coverage"]]
+    seen = _run(_LEAN.format(argvs=argvs)).splitlines()
+    assert seen == ["chang", "chang.smash", "chang.cli"] + ["0"] * len(argvs)
 
 
 def test_a_wrapper_set_before_the_first_reduce_is_what_it_runs(monkeypatch):

@@ -14,7 +14,7 @@ from chang.smash import (UnclassifiedPair, VerificationFailure, decompose_pair,
 from chang.steenrod import module_id
 from chang.verify import check_claims, check_decomposition
 
-from conftest import WIDE_PIECES, classified_pairs
+from conftest import WIDE_PIECES, classified_pairs, rebuilt
 
 
 def out(a, b):
@@ -207,6 +207,48 @@ def test_decomposition_result_fields():
                                moore(2, 2, 7))
 
 
+_PIECE = "ElementaryComplex(kind='{}', dim={}, p={}, r={}, s={})"
+_ATOM = f"SmashAtom(left={_PIECE}, right={_PIECE}, shift=0)"
+_REPORT = ("VerificationReport(homology_match=True, mod2_match=True, "
+           "sq_invariants_match=True, sq_iso_found=True, obstruction_notes=("
+           "'M(2^2,3)^Ceta(5): split obstructions not applicable; excluded "
+           "Moore degrees [6, 7, 8]',))")
+
+
+def test_values_keep_their_repr_immutability_copies_and_hashes():
+    import copy
+    import pickle
+    x, y = wedge(moore(2, 2, 3)), wedge(cbot(3, 5))
+    res = smash_decompose(x, y)
+    atom = smash_atom(moore(2, 2, 3), ceta(5))
+    atom_text = _ATOM.format("moore", 3, 2, 2, 0, "ceta", 5, 0, 0, 0)
+    output_text = "WedgeComplex(summands=({}, {}))".format(
+        _PIECE.format("moore", 7, 2, 2, 0), atom_text)
+    result_text = (
+        "DecompositionResult(input=(WedgeComplex(summands=({},)), "
+        "WedgeComplex(summands=({},))), output={}, branches=(('(M(2^2,3), "
+        "Cbot(3,5))', 'moore2-cbot/r>=u'),), verification={})").format(
+        _PIECE.format("moore", 3, 2, 2, 0), _PIECE.format("cbot", 5, 0, 3, 0),
+        output_text, _REPORT)
+    reprs = [(moore(2, 2, 7), _PIECE.format("moore", 7, 2, 2, 0)),
+             (atom, atom_text), (res.output, output_text),
+             (res.verification, _REPORT), (res, result_text)]
+    for value, text in reprs:
+        assert repr(value) == text
+        name = value.__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert clone == value and hash(clone) == hash(value)
+    assert repr(wedge()) == "WedgeComplex(summands=())"
+    for c in (moore(2, 2, 7), atom):
+        assert wedge(c) != (c,) and (c,) != wedge(c)
+        assert wedge(c) == WedgeComplex((c,)) and wedge(c) != c
+
+
 def test_decompose_pair_rule_id():
     w, rule = decompose_pair(moore(2, 2, 3), cbot(3, 5))
     assert rule == "moore2-cbot/r>=u"
@@ -393,7 +435,7 @@ def test_warm_claims_are_not_summed_again(monkeypatch):
 
 def test_claim_memo_never_hashes_a_wedge(monkeypatch):
     # the memo keys on w's summand tuple, whose hash is C-level, where the
-    # dataclass hash of a wedge is a Python call
+    # wedge's own __hash__ is a Python call
     from chang import verify
     calls = []
     real = WedgeComplex.__hash__
@@ -464,11 +506,10 @@ def base_pieces(draw):
 
 def _exponents_mapped(c, to):
     """c with every exponent v replaced by to[v]; primes and dims kept."""
-    from dataclasses import replace
     if isinstance(c, SmashAtom):
-        return replace(c, left=_exponents_mapped(c.left, to),
+        return rebuilt(c, left=_exponents_mapped(c.left, to),
                        right=_exponents_mapped(c.right, to))
-    return replace(c, r=to[c.r], s=to[c.s])
+    return rebuilt(c, r=to[c.r], s=to[c.s])
 
 
 def _pair_outcome(a, b):
