@@ -283,9 +283,8 @@ def _read_table(path: str, parse) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def load_table(path: str | None = None
-               ) -> dict[tuple[str, str, str, int], list[_Record]]:
+@lru_cache(maxsize=1)
+def load_table() -> dict[tuple[str, str, str, int], list[_Record]]:
     """The hom table, its fields compiled once, with the records under each
     (kind, src, tgt, off) in file order."""
     def record(parts, where):
@@ -296,8 +295,7 @@ def load_table(path: str | None = None
             integer(parts[7]) if parts[7] else 3,
             parts[8] if len(parts) > 8 else "", where)
     table: dict = {}
-    for key, rec in _read_table(path or _table_path("hom_tables.txt"),
-                                record):
+    for key, rec in _read_table(_table_path("hom_tables.txt"), record):
         table.setdefault(key, []).append(rec)
     return table
 

@@ -107,13 +107,6 @@ class Coef:
             return self
         return Coef({m: c % n for m, c in self.terms.items()})
 
-    def evaluate(self, values: dict[str, int]) -> int:
-        total = 0
-        for m, c in self.terms.items():
-            if all(values.get(b, 0) for b in m):
-                total += c
-        return total
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -171,11 +164,6 @@ def _signed_sum(parts: list[str]) -> str:
                               for p in parts[1:])
 
 
-def _pin_bits(terms, values: dict[str, int]) -> tuple[tuple[Coef, str], ...]:
-    """The (coefficient, generator) terms with the bits pinned to values."""
-    return tuple((Coef(c.evaluate(values)), g) for c, g in terms)
-
-
 def _pretty_int(c: int) -> str:
     n = abs(c)
     e = 0
@@ -222,10 +210,6 @@ class FormalMorphism:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate_bits(self, values: dict[str, int]) -> "FormalMorphism":
-        return FormalMorphism(self.source, self.target,
-                              _pin_bits(self.terms, values))
-
     def scale(self, k: int) -> "FormalMorphism":
         return FormalMorphism(self.source, self.target,
                               tuple((c.scale(k), g) for c, g in self.terms))
@@ -258,19 +242,13 @@ class RelationTable:
         self.compose_rules = compose_rules
 
     @classmethod
-    def load(cls, path: str | None = None) -> "RelationTable":
+    def load(cls) -> "RelationTable":
         def rule(parts, where):
             if len(parts) != 4:
                 raise InputError("expected 4 fields separated by ';', "
                                  f"got {len(parts)}")
             return (parts[1], parts[2]), _parse_terms(parts[3])
-        return cls(dict(_read_table(path or _table_path("relations.txt"),
-                                    rule)))
-
-    def evaluate_bits(self, values: dict[str, int]) -> "RelationTable":
-        """The table with the undetermined bits pinned to concrete values."""
-        return RelationTable({key: _pin_bits(terms, values)
-                              for key, terms in self.compose_rules.items()})
+        return cls(dict(_read_table(_table_path("relations.txt"), rule)))
 
     # generator order in [src, tgt]; 0 means no reduction applies
     def order(self, gen: str, src: Summand, tgt: Summand) -> int:
@@ -310,6 +288,9 @@ class RelationTable:
                 tgt: Summand) -> tuple[Coef, str]:
         """Rewrite a term into the canonical basis of [src, tgt]."""
         se, te = _moore_exp(src), _moore_exp(tgt)
+        if gen == "B" and not (se and te and src.p == tgt.p == 2):
+            raise InputError("B maps between 2-primary Moore spaces, "
+                             f"not {src} -> {tgt}")
         if se is None or te is None:
             return coef, gen
         same_dim = src.dim == tgt.dim
@@ -401,10 +382,10 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
     return tuple((c, g) for g, c in value.items() if not c.is_zero())
 
 
-def parse_morphism(text: str, source: Summand, target: Summand,
-                   table: RelationTable | None = None) -> FormalMorphism:
+def parse_morphism(text: str, source: Summand,
+                   target: Summand) -> FormalMorphism:
     m = FormalMorphism(source, target, _parse_terms(text))
-    return (table or default_table()).normalize(m)
+    return default_table().normalize(m)
 
 
 # --- matrices and transformation steps --------------------------------------
@@ -421,9 +402,8 @@ class MorphismMatrix:
     entries: tuple[tuple[FormalMorphism, ...], ...]
 
     @classmethod
-    def build(cls, rows, cols, entry_map,
-              table: RelationTable | None = None) -> "MorphismMatrix":
-        table = table or default_table()
+    def build(cls, rows, cols, entry_map) -> "MorphismMatrix":
+        table = default_table()
         rows, cols = tuple(rows), tuple(cols)
         grid = []
         for i, r in enumerate(rows):
@@ -433,7 +413,7 @@ class MorphismMatrix:
                 if m is None:
                     line.append(FormalMorphism(c, r))
                 elif isinstance(m, str):
-                    line.append(parse_morphism(m, c, r, table))
+                    line.append(parse_morphism(m, c, r))
                 else:
                     line.append(table.normalize(m))
             grid.append(tuple(line))
@@ -487,7 +467,7 @@ TransformStep = (NegateRow, NegateCol, ColCompose, RowCompose,
 
 def _coerce_morphism(f, source, target, table) -> FormalMorphism:
     if isinstance(f, str):
-        return parse_morphism(f, source, target, table)
+        return parse_morphism(f, source, target)
     if f.source != source or f.target != target:
         raise InputError(f"morphism {f} does not have type {source} -> {target}")
     return table.normalize(f)
@@ -519,14 +499,13 @@ def _add_line(lines, m: int, n: int, image, table: RelationTable) -> None:
                 for a, e in zip(lines[m], lines[n])]
 
 
-def apply_step(M: MorphismMatrix, step,
-               table: RelationTable | None = None) -> MorphismMatrix:
+def apply_step(M: MorphismMatrix, step) -> MorphismMatrix:
     """One elementary transformation; invertible by construction.  A row
     step moves rows and a column step the columns, by the same moves; only
     the side of a composite differs: g o row, column o f."""
     if not isinstance(step, TransformStep):
         raise TypeError(f"unknown step {step!r}")
-    table = table or default_table()
+    table = default_table()
     on_rows = isinstance(step, (NegateRow, RowCompose, ScaleAddRow))
     heads, what = (M.rows, "row") if on_rows else (M.cols, "column")
     lines = list(M.entries) if on_rows else _transpose(M.entries, len(M.cols))
@@ -566,11 +545,10 @@ def inverse_step(step):
                             else h.negate()})
 
 
-def run_script(M: MorphismMatrix, steps,
-               table: RelationTable | None = None) -> MorphismMatrix:
+def run_script(M: MorphismMatrix, steps) -> MorphismMatrix:
     for idx, step in enumerate(steps):
         try:
-            M = apply_step(M, step, table)
+            M = apply_step(M, step)
         except ChangError as exc:
             exc.args = (f"step {idx}: {exc}",)
             raise
@@ -872,11 +850,10 @@ def _unit(rows, cols, grid, table: RelationTable):
     return None
 
 
-def split_cone(M: MorphismMatrix,
-               table: RelationTable | None = None) -> SplitConeReport:
+def split_cone(M: MorphismMatrix) -> SplitConeReport:
     """Greedy reduction of the cone: cancel units, split zero rows/columns,
     and name each connected block whose cone is a known piece."""
-    table = table or default_table()
+    table = default_table()
     rows = [_elementary(r) for r in M.rows]
     cols = [_elementary(c) for c in M.cols]
     grid = [list(line) for line in M.entries]
@@ -978,10 +955,10 @@ def _pieces(doc, name: str) -> list[ElementaryComplex]:
             for t in _field(doc, name, "matrix", list)]
 
 
-def matrix_from_json(doc, table: RelationTable | None = None) -> MorphismMatrix:
+def matrix_from_json(doc) -> MorphismMatrix:
     doc = _document(doc)
     rows, cols = _pieces(doc, "rows"), _pieces(doc, "cols")
-    table = table or default_table()
+    default_table()     # a malformed relations.txt is no entry's error
     entries = {}
     for entry in _typed(doc.get("entries", []), list, "matrix field 'entries'"):
         try:
@@ -993,11 +970,11 @@ def matrix_from_json(doc, table: RelationTable | None = None) -> MorphismMatrix:
             if pos in entries:
                 raise InputError(f"position ({i}, {j}) already has an entry")
             entries[pos] = parse_morphism(_typed(lit, str, "morphism"),
-                                          cols[pos[1]], rows[pos[0]], table)
+                                          cols[pos[1]], rows[pos[0]])
         except InputError as exc:
             exc.args = (f"matrix entry {entry!r}: {exc}",)
             raise
-    return MorphismMatrix.build(rows, cols, entries, table)
+    return MorphismMatrix.build(rows, cols, entries)
 
 
 def matrix_to_json(M: MorphismMatrix) -> dict:

@@ -195,21 +195,15 @@ def _solve_full_full(a: ElementaryComplex, b: ElementaryComplex,
                      ) -> tuple[tuple[Summand, ...], tuple[Branch, ...]]:
     r, s, rp, sp = a.r, a.s, b.r, b.s
     mx = max(r, s, rp, sp)
-    if s == mx:
+    if s == mx and (rp != s or sp >= r):
         if rp < s and sp < s:
             sub, brs = _solve(cbot(r, 5), cfull(rp, 5, sp), depth + 1)
             return ((cfull(rp, 9, sp), *sub),
                     (_br(a, b, "cfull-cfull/s-max-strict"), *brs))
         if rp == s:
-            if sp >= r:
-                sub, brs = _solve(ctop(5, sp), cfull(r, 5, s), depth + 1)
-                return ((cfull(r, 9, s), *sub),
-                        (_br(a, b, "cfull-cfull/s=r'"), *brs))
-            # torsion maximum also sits in an r-slot: pass to the dual pair
-            sub, brs = _solve_full_full(cfull(s, 5, r), cfull(sp, 5, rp),
-                                        depth + 1)
-            out = dual(wedge(*sub), 16)
-            return out.summands, (_br(a, b, "cfull-cfull/dual"), *brs)
+            sub, brs = _solve(ctop(5, sp), cfull(r, 5, s), depth + 1)
+            return ((cfull(r, 9, s), *sub),
+                    (_br(a, b, "cfull-cfull/s=r'"), *brs))
         # sp == s
         lo, hi = sorted((r, rp))
         sub, brs = _solve(cbot(hi, 5), cfull(lo, 5, s), depth + 1)
@@ -218,6 +212,8 @@ def _solve_full_full(a: ElementaryComplex, b: ElementaryComplex,
     if sp == mx:
         sub, brs = _solve_full_full(b, a, depth + 1)
         return sub, (_br(a, b, "cfull-cfull/swap"), *brs)
+    # the torsion maximum sits in an r-slot (also in s only when r' = s and
+    # s' < r): pass to the dual pair
     sub, brs = _solve_full_full(cfull(s, 5, r), cfull(sp, 5, rp), depth + 1)
     out = dual(wedge(*sub), 16)
     return out.summands, (_br(a, b, "cfull-cfull/dual"), *brs)

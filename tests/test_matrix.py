@@ -9,7 +9,7 @@ from chang.complexes import (SmashAtom, cbot, ceta, cfull, ctop, moore,
                              smash_atom, sphere, wedge)
 from chang.errors import InputError
 from chang.homology import integral_homology
-from chang.matrix import (ColCompose, FormalMorphism, MorphismMatrix,
+from chang.matrix import (Coef, ColCompose, FormalMorphism, MorphismMatrix,
                           NegateCol, NegateRow, RowCompose, ScaleAddCol,
                           ScaleAddRow, UnknownComposition, apply_step,
                           default_table, homology_of_cone, inverse_step,
@@ -161,7 +161,17 @@ def test_replay_quotient_full_full():
         integral_homology(rep.pieces).direct_sum(homology_of_cone(L))
 
 
-def test_symbolic_bits_agree_with_all_valuations():
+def _pinned(terms, vals):
+    """The (coefficient, generator) terms with each bit set to its value in
+    vals, 0 when vals has none."""
+    return tuple((Coef(sum(c for m, c in coef.terms.items()
+                           if all(vals.get(b, 0) for b in m))), g)
+                 for coef, g in terms)
+
+
+def test_symbolic_bits_agree_with_all_valuations(tmp_path, monkeypatch):
+    rules = default_table().compose_rules
+    cases = []
     for name in ("moore_block_r_gt_u", "moore_block_r_eq_u",
                  "moore_block_r_lt_u", "quotient_full_full"):
         M, steps = load_case(name)
@@ -178,34 +188,49 @@ def test_symbolic_bits_agree_with_all_valuations():
                     if b in lit:
                         bits.add(b)
         bits = sorted(bits | {"k2"})       # relation outputs may mention k'
-        for mask in range(1 << len(bits)):
-            vals = {b: (mask >> i) & 1 for i, b in enumerate(bits)}
-            t = default_table().evaluate_bits(vals)
+        cases.append((name, M, steps, out, bits))
 
-            def ev_matrix(mat):
-                grid = {}
-                for i in range(len(mat.rows)):
-                    for j in range(len(mat.cols)):
-                        grid[(i, j)] = t.normalize(
-                            mat.entry(i, j).evaluate_bits(vals))
-                return MorphismMatrix.build(mat.rows, mat.cols, grid, t)
+    def ev_matrix(mat, vals):
+        return MorphismMatrix.build(mat.rows, mat.cols, {
+            (i, j): FormalMorphism(c, r, _pinned(mat.entry(i, j).terms, vals))
+            for i, r in enumerate(mat.rows) for j, c in enumerate(mat.cols)})
 
-            ev_steps = []
-            for step in steps:
-                if isinstance(step, ColCompose):
-                    f = parse_morphism(step.f, M.cols[step.n - 1],
-                                       M.cols[step.m - 1], t)
-                    ev_steps.append(ColCompose(step.m,
-                                               f.evaluate_bits(vals), step.n))
-                elif isinstance(step, RowCompose):
-                    g = parse_morphism(step.g, M.rows[step.m - 1],
-                                       M.rows[step.n - 1], t)
-                    ev_steps.append(RowCompose(g.evaluate_bits(vals),
-                                               step.m, step.n))
-                else:
-                    ev_steps.append(step)
-            assert run_script(ev_matrix(M), ev_steps, t) == ev_matrix(out), \
-                (name, vals)
+    # each valuation replays under the relation table with its bits pinned
+    monkeypatch.setenv("CHANG_TABLE_PATH", str(tmp_path))
+    try:
+        for name, M, steps, out, bits in cases:
+            for mask in range(1 << len(bits)):
+                vals = {b: (mask >> i) & 1 for i, b in enumerate(bits)}
+                (tmp_path / "relations.txt").write_text("".join(
+                    f"compose; {g}; {f}; " + (" + ".join(
+                        f"({c.const_value()})*{h}"
+                        for c, h in _pinned(terms, vals)) or "0") + "\n"
+                    for (g, f), terms in rules.items()), encoding="utf-8")
+                default_table.cache_clear()
+                ev_steps = []
+                for step in steps:
+                    if isinstance(step, ColCompose):
+                        f = parse_morphism(step.f, M.cols[step.n - 1],
+                                           M.cols[step.m - 1])
+                        ev_steps.append(ColCompose(
+                            step.m, FormalMorphism(f.source, f.target,
+                                                   _pinned(f.terms, vals)),
+                            step.n))
+                    elif isinstance(step, RowCompose):
+                        g = parse_morphism(step.g, M.rows[step.m - 1],
+                                           M.rows[step.n - 1])
+                        ev_steps.append(RowCompose(
+                            FormalMorphism(g.source, g.target,
+                                           _pinned(g.terms, vals)),
+                            step.m, step.n))
+                    else:
+                        ev_steps.append(step)
+                assert run_script(ev_matrix(M, vals), ev_steps) == \
+                    ev_matrix(out, vals), (name, vals)
+    finally:
+        monkeypatch.delenv("CHANG_TABLE_PATH")
+        default_table.cache_clear()
+    assert default_table().compose_rules == rules
 
 
 def test_split_identity_cone_is_contractible():

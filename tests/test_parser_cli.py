@@ -270,6 +270,10 @@ _DOCS = {
                   "entries": [[1, 1, _DEEP]]},
     "minus.json": {"rows": ["S(5)"], "cols": ["S(5)"],
                    "entries": [[1, 1, _MINUS]]},
+    "bsphere.json": {"rows": ["S(3)"], "cols": ["S(3)"],
+                     "entries": [[1, 1, "B"]]},
+    "bodd.json": {"rows": ["M(3^2,6)"], "cols": ["M(3,6)"],
+                  "entries": [[1, 1, "2*B"]]},
     "tables/relations.txt": "compose; eta\n",
     "tables/hom_tables.txt": "# kind; src; tgt; off\n"
                              "hom; S; S; x; -; Z; id:Z; 3;\n",
@@ -346,7 +350,10 @@ ERROR_TABLE = [
 # of ending in a RecursionError, an expression over the cell budget is
 # refused instead of running for minutes, and a table order that is not a
 # positive integer (it printed as Z/0.5 or Z) or a malformed table
-# expression is refused with its file and line when the table is read.
+# expression is refused with its file and line when the table is read, and
+# a B term is refused unless both of its ends are 2-primary Moore spaces
+# (it raised a TypeError between spheres, and gave wrong orders and cones
+# between odd Moore spaces).
 CHANGED_ROWS = [
     _row(["reduce", "m1.json"], 2, "error: relations.txt line 1: expected 4 "
          "fields separated by ';', got 2", setup=_bad_relations),
@@ -401,6 +408,10 @@ CHANGED_ROWS = [
          f"{_MINUS!r}]: nesting deeper than 200 at offset 200"),
     _row(["pi", "4", "S(4)"], 2, "error: hom_tables.txt line 1: nesting "
          "deeper than 200 at offset 200", setup=_hom_tables("deep")),
+    _row(["reduce", "bsphere.json"], 2, "error: matrix entry [1, 1, 'B']: "
+         "B maps between 2-primary Moore spaces, not S(3) -> S(3)"),
+    _row(["reduce", "bodd.json"], 2, "error: matrix entry [1, 1, '2*B']: "
+         "B maps between 2-primary Moore spaces, not M(3^1,6) -> M(3^2,6)"),
 ]
 
 
