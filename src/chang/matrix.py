@@ -958,7 +958,7 @@ def _pieces(doc, name: str) -> list[ElementaryComplex]:
 def matrix_from_json(doc) -> MorphismMatrix:
     doc = _document(doc)
     rows, cols = _pieces(doc, "rows"), _pieces(doc, "cols")
-    default_table()     # a malformed relations.txt is no entry's error
+    default_table()     # read first: a malformed table is no entry's error
     entries = {}
     for entry in _typed(doc.get("entries", []), list, "matrix field 'entries'"):
         try:

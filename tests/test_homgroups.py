@@ -203,18 +203,21 @@ _GENERATOR_SHAPES = {
     "rho": ("S", "S", 3)}
 
 
-def _end(kind, exponent, bottom):
-    return sphere(bottom) if kind == "S" else moore(2, exponent, bottom)
+# the exponents of each kind of end: none for a sphere, 1..4 for a Moore space
+_EXPONENTS = {"S": (None,), "M": range(1, 5)}
+
+
+def _end(exponent, bottom):
+    """S(bottom), or M(2^exponent,bottom) when the exponent is set."""
+    return sphere(bottom) if exponent is None else moore(2, exponent, bottom)
 
 
 def test_relation_table_orders_agree_with_the_hom_table():
     from chang.matrix import Coef, FormalMorphism, default_table
     compared, differ = 0, []
     for gen, (sk, tk, off) in _GENERATOR_SHAPES.items():
-        for r, t in product(range(1, 5), repeat=2):
-            if (sk == "S" and r > 1) or (tk == "S" and t > 1):
-                continue
-            src, tgt = _end(sk, r, 10 + off), _end(tk, t, 10)
+        for r, t in product(_EXPONENTS[sk], _EXPONENTS[tk]):
+            src, tgt = _end(r, 10 + off), _end(t, 10)
             name = FormalMorphism(src, tgt, ((Coef(1), gen),)).spell()
             orders = {n: o for n, o, _ in hom_group(src, tgt).generators}
             if name not in orders:      # rewritten away by the relation table
@@ -254,27 +257,22 @@ def _forced(r, t, k):
 
 
 # the offsets at which the hom table has Moore records
-_MOORE_OFFSETS = {(False, True): (1, 2, 3), (True, False): (0, 1),
-                  (True, True): (0, 1)}
+_MOORE_OFFSETS = {("S", "M"): (1, 2, 3), ("M", "S"): (0, 1),
+                  ("M", "M"): (0, 1)}
 
 
 def _moore_lookups():
     """(r, t, k) for [X, Y] at offset k as in `_forced`: every lookup with
-    a Moore end, r and t in 1..4, at the offsets the hom table has records
-    for, whose order exactness forces from the stems."""
-    out = []
-    for (src_moore, tgt_moore), offsets in _MOORE_OFFSETS.items():
-        for r, t, k in product(range(1, 5), range(1, 5), offsets):
-            if (not src_moore and r > 1) or (not tgt_moore and t > 1):
-                continue
-            case = (r if src_moore else None, t if tgt_moore else None, k)
-            if _forced(*case) is not None:
-                out.append(case)
-    return out
+    a Moore end at the offsets the hom table has records for, whose order
+    exactness forces from the stems."""
+    return [(r, t, k) for (sk, tk), offsets in _MOORE_OFFSETS.items()
+            for r, t, k in product(_EXPONENTS[sk], _EXPONENTS[tk], offsets)
+            if _forced(r, t, k) is not None]
 
 
-_FOUND = ("ROADMAP FOUND: the record 'hom; S; M2; 3; tr>1' gives "
-          "[S^(n+3), M(2^t,n)] order 8; exactness forces 16 at t >= 3")
+_FOUND = ("FOUND (CHANGES.md, ROADMAP.md): the record 'hom; S; M2; 3; "
+          "tr>1' gives [S^(n+3), M(2^t,n)] order 8; exactness forces 16 at "
+          "t >= 3")
 
 
 @pytest.mark.parametrize("r, t, k", [
@@ -282,28 +280,22 @@ _FOUND = ("ROADMAP FOUND: the record 'hom; S; M2; 3; tr>1' gives "
     if case in ((None, 3, 3), (None, 4, 3)) else case
     for case in _moore_lookups()])
 def test_moore_rows_agree_with_exact_sequences(r, t, k):
-    src = sphere(10 + k) if r is None else moore(2, r, 10 + k)
-    tgt = sphere(10) if t is None else moore(2, t, 10)
-    assert prod(hom_group(src, tgt).cyclic) == _forced(r, t, k)[0]
+    d = hom_group(_end(r, 10 + k), _end(t, 10))
+    assert prod(d.cyclic) == _forced(r, t, k)[0]
 
 
 def test_moore_lookups_cover_the_tabulated_moore_rows():
     # 12 of [S, M], 8 of [M, S] and the 16 of [M, M] at offset 0; at
     # offset 1 the extension [S^(n+2), M(2^t,n)] leaves [M, M] open
     assert len(_moore_lookups()) == 36
-    for r, t, k in product((None, 1, 2, 3, 4), (None, 1, 2, 3, 4),
-                           range(-2, 4)):
-        if r is None and t is None:
-            continue
-        src = sphere(10 + k) if r is None else moore(2, r, 10 + k)
-        tgt = sphere(10) if t is None else moore(2, t, 10)
-        listed = k in _MOORE_OFFSETS[(r is not None, t is not None)]
-        try:
-            hom_group(src, tgt)
-        except UntabulatedHom:
-            assert not listed, (r, t, k)
-        else:
-            assert listed, (r, t, k)
+    for (sk, tk), offsets in _MOORE_OFFSETS.items():
+        for r, t, k in product(_EXPONENTS[sk], _EXPONENTS[tk], range(-2, 4)):
+            try:
+                hom_group(_end(r, 10 + k), _end(t, 10))
+            except UntabulatedHom:
+                assert k not in offsets, (r, t, k)
+            else:
+                assert k in offsets, (r, t, k)
 
 
 # --- golden of the whole table ----------------------------------------------
