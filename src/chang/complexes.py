@@ -109,6 +109,49 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
+class _FrozenRecord(_Frozen):
+    """Base of the immutable records of `matrix` and `homgroups`.  The
+    fields are the class annotations, in order, and a class attribute is a
+    field's default.  A record is built from its fields by position or
+    keyword, and compares and hashes by them, only with records of its own
+    class: two classes with the same fields never compare equal."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(args)}")
+        # the fields go into the instance dict in their declared order,
+        # which __hash__ reads back
+        values = vars(self)
+        values.update(zip(names, args))
+        if len(args) < len(names):
+            defaults = vars(type(self))
+            for name in names[len(args):]:
+                if name in kwargs:
+                    values[name] = kwargs.pop(name)
+                elif name in defaults:
+                    values[name] = defaults[name]
+                else:
+                    raise TypeError(f"{type(self).__name__} is missing "
+                                    f"field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected or "
+                            f"repeated fields {sorted(kwargs)}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
 class ElementaryComplex(_Frozen):
     """One indecomposable piece: kind plus integer parameters.
 

@@ -4,6 +4,7 @@ The table itself ships as a structured text file (data/hom_tables.txt) so
 new cells can be added without touching code; set CHANG_TABLE_PATH to a
 directory holding replacement table files to override it.  Lookups outside
 the table raise UntabulatedHom -- nothing is ever interpolated.
+Descriptors and table records are frozen records (`complexes._FrozenRecord`).
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import operator
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, NamedTuple
 
 from .arith import integer, power
-from .complexes import (SmashAtom, Summand, WedgeComplex, sphere,
-                        suspend, wedge)
+from .complexes import (SmashAtom, Summand, WedgeComplex, _FrozenRecord,
+                        sphere, suspend, wedge)
 from .errors import InputError, ParseError, UntabulatedHom
 from .homology import group_label, primary_factors
 from .parser import _MAX_NESTING
@@ -29,8 +29,7 @@ __all__ = ["HomGroupDescriptor", "UntabulatedHom", "hom_group",
            "load_table"]
 
 
-@dataclass(frozen=True)
-class HomGroupDescriptor:
+class HomGroupDescriptor(_FrozenRecord):
     group: tuple[int, ...]          # primary-decomposed cyclic orders (0 = Z)
     cyclic: tuple[int, ...]         # orders as stated in the table
     generators: tuple[tuple[str, int, str], ...]   # (name, order, relation note)
@@ -239,8 +238,7 @@ def _generators(text: str) -> tuple:
     return tuple(gens)
 
 
-@dataclass(frozen=True)
-class _Record:
+class _Record(_FrozenRecord):
     when: Callable          # exponent environment -> bool
     group: Callable         # exponent environment -> cyclic orders
     gens: tuple             # (name with {sr}... to substitute, order)

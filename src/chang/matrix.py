@@ -18,20 +18,22 @@ names, or as the ASCII literal that `parse_morphism` reads back, which is
 what `matrix_to_json` writes.
 Composition is resolved through a deliberately partial relation table:
 anything it does not know raises UnknownComposition instead of guessing.
+Morphisms, matrices, steps and reports are frozen records
+(`complexes._FrozenRecord`), equal only to records of their own class: a
+step is changed by building it anew, as `inverse_step` does.
 """
 
 from __future__ import annotations
 
 import json
 from math import gcd
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import permutations
 
 from .arith import MAX_DIGITS, integer, power, prime_powers
 from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
-                        WedgeComplex, ceta, cfull, moore, piece, sphere,
-                        suspend, wedge)
+                        WedgeComplex, _FrozenRecord, ceta, cfull, moore,
+                        piece, sphere, suspend, wedge)
 from .errors import ChangError, InputError, UnknownComposition
 from .homgroups import (_Values, _read_expression, _read_table,
                         _table_path)
@@ -201,8 +203,7 @@ def _gen_display(name: str, src: Summand, tgt: Summand) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class FormalMorphism:
+class FormalMorphism(_FrozenRecord):
     source: Summand
     target: Summand
     terms: tuple[tuple[Coef, str], ...] = ()
@@ -279,6 +280,8 @@ class RelationTable:
         if gen == "xi":
             return 4 if te == 1 else 2
         if gen == "iq":
+            if se and te:       # q, then i: order gcd(p^r, p'^t)
+                return gcd(src.p ** se, tgt.p ** te)
             return 2 ** min(se or 1, te or 1)
         if gen in _ETA_FAMILY:
             return 2
@@ -390,8 +393,7 @@ def parse_morphism(text: str, source: Summand,
 
 # --- matrices and transformation steps --------------------------------------
 
-@dataclass(frozen=True)
-class MorphismMatrix:
+class MorphismMatrix(_FrozenRecord):
     """Grid of formal morphisms: entry (i, j) maps cols[j] to rows[i].
 
     Every entry is normalised: `build` normalises the entries it is given,
@@ -423,39 +425,33 @@ class MorphismMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class NegateRow:
+class NegateRow(_FrozenRecord):
     n: int                  # 1-based, as in the printed grids
 
 
-@dataclass(frozen=True)
-class NegateCol:
+class NegateCol(_FrozenRecord):
     n: int
 
 
-@dataclass(frozen=True)
-class ColCompose:
+class ColCompose(_FrozenRecord):
     m: int
     f: FormalMorphism | str
     n: int
 
 
-@dataclass(frozen=True)
-class RowCompose:
+class RowCompose(_FrozenRecord):
     g: FormalMorphism | str
     m: int
     n: int
 
 
-@dataclass(frozen=True)
-class ScaleAddRow:
+class ScaleAddRow(_FrozenRecord):
     k: int
     m: int
     n: int
 
 
-@dataclass(frozen=True)
-class ScaleAddCol:
+class ScaleAddCol(_FrozenRecord):
     k: int
     m: int
     n: int
@@ -538,11 +534,13 @@ def inverse_step(step):
     if isinstance(step, (NegateRow, NegateCol)):
         return step
     if isinstance(step, (ScaleAddRow, ScaleAddCol)):
-        return replace(step, k=-step.k)
-    name = "g" if isinstance(step, RowCompose) else "f"
-    h = getattr(step, name)
-    return replace(step, **{name: "-(" + h + ")" if isinstance(h, str)
-                            else h.negate()})
+        return type(step)(-step.k, step.m, step.n)
+
+    def negated(h):
+        return "-(" + h + ")" if isinstance(h, str) else h.negate()
+    if isinstance(step, RowCompose):
+        return RowCompose(negated(step.g), step.m, step.n)
+    return ColCompose(step.m, negated(step.f), step.n)
 
 
 def run_script(M: MorphismMatrix, steps) -> MorphismMatrix:
@@ -596,8 +594,7 @@ def _gen_chain(gen: str, src: Summand, tgt: Summand):
     raise InputError(f"no chain data for generator {gen!r}")
 
 
-@dataclass(frozen=True)
-class _Cone:
+class _Cone(_FrozenRecord):
     """A mapping cone as a cell complex: the dimensions of the rows' cells,
     then of the columns' cells one degree up; the integral boundary
     {(from, to): degree}; the eta pairs (bottom, top); and whether every
@@ -729,8 +726,7 @@ def smith_normal_form(mat) -> list[int]:
 
 # --- splitting the cone ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitConeReport:
+class SplitConeReport(_FrozenRecord):
     pieces: WedgeComplex
     residual: tuple[MorphismMatrix, ...]
     log: tuple[str, ...]
@@ -996,8 +992,8 @@ def steps_from_json(doc) -> list:
         cls = next((c for c in TransformStep if c.__name__ == kind), None)
         if cls is None:
             raise InputError(f"unknown step kind {kind!r}")
-        out.append(cls(*(_step_field(rec, f.name, where)
-                         for f in fields(cls))))
+        out.append(cls(*(_step_field(rec, name, where)
+                         for name in cls.__match_args__)))
     return out
 
 

@@ -1,6 +1,6 @@
 """Each module of the package imports on its own in a fresh interpreter,
 a cold CLI call imports `homgroups` and `matrix` only for the commands
-that run them, and the smash path loads neither `dataclasses` nor `inspect`.
+that run them, and no cold CLI call loads `dataclasses` or `inspect`.
 
 complexes and smash import each other on purpose (SmashAtom validates
 against the decision table), which in-process tests cannot see: there every
@@ -40,19 +40,36 @@ for argv in {argvs!r}:
     print(code, *(m for m in ("chang.matrix", "chang.homgroups", "json")
                   if m in sys.modules), file=sys.stderr)
 """
-# The same for the imports of the smash path: after each import and each
-# call, which of the slow-to-import modules are loaded.
+# One command in a cold process: after each import and after the call,
+# which of the slow-to-import modules are loaded; then the package's
+# modules the call loaded.
 _LEAN = """
 import sys
 slow = ("dataclasses", "inspect")
 for name in ("chang", "chang.smash", "chang.cli"):
     __import__(name)
     print(name, *(m for m in slow if m in sys.modules), file=sys.stderr)
-for argv in {argvs!r}:
-    code = sys.modules["chang.cli"].main(argv)
-    print(code, *(m for m in slow if m in sys.modules), file=sys.stderr)
+code = sys.modules["chang.cli"].main({argv!r})
+print(code, *(m for m in slow if m in sys.modules), file=sys.stderr)
+print(*sorted(m for m in sys.modules if m.startswith("chang.")),
+      file=sys.stderr)
 """
 SCRIPTS = SRC / "chang" / "data" / "scripts"
+_CASE = SCRIPTS / "moore_block_r_eq_u"
+# one call of each CLI command, each exiting 0
+COMMANDS = {
+    "smash": ["smash", "M(2,3)", "Ceta(5)"],
+    "verify": ["verify", "Cbot(1,5)", "C(1,5,1)",
+               "C(1,9,1) v Ceta(5)^C(1,5,1)"],
+    "homology": ["homology", "C(1,5,1)"],
+    "cohomology": ["cohomology", "--sq", "C(1,5,1)"],
+    "dual": ["dual", "C(1,5,1)"],
+    "table": ["table", "--branch-coverage"],
+    "pi": ["pi", "3", "C(1,5,1)"],
+    "homgroup": ["homgroup", "C(1,5,1)", "S(3)"],
+    "reduce": ["reduce", f"{_CASE}.matrix.json", "--script",
+               f"{_CASE}.steps.json", "--auto"],
+}
 
 
 def _run(code):
@@ -74,32 +91,33 @@ def test_atom_cycle_imports_from_either_side(first):
 
 
 def test_cold_cli_loads_homgroups_and_matrix_only_where_run():
-    case = SCRIPTS / "moore_block_r_eq_u"
-    calls = [
-        (["smash", "M(2,3)", "Ceta(5)"], "0"),
-        (["verify", "Cbot(1,5)", "C(1,5,1)", "C(1,9,1) v Ceta(5)^C(1,5,1)"],
-         "0"),
-        (["homology", "C(1,5,1)"], "0"),
-        (["cohomology", "--sq", "C(1,5,1)"], "0"),
-        (["dual", "C(1,5,1)"], "0"),
-        (["table", "--branch-coverage"], "0"),
-        (["pi", "3", "C(1,5,1)"], "0 chang.homgroups"),
-        (["homgroup", "C(1,5,1)", "S(3)"], "0 chang.homgroups"),
-        (["reduce", f"{case}.matrix.json", "--script", f"{case}.steps.json",
-          "--auto"], "0 chang.matrix chang.homgroups json"),
-    ]
+    deferred = {"pi": " chang.homgroups", "homgroup": " chang.homgroups",
+                "reduce": " chang.matrix chang.homgroups json"}
+    calls = [(argv, "0" + deferred.get(cmd, ""))
+             for cmd, argv in COMMANDS.items()]
     seen = _run(_CALLS.format(argvs=[argv for argv, _ in calls])).splitlines()
     assert seen == [want for _, want in calls]
 
 
-def test_the_smash_path_never_loads_dataclasses_or_inspect():
-    # together they cost more than the rest of a worker's set-up
-    argvs = [["smash", "M(2,3)", "Ceta(5)"],
-             ["verify", "Cbot(1,5)", "C(1,5,1)", "C(1,9,1) v Ceta(5)^C(1,5,1)"],
-             ["homology", "C(1,5,1)"], ["cohomology", "--sq", "C(1,5,1)"],
-             ["dual", "C(1,5,1)"], ["table", "--branch-coverage"]]
-    seen = _run(_LEAN.format(argvs=argvs)).splitlines()
-    assert seen == ["chang", "chang.smash", "chang.cli"] + ["0"] * len(argvs)
+def _cli_commands() -> set[str]:
+    import argparse
+    from chang.cli import _build_argparser
+    sub, = (action for action in _build_argparser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return set(sub.choices)
+
+
+def test_no_cold_cli_command_loads_dataclasses_or_inspect():
+    # together they cost more than the rest of a cold call's set-up; every
+    # command the parser offers is run, each in a fresh process
+    assert set(COMMANDS) == _cli_commands()
+    loaded = set()
+    for cmd, argv in COMMANDS.items():
+        *seen, modules = _run(_LEAN.format(argv=argv)).splitlines()
+        assert seen == ["chang", "chang.smash", "chang.cli", "0"], cmd
+        loaded.update(name.removeprefix("chang.") for name in modules.split())
+    # so no module of the package imports them at its top
+    assert loaded == set(MODULES)
 
 
 def test_a_wrapper_set_before_the_first_reduce_is_what_it_runs(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from chang.complexes import (SmashAtom, cbot, ceta, cfull, ctop, moore,
                              smash_atom, sphere, wedge)
 from chang.errors import InputError
-from chang.homology import integral_homology
+from chang.homology import GradedAbelianGroup, integral_homology
 from chang.matrix import (Coef, ColCompose, FormalMorphism, MorphismMatrix,
                           NegateCol, NegateRow, RowCompose, ScaleAddCol,
                           ScaleAddRow, UnknownComposition, apply_step,
@@ -757,3 +757,116 @@ def test_named_blocks_have_the_cone_homology(monkeypatch):
     for block, pieces in named:
         assert homology_of_cone(block) == integral_homology(pieces), \
             (render_matrix(block), str(pieces))
+
+
+def test_multiples_of_iq_between_odd_moore_spaces_have_the_chain_homology():
+    # the cone of k.iq: M(p^r,6) -> M(p^t,7) has the boundary
+    # [[p^t, k], [0, -p^r]] from degree 8 to 7, whose Smith normal form is
+    # g, p^(r+t)/g with g = gcd(k, p^min(r,t)): iq has order p^min(r,t)
+    for p, r, t in product((3, 5), range(1, 4), range(1, 4)):
+        for k in range(p ** max(r, t) + 1):
+            M = M_of([moore(p, t, 7)], [moore(p, r, 6)], {(0, 0): f"{k}*iq"})
+            g = gcd(k, p ** min(r, t))
+            want = GradedAbelianGroup({7: [g, p ** (r + t) // g]})
+            assert homology_of_cone(M) == want, (p, r, t, k)
+
+
+def _records():
+    """One value of each record class of `matrix` and `homgroups`, with the
+    repr each had as a frozen dataclass (None where a field holds a
+    closure or a Coef, whose repr names its address)."""
+    from chang.homgroups import hom_group, load_table
+    from chang.matrix import _cone
+    s, a, b = sphere(3), moore(3, 1, 6), moore(3, 2, 7)
+    piece = ("ElementaryComplex(kind='sphere', dim=3, p=0, r=0, s=0)")
+    N = M_of([b], [a], {(0, 0): "iq"})
+    return [
+        (FormalMorphism(a, b),
+         "FormalMorphism(source=ElementaryComplex(kind='moore', dim=6, p=3, "
+         "r=1, s=0), target=ElementaryComplex(kind='moore', dim=7, p=3, r=2, "
+         "s=0), terms=())"),
+        (N.entry(0, 0), None),
+        (M_of([s], [s], {}),
+         f"MorphismMatrix(rows=({piece},), cols=({piece},), entries=(("
+         f"FormalMorphism(source={piece}, target={piece}, terms=()),),))"),
+        (NegateRow(1), "NegateRow(n=1)"),
+        (NegateCol(2), "NegateCol(n=2)"),
+        (ColCompose(1, "eta", 2), "ColCompose(m=1, f='eta', n=2)"),
+        (RowCompose("eta", 2, 1), "RowCompose(g='eta', m=2, n=1)"),
+        (ScaleAddRow(3, 1, 2), "ScaleAddRow(k=3, m=1, n=2)"),
+        (ScaleAddCol(-2, 2, 1), "ScaleAddCol(k=-2, m=2, n=1)"),
+        (_cone(N.rows, N.cols, N.entries),
+         "_Cone(dims=(7, 8, 7, 8), boundary={(1, 0): 9, (3, 2): -3, "
+         "(3, 0): 1}, eta=frozenset(), whole=True)"),
+        (split_cone(M_of([s], [s], {(0, 0): "2"})),
+         "SplitConeReport(pieces=WedgeComplex(summands=(ElementaryComplex("
+         "kind='moore', dim=3, p=2, r=1, s=0),)), residual=(), "
+         "log=('block on rows S(3) recognized as M(2^1,3)',))"),
+        (hom_group(moore(2, 1, 5), sphere(5)),
+         "HomGroupDescriptor(group=(2,), cyclic=(2,), generators=(('ηq', 2, "
+         "''),), source='M(2^1,5)', target='S(5)', stable_from=3, note='')"),
+        (next(iter(load_table().values()))[0], None),
+    ]
+
+
+def test_records_keep_their_frozen_dataclass_semantics():
+    import copy
+    import pickle
+    from chang.homgroups import HomGroupDescriptor, _Record
+    records = _records()
+    assert len({type(v) for v, _ in records}) == 12
+    for value, text in records:
+        if text is not None:
+            assert repr(value) == text
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        if type(value) is not _Record:          # its fields are closures
+            assert pickle.loads(pickle.dumps(value)) == value, value
+        assert value == type(value)(*(getattr(value, name)
+                                      for name in value.__match_args__))
+        for name in value.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    # fields in declared order, by position or keyword, with defaults
+    assert _Record.__match_args__ == ("when", "group", "gens", "stable_from",
+                                      "note", "where")
+    assert [cls.__match_args__ for cls in (NegateRow, NegateCol, ColCompose,
+                                           RowCompose, ScaleAddRow,
+                                           ScaleAddCol)] == \
+        [("n",), ("n",), ("m", "f", "n"), ("g", "m", "n"), ("k", "m", "n"),
+         ("k", "m", "n")]
+    assert ColCompose(f="eta", n=2, m=1) == ColCompose(1, "eta", 2)
+    a, b = moore(3, 1, 6), moore(3, 2, 7)
+    assert FormalMorphism(a, b).terms == ()
+    assert FormalMorphism(target=b, source=a) == FormalMorphism(a, b, ())
+    assert HomGroupDescriptor((2,), (2,), (), "S(3)", "S(3)", 3).note == ""
+    for bad in (lambda: NegateRow(), lambda: NegateRow(1, 2),
+                lambda: NegateRow(1, n=1), lambda: NegateRow(m=1)):
+        with pytest.raises(TypeError):
+            bad()
+    # equal only within a class; equal values hash equal, as field tuples
+    assert NegateRow(1) != NegateCol(1)
+    assert ScaleAddRow(1, 2, 3) != ScaleAddCol(1, 2, 3)
+    assert NegateRow(1) != (1,) and NegateRow(1) == NegateRow(n=1)
+    assert hash(ScaleAddRow(1, 2, 3)) == hash(ScaleAddRow(1, 2, 3)) == \
+        hash((1, 2, 3))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(records[9][0])                     # _Cone holds a dict
+    # every step kind undoes its own inverse
+    f = parse_morphism("iq", a, b)
+    for step in (NegateRow(1), NegateCol(2), ScaleAddRow(3, 1, 2),
+                 ScaleAddCol(-2, 2, 1), ColCompose(1, f, 2),
+                 RowCompose(f, 2, 1)):
+        assert type(inverse_step(step)) is type(step)
+        assert inverse_step(inverse_step(step)) == step
+    assert inverse_step(RowCompose("eta", 2, 1)) == \
+        RowCompose("-(eta)", 2, 1)
+    # steps_from_json fills each field by name, in the declared order
+    recs = [{"kind": "ScaleAddCol", "n": 1, "m": 2, "k": -2},
+            {"kind": "RowCompose", "n": 1, "m": 2, "g": "eta"},
+            {"kind": "ColCompose", "n": 2, "f": "eta", "m": 1},
+            {"kind": "NegateCol", "n": 2}]
+    assert steps_from_json(recs) == [ScaleAddCol(-2, 2, 1),
+                                     RowCompose("eta", 2, 1),
+                                     ColCompose(1, "eta", 2), NegateCol(2)]
