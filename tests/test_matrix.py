@@ -778,7 +778,7 @@ def _records():
     from chang.homgroups import hom_group, load_table
     from chang.matrix import _cone
     s, a, b = sphere(3), moore(3, 1, 6), moore(3, 2, 7)
-    piece = ("ElementaryComplex(kind='sphere', dim=3, p=0, r=0, s=0)")
+    piece = "ElementaryComplex(kind='sphere', dim=3, p=0, r=0, s=0)"
     N = M_of([b], [a], {(0, 0): "iq"})
     return [
         (FormalMorphism(a, b),
@@ -813,6 +813,7 @@ def test_records_keep_their_frozen_dataclass_semantics():
     import copy
     import pickle
     from chang.homgroups import HomGroupDescriptor, _Record
+    from chang.matrix import _Cone
     records = _records()
     assert len({type(v) for v, _ in records}) == 12
     for value, text in records:
@@ -851,8 +852,9 @@ def test_records_keep_their_frozen_dataclass_semantics():
     assert NegateRow(1) != (1,) and NegateRow(1) == NegateRow(n=1)
     assert hash(ScaleAddRow(1, 2, 3)) == hash(ScaleAddRow(1, 2, 3)) == \
         hash((1, 2, 3))
+    cone = next(v for v, _ in records if type(v) is _Cone)
     with pytest.raises(TypeError, match="unhashable"):
-        hash(records[9][0])                     # _Cone holds a dict
+        hash(cone)                              # its boundary is a dict
     # every step kind undoes its own inverse
     f = parse_morphism("iq", a, b)
     for step in (NegateRow(1), NegateCol(2), ScaleAddRow(3, 1, 2),
