@@ -2,9 +2,10 @@
 
 The universe is closed: spheres, Moore spaces M(Z/p^r, n), the four Chang
 families built from eta and degree maps, finite wedges of these, and the
-smash products of two such pieces that are certified indecomposable
-("atoms").  Everything is immutable and canonicalized, so equality of
-wedges is equality of stable homotopy types within this universe.
+smash products of two such pieces that the decision table in `smash`
+keeps whole ("atoms"), with no exception.  Everything is immutable and
+canonicalized, so equality of wedges is equality of stable homotopy types
+within this universe.
 
 FAMILIES states, once, everything known about each kind of piece; the
 Chang families are anchored at their top cell k, with bottom cell k-2.
@@ -358,14 +359,14 @@ class SmashAtom(_Frozen):
 Summand = Union[ElementaryComplex, SmashAtom]
 
 
-def smash_atom(a: ElementaryComplex, b: ElementaryComplex) -> Summand:
-    """The canonical form of the atom a ^ b (any dimensions) for a pair the
+def smash_atom(a: ElementaryComplex, b: ElementaryComplex) -> SmashAtom:
+    """The atom a ^ b (any dimensions, either order) for a pair the
     decision table keeps whole."""
     a0, sa = base_form(a)
     b0, sb = base_form(b)
     if a0.sort_key > b0.sort_key:
         a0, b0 = b0, a0
-    return wedge(SmashAtom(a0, b0, sa + sb)).summands[0]
+    return SmashAtom(a0, b0, sa + sb)
 
 
 class WedgeComplex(_Frozen):
@@ -403,34 +404,18 @@ class WedgeComplex(_Frozen):
 
 
 def wedge(*pieces: Summand | WedgeComplex) -> WedgeComplex:
-    """Wedge of summands and/or wedges, canonicalized."""
-    flat: list[Summand] = []
-    for p in pieces:
-        if isinstance(p, WedgeComplex):
-            flat.extend(p.summands)
-        else:
-            flat.append(p)
-    return canonicalize(WedgeComplex(tuple(flat)))
-
-
-# M(2,3) ^ M(2,3) stays whole in the decision table but is the four-cell
-# C(1,8,1); canonicalize rewrites it, so that atom is transient only.
-_M2 = moore(2, 1, 3)
+    """Wedge of summands and/or wedges in the unique normal form: points
+    absorbed, summands sorted."""
+    flat = [c for p in pieces
+            for c in (p.summands if isinstance(p, WedgeComplex) else (p,))
+            if c is not POINT]
+    flat.sort(key=lambda c: c.sort_key)
+    return WedgeComplex(tuple(flat))
 
 
 def canonicalize(w: WedgeComplex) -> WedgeComplex:
-    """Unique normal form: points absorbed, the torsion square
-    M(2,3)^M(2,3) rewritten to C(1,8,1), summands sorted."""
-    out: list[Summand] = []
-    for c in w.summands:
-        if isinstance(c, SmashAtom):
-            if c.left is c.right is _M2:
-                c = cfull(1, 8 + c.shift, 1)
-        elif c.kind == "point":
-            continue
-        out.append(c)
-    out.sort(key=lambda c: c.sort_key)
-    return WedgeComplex(tuple(out))
+    """The normal form of w (see `wedge`)."""
+    return wedge(w)
 
 
 def suspend(x: Summand | WedgeComplex, m: int) -> WedgeComplex:
@@ -439,19 +424,14 @@ def suspend(x: Summand | WedgeComplex, m: int) -> WedgeComplex:
         raise InputError("suspension count must be >= 0")
     if not isinstance(x, WedgeComplex):
         x = wedge(x)
-    out: list[Summand] = []
-    for c in x.summands:
-        if isinstance(c, ElementaryComplex):
-            out.append(ElementaryComplex(c.kind, c.dim + m, c.p, c.r, c.s))
-        else:
-            out.append(SmashAtom(c.left, c.right, c.shift + m))
-    return canonicalize(WedgeComplex(tuple(out)))
+    return wedge(*(SmashAtom(c.left, c.right, c.shift + m)
+                   if isinstance(c, SmashAtom)
+                   else ElementaryComplex(c.kind, c.dim + m, c.p, c.r, c.s)
+                   for c in x.summands))
 
 
 def cells_of(x: Summand | WedgeComplex) -> list[tuple[int, int]]:
     """Cell census as (dimension, count) pairs."""
-    if not isinstance(x, WedgeComplex):
-        x = wedge(x)
     counts: dict[int, int] = {}
     for d in x.cells():
         counts[d] = counts.get(d, 0) + 1
@@ -497,14 +477,11 @@ def dual_elementary(c: ElementaryComplex, m: int) -> ElementaryComplex:
 
 
 def _dual_atom(a: SmashAtom, m: int) -> SmashAtom:
-    dl, sl = base_form(dual_elementary(a.left, 8))
-    dr, sr = base_form(dual_elementary(a.right, 8))
-    shift = (m - 16 - a.shift) + sl + sr
+    d = smash_atom(dual_elementary(a.left, 8), dual_elementary(a.right, 8))
+    shift = d.shift + m - 16 - a.shift
     if shift < 0:
         raise WindowError(f"{a} has no dual in the S^{m} window")
-    if dl.sort_key > dr.sort_key:
-        dl, dr = dr, dl
-    return SmashAtom(dl, dr, shift)
+    return SmashAtom(d.left, d.right, shift)
 
 
 def infer_sdim(x: WedgeComplex) -> int:
@@ -542,7 +519,7 @@ def dual(x: Summand | WedgeComplex, sdim: int | None = None) -> WedgeComplex:
             out.append(dual_elementary(c, m))
         else:
             raise WindowError(f"{c} has no dual in the S^{m} window")
-    return canonicalize(WedgeComplex(tuple(out)))
+    return wedge(*out)
 
 
 # The decision table in smash says which base pairs stay whole, so it is

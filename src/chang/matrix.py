@@ -254,6 +254,14 @@ class RelationTable:
     # generator order in [src, tgt]; 0 means no reduction applies
     def order(self, gen: str, src: Summand, tgt: Summand) -> int:
         se, te = _moore_exp(src), _moore_exp(tgt)
+        # the orders p^r of the Moore ends; a sphere end adds nothing
+        orders = [c.p ** c.r for c in (src, tgt) if _moore_exp(c)]
+        if gen == "iq":         # q, then i: order gcd(p^r, p'^t)
+            return gcd(*orders)
+        if gen in _ETA_FAMILY and any(o % 2 for o in orders):
+            # an odd-prime Moore end cuts the order the generator has
+            # between spheres (24 for iϱ, else 2) to the gcd with its p^r
+            return gcd(24 if gen == "irho" else 2, *orders)
         if gen == "id":
             if isinstance(src, ElementaryComplex):
                 if src.kind == "moore":
@@ -279,10 +287,6 @@ class RelationTable:
             return 4 if se == 1 else 2
         if gen == "xi":
             return 4 if te == 1 else 2
-        if gen == "iq":
-            if se and te:       # q, then i: order gcd(p^r, p'^t)
-                return gcd(src.p ** se, tgt.p ** te)
-            return 2 ** min(se or 1, te or 1)
         if gen in _ETA_FAMILY:
             return 2
         return 0
@@ -291,10 +295,11 @@ class RelationTable:
                 tgt: Summand) -> tuple[Coef, str]:
         """Rewrite a term into the canonical basis of [src, tgt]."""
         se, te = _moore_exp(src), _moore_exp(tgt)
-        if gen == "B" and not (se and te and src.p == tgt.p == 2):
+        two_primary = se and te and src.p == tgt.p == 2
+        if gen == "B" and not two_primary:
             raise InputError("B maps between 2-primary Moore spaces, "
                              f"not {src} -> {tgt}")
-        if se is None or te is None:
+        if not two_primary:     # the rewrites below are 2-primary facts
             return coef, gen
         same_dim = src.dim == tgt.dim
         if same_dim and gen == "B" and se == te:

@@ -10,6 +10,10 @@ Grammar (wedge binds loosest, smash tighter):
 The bracketed forms susp(...), D(...) and (...) nest at most 200 deep.
 Printing produces the canonical spelling, with ' v ' between wedge
 summands, and parse o print is the identity on printed forms.
+
+`_fold` is the one walk that evaluates a tree: `lower`, `cell_count` and an
+expression's homology and Sq-module are each one call of it with their own
+steps.  Printing is the only other recursion over an Expr.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from . import complexes as cx
 from .arith import MAX_DIGITS
 from .complexes import ElementaryComplex, WedgeComplex, piece
 from .errors import InputError, ParseError, SemanticError
+from .homology import (GradedAbelianGroup, integral_homology, kunneth,
+                       wedge_homology)
+from .steenrod import SqModule, cartan_smash_sq, mod2_cohomology, wedge_sum
 
 __all__ = ["parse_expression", "print_expression", "ParseError",
            "SemanticError", "lower", "parse_summand", "Expr", "cell_count",
@@ -170,25 +177,26 @@ def parse_expression(text: str) -> Expr:
 
 def cell_count(e: Expr) -> int:
     """Cells of the complex e names, read off the tree before anything is
-    built: a wedge adds its parts' counts, a smash multiplies its factors'
-    counts and susp and D keep the count.  A point factor counts as one
-    cell, since the factors before it are built first, so the count bounds
-    every complex that evaluating a subtree builds.  Counts past MAX_CELLS
-    come out as MAX_CELLS + 1."""
-    if e.head in _ATOMS:
-        return len(cx.FAMILIES[_ATOMS[e.head][0]].cells)
+    built: a wedge adds counts, a smash multiplies them and susp and D keep
+    them.  A point factor counts as one cell, since the factors before it
+    are built first, so the count bounds every complex that evaluating a
+    subtree builds.  Counts past MAX_CELLS come out as MAX_CELLS + 1."""
+    return _fold(e, *_COUNTING)
+
+
+def _leaf_cells(e: Expr) -> int:
+    if e.head == "dual":
+        return _fold(e.kids[0], *_COUNTING)
     if e.head == "point":
         return 0
-    counts = [cell_count(kid) for kid in e.kids]
-    if e.head == "wedge":
-        total = sum(counts)
-    elif e.head == "smash":
-        total = 1
-        for n in counts:
-            total = min(total * max(n, 1), MAX_CELLS + 1)
-    else:
-        total = counts[0]
-    return min(total, MAX_CELLS + 1)
+    return len(cx.FAMILIES[_ATOMS[e.head][0]].cells)
+
+
+# a capped sum, a capped product where a point factor counts as one cell,
+# and susp keeping the count
+_COUNTING = (_leaf_cells, lambda counts: min(sum(counts), MAX_CELLS + 1),
+             lambda n, m: min((n or 1) * max(m, 1), MAX_CELLS + 1),
+             lambda n, m: n)
 
 
 def check_cells(e: Expr) -> None:
@@ -242,19 +250,22 @@ def lower(e: Expr) -> WedgeComplex:
     """Evaluate to a canonical wedge; smash nodes go through the decision
     procedure, so the result is always a wedge of elementary pieces and
     certified atoms."""
-    from .smash import smash_decompose
-    if e.head == "wedge":
-        return cx.wedge(*[lower(k) for k in e.kids])
-    if e.head == "smash":
-        acc = lower(e.kids[0])
-        for kid in e.kids[1:]:
-            acc = smash_decompose(acc, lower(kid)).output
-        return acc
-    if e.head == "susp":
-        return cx.suspend(lower(e.kids[0]), e.args[0])
+    return _fold(e, *_LOWERING)
+
+
+def _leaf_wedge(e: Expr) -> WedgeComplex:
     if e.head == "dual":
-        return cx.dual(lower(e.kids[0]))
+        return cx.dual(_fold(e.kids[0], *_LOWERING))
     return cx.wedge(_atom_complex(e))
+
+
+def _smash(x: WedgeComplex | None, y: WedgeComplex) -> WedgeComplex:
+    # looked up on the module at each call, where a tracer may wrap it
+    from .smash import smash_decompose
+    return y if x is None else smash_decompose(x, y).output
+
+
+_LOWERING = (_leaf_wedge, lambda parts: cx.wedge(*parts), _smash, cx.suspend)
 
 
 def parse_summand(text: str) -> ElementaryComplex:
@@ -263,30 +274,37 @@ def parse_summand(text: str) -> ElementaryComplex:
     return _atom_complex(e)
 
 
-def _fold(e: Expr, leaf, plus, times):
-    """Evaluate e along its structure: plus over the parts of a wedge, times
-    over the factors of a smash from left to right, a shift for susp, and
-    leaf on the lowered wedge of a piece or D(...)."""
+def _fold(e: Expr, leaf, plus, times, shift):
+    """Evaluate e: leaf on a piece, a point or a D(...) node, plus on a
+    wedge's parts, shift(value, m) for susp(m, ...) and times(product,
+    factor) over a smash's factors from the left, product None first.  A
+    level of nesting costs one frame here."""
     if e.head == "wedge":
-        return plus([_fold(kid, leaf, plus, times) for kid in e.kids])
+        parts = []
+        for kid in e.kids:
+            parts.append(_fold(kid, leaf, plus, times, shift))
+        return plus(parts)
     if e.head == "smash":
-        out = _fold(e.kids[0], leaf, plus, times)
-        for kid in e.kids[1:]:
-            out = times(out, _fold(kid, leaf, plus, times))
+        out = None
+        for kid in e.kids:
+            out = times(out, _fold(kid, leaf, plus, times, shift))
         return out
     if e.head == "susp":
-        return _fold(e.kids[0], leaf, plus, times).shift(e.args[0])
-    return leaf(lower(e))
+        return shift(_fold(e.kids[0], leaf, plus, times, shift), e.args[0])
+    return leaf(e)
 
 
-def homology_of_expression(e: Expr):
+def homology_of_expression(e: Expr) -> GradedAbelianGroup:
     """Integral homology along the structure of the expression: smash nodes
     use the Kunneth formula directly, independent of the decision table."""
-    from .homology import integral_homology, kunneth, wedge_homology
-    return _fold(e, integral_homology, wedge_homology, kunneth)
+    return _fold(e, lambda e: integral_homology(_leaf_wedge(e)),
+                 wedge_homology,
+                 lambda h, g: g if h is None else kunneth(h, g),
+                 GradedAbelianGroup.shift)
 
 
-def sqmodule_of_expression(e: Expr):
+def sqmodule_of_expression(e: Expr) -> SqModule:
     """Mod-2 cohomology along the structure: smashes by the Cartan formula."""
-    from .steenrod import cartan_smash_sq, mod2_cohomology, wedge_sum
-    return _fold(e, mod2_cohomology, wedge_sum, cartan_smash_sq)
+    return _fold(e, lambda e: mod2_cohomology(_leaf_wedge(e)), wedge_sum,
+                 lambda a, b: b if a is None else cartan_smash_sq(a, b),
+                 SqModule.shift)

@@ -99,7 +99,8 @@ def stays_whole(a: ElementaryComplex, b: ElementaryComplex) -> bool:
 def _table(a: ElementaryComplex, b: ElementaryComplex, depth: int
            ) -> tuple[tuple[Summand, ...] | None, tuple[Branch, ...]]:
     """The table's answer for an ordered base pair, memoised; summands are
-    None when a ^ b itself stays whole."""
+    None when a ^ b stays whole, which makes it an atom, and else the
+    complex it is (M(2,3)^M(2,3) is C(1,8,1))."""
     out, branches = _rules(a, b, depth)
     return (None if out is None else tuple(out)), tuple(branches)
 
@@ -116,8 +117,8 @@ def _rules(a: ElementaryComplex, b: ElementaryComplex, depth: int
             return [], [_br(a, b, "moore-moore/coprime")]
         m = min(a.r, b.r)
         if a.p == 2:
-            if a.r == b.r == 1:
-                return None, [_br(a, b, "moore-moore/2-square")]
+            if a.r == b.r == 1:     # the torsion square is Chang's C(1,8,1)
+                return [cfull(1, 8, 1)], [_br(a, b, "moore-moore/2-square")]
             return [moore(2, m, 6), moore(2, m, 7)], [_br(a, b, "moore-moore/2-min")]
         return [moore(a.p, m, 6), moore(a.p, m, 7)], [_br(a, b, "moore-moore/odd-min")]
 

@@ -4,7 +4,7 @@ Bases are labelled; the operations are F2 matrices stored as bitmask rows
 (entry j of the image of basis element i is bit j of masks[i]), and their
 ranks and composites come from `f2`.  Smash products get the Cartan
 formula, with Sq^3 = Sq^1 Sq^2 supplying the odd cross terms in the Sq^4
-expansion.
+expansion.  An atom's module is the Cartan product of its pair, shifted.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from . import f2
-from .complexes import (ElementaryComplex, SmashAtom, Summand, WedgeComplex,
-                        wedge)
+from .complexes import ElementaryComplex, SmashAtom, Summand, WedgeComplex
 
 __all__ = ["SqModule", "mod2_cohomology", "cartan_smash_sq", "wedge_sum",
            "module_id", "pair_tensor", "poincare_mod2"]
@@ -318,14 +317,10 @@ def mod2_cohomology(x: Summand | WedgeComplex) -> SqModule:
     """Sq-module of a wedge; labels carry the summand index when there is
     more than one summand.  A single summand's module is the memoised one,
     so callers must not mutate the result."""
-    # the M(2,3)^M(2,3) atom is C(1,8,1) in a wedge
-    if isinstance(x, SmashAtom) and x.left is x.right:
-        x = wedge(x)
-    if not isinstance(x, WedgeComplex):
-        return _summand_sq(x)
-    if len(x.summands) == 1:
-        return _summand_sq(x.summands[0])
-    return wedge_sum([_summand_sq(c) for c in x.summands])
+    parts = x.summands if isinstance(x, WedgeComplex) else (x,)
+    if len(parts) == 1:
+        return _summand_sq(parts[0])
+    return wedge_sum([_summand_sq(c) for c in parts])
 
 
 def poincare_mod2(x: Summand | WedgeComplex) -> dict[int, int]:

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -7,7 +8,9 @@ from chang.complexes import (POINT, ElementaryComplex, SmashAtom, WedgeComplex,
                              WindowError, canonicalize, cbot, ceta, cells_of,
                              cfull, ctop, dual, dual_elementary, infer_sdim,
                              moore, smash_atom, sphere, suspend, wedge)
+from chang.errors import InputError
 from chang.homology import integral_homology, kunneth
+from chang.smash import decompose_pair
 
 from conftest import WIDE_PIECES, elementary_samples, every_piece, rebuilt
 
@@ -32,25 +35,42 @@ def test_canonicalize_absorbs_points_and_sorts():
 
 
 def test_torsion_square_rewrites_to_four_cell_complex():
-    raw = SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 0)
-    assert canonicalize(wedge(raw)) == wedge(cfull(1, 8, 1))
-    assert smash_atom(moore(2, 1, 3), moore(2, 1, 3)) == cfull(1, 8, 1)
+    # the rule table answers M(2,3)^M(2,3) as C(1,8,1); no atom holds it
+    assert decompose_pair(moore(2, 1, 3), moore(2, 1, 3)) == \
+        (wedge(cfull(1, 8, 1)), "moore-moore/2-square")
+    refused = "M(2^1,3) ^ M(2^1,3) splits; it cannot be an atom"
+    with pytest.raises(InputError, match=re.escape(refused)):
+        SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 0)
+    with pytest.raises(InputError, match=re.escape(refused)):
+        smash_atom(moore(2, 1, 3), moore(2, 1, 3))
     # shifted copies land at the shifted dimension
-    assert smash_atom(moore(2, 1, 4), moore(2, 1, 5)) == cfull(1, 11, 1)
+    assert decompose_pair(moore(2, 1, 4), moore(2, 1, 5))[0] == \
+        wedge(cfull(1, 11, 1))
+    with pytest.raises(InputError, match=re.escape(refused)):
+        smash_atom(moore(2, 1, 4), moore(2, 1, 5))
 
 
 def test_hand_built_torsion_square_still_rewrites():
     # factors built by calling the class are the interned instances, so
-    # canonicalize's identity test sees the torsion square and rewrites it
+    # the table sees the torsion square and answers C(1,8,1), and an atom
+    # of it is refused
     m2 = ElementaryComplex("moore", 3, 2, 1)
     assert m2 is moore(2, 1, 3)
     for shift in (0, 2):
-        raw = SmashAtom(m2, ElementaryComplex("moore", 3, 2, 1), shift)
-        assert canonicalize(WedgeComplex((raw, sphere(3)))) == \
-            wedge(sphere(3), cfull(1, 8 + shift, 1))
+        with pytest.raises(InputError, match="splits"):
+            SmashAtom(m2, ElementaryComplex("moore", 3, 2, 1), shift)
+        w, _ = decompose_pair(ElementaryComplex("moore", 3 + shift, 2, 1), m2)
+        assert wedge(w, sphere(3)) == wedge(sphere(3), cfull(1, 8 + shift, 1))
     # an atom of another square is not rewritten
     raw = SmashAtom(ElementaryComplex("ceta", 5), ceta(5))
     assert canonicalize(WedgeComplex((raw,))).summands == (raw,)
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+@pytest.mark.parametrize("b", [3, 4, 5])
+def test_torsion_square_is_one_rule_at_every_dimension(a, b):
+    assert decompose_pair(moore(2, 1, a), moore(2, 1, b)) == \
+        (wedge(cfull(1, a + b + 2, 1)), "moore-moore/2-square")
 
 
 def test_atom_factory_rejects_decomposable_pairs():
@@ -223,10 +243,6 @@ def _reference_pair_is_atom(a, b):
     return False
 
 
-def _reference_torsion_square(a, b):
-    return a == b == moore(2, 1, 3)
-
-
 def _outcome(build):
     try:
         return build()
@@ -246,11 +262,10 @@ def test_atom_verdicts_match_the_reference_list():
     pairs += [(a, POINT) for a in pieces] + [(POINT, POINT)]
     for a, b in pairs:
         whole = _reference_pair_is_atom(a, b)
-        square = _reference_torsion_square(a, b)
         refused = f"ValueError: {a} ^ {b} splits; it cannot be an atom"
         for shift in (0, 2):
             got = _outcome(lambda: SmashAtom(a, b, shift))
-            if whole or square:
+            if whole:
                 assert isinstance(got, SmashAtom), (a, b, got)
                 assert (got.left, got.right, got.shift) == (a, b, shift)
             else:
@@ -259,9 +274,7 @@ def test_atom_verdicts_match_the_reference_list():
         sa, sb = _up(a, 1), _up(b, 2)
         for x, y in ((a, b), (b, a), (sa, sb), (sb, sa)):
             shift = x.dim + y.dim - a.dim - b.dim
-            if square:
-                want = cfull(1, 8 + shift, 1)
-            elif whole:
+            if whole:
                 want = SmashAtom(a, b, shift)
             else:
                 want = refused

@@ -771,6 +771,63 @@ def test_multiples_of_iq_between_odd_moore_spaces_have_the_chain_homology():
             assert homology_of_cone(M) == want, (p, r, t, k)
 
 
+def test_multiples_of_iq_onto_a_sphere_have_the_chain_homology():
+    # the cone of k.iq: M(p^r,6) -> S(7) has the boundary [k, -p^r] from
+    # degree 8 to 7, so H_7 = Z + Z/gcd(k, p^r): a sphere end adds nothing
+    # to the order of iq
+    for p, r in product((3, 5), range(1, 4)):
+        for k in range(p ** r + 1):
+            M = M_of([sphere(7)], [moore(p, r, 6)], {(0, 0): f"{k}*iq"})
+            want = GradedAbelianGroup({7: [0, gcd(k, p ** r)]})
+            assert homology_of_cone(M) == want, (p, r, k)
+
+
+# a source and target that each eta-family name with a Moore end fits; M
+# and N stand for odd-prime Moore spaces M(p^r,n) and M(p^t,n)
+_ETA_TYPES = {
+    "ieta": ("S8", "M6"), "etaq": ("M6", "S6"), "ietaq": ("M6", "N6"),
+    "ietaetaq": ("M7", "N6"), "ietaeta": ("S8", "M6"),
+    "etaetaq": ("M7", "S6"), "eta_w1": ("M7", "M6"), "1_w_eta": ("M7", "M6"),
+    "lambda11": ("M7", "M6"), "etamix": ("M7", "N6"), "xiM": ("M7", "N6"),
+    "etaS": ("M6", "S5"), "xi": ("S8", "M6"), "rhoM": ("S9", "M6"),
+}
+
+
+def test_eta_family_vanishes_between_odd_moore_ends():
+    from chang.matrix import _ETA_FAMILY
+    # eta and etaeta map spheres to spheres; irho has order gcd(24, p^t)
+    assert set(_ETA_TYPES) == _ETA_FAMILY - {"eta", "etaeta", "irho"}
+    for p, r, t in product((3, 5), range(1, 4), range(1, 4)):
+        def end(code):
+            n = int(code[1:])
+            return {"S": sphere(n), "M": moore(p, r, n),
+                    "N": moore(p, t, n)}[code[0]]
+        for gen, (src, tgt) in _ETA_TYPES.items():
+            m = parse_morphism(f"1 * {gen}", end(src), end(tgt))
+            assert m.is_zero(), (gen, p, r, t, str(m))
+
+
+def test_identity_plus_ietaq_on_an_odd_moore_space_is_a_unit():
+    for r in range(1, 4):
+        a = moore(3, r, 6)
+        m = parse_morphism("1+ietaq", a, a)
+        assert m == parse_morphism("1", a, a), str(m)
+        rep = split_cone(M_of([a], [a], {(0, 0): "1+ietaq"}))
+        assert rep.pieces == wedge() and rep.residual == (), rep
+        assert rep.log == (f"cancel unit at (1,1) on {a}",), rep.log
+
+
+def test_irho_into_an_odd_moore_space_has_order_gcd_24():
+    for p, t in product((3, 5), range(1, 4)):
+        src, tgt = sphere(9), moore(p, t, 6)
+        o = gcd(24, p ** t)
+        assert default_table().order("irho", src, tgt) == o
+        for k in range(2 * o + 2):
+            m = parse_morphism(f"{k}*irho", src, tgt)
+            assert m.terms == (((Coef(k % o), "irho"),) if k % o else ()), \
+                (p, t, k, str(m))
+
+
 def _records():
     """One value of each record class of `matrix` and `homgroups`, with the
     repr each had as a frozen dataclass (None where a field holds a

@@ -425,6 +425,19 @@ def test_nesting_at_the_bound_still_runs():
         assert code == 0
 
 
+def test_mixed_nesting_at_the_bound_ends_cleanly():
+    # levels that mix D(, susp( or a bracket with a wedge and a smash: each
+    # walk still finishes, or fails with a typed error, never a
+    # RecursionError
+    from chang.cli import run_command
+    for head, code in (("D(S(3)^", 0), ("D(S(3) v ", 0), ("susp(1,S(3)^", 0),
+                       ("(S(3) v S(3)^", 0), ("D(S(3) v S(3)^", 2)):
+        text = head * 200 + "S(3)" + ")" * 200
+        for argv in (["homology", text], ["cohomology", text],
+                     ["smash", text, "S(3)"]):
+            assert run_command(argv)[0] == code, (head, argv[0])
+
+
 def test_expression_nesting_at_the_bound_still_reads():
     from chang.homgroups import _TABLE, _read_expression
     from chang.matrix import Coef, _parse_terms
@@ -540,3 +553,23 @@ def test_a_bare_value_error_is_a_bug_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "homology_of_expression", broken)
     with pytest.raises(ValueError, match="^internal$"):
         cli.main(["homology", "S(3)"])
+
+
+def test_expression_paths_agree_on_the_grid():
+    # lower goes through the decision table; homology_of_expression and
+    # sqmodule_of_expression go through Kunneth and Cartan, independent of
+    # it.  Both walks are _fold, with different steps, so they must agree
+    from chang.homology import integral_homology
+    from chang.parser import homology_of_expression, sqmodule_of_expression
+    from chang.steenrod import mod2_cohomology
+    from conftest import classified_pairs
+    pairs = classified_pairs()
+    assert len(pairs) == 371
+    for a, b in pairs:
+        for text in (f"{a}^{b}", f"susp(2,{a}^{b})", f"{a}^{b} v S(4)",
+                     f"({a} v S(3))^{b}"):
+            e = parse_expression(text)
+            w = lower(e)
+            assert homology_of_expression(e) == integral_homology(w), text
+            assert sqmodule_of_expression(e).dims() == \
+                mod2_cohomology(w).dims(), text

@@ -441,19 +441,24 @@ def test_wide_pairs_validate_each_piece_and_build_each_tensor_once():
     assert got["again"] == 0, got
 
 
-def test_lone_summand_module_is_not_rewedged(monkeypatch):
+def test_lone_summand_module_is_not_rewedged():
     from chang import steenrod
     from chang.complexes import ElementaryComplex, SmashAtom
-    # a suspended M(2,3)^M(2,3) atom still reads as its four-cell complex
-    square = SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 1)
+    from chang.smash import decompose_pair
+    # a suspended M(2,3)^M(2,3) is no atom: the table answers its four-cell
+    # complex, whose module is the piece's own
+    with pytest.raises(ValueError, match="splits"):
+        SmashAtom(moore(2, 1, 3), moore(2, 1, 3), 1)
+    square, _ = decompose_pair(moore(2, 1, 3), moore(2, 1, 4))
     assert steenrod.mod2_cohomology(square) is \
         steenrod.mod2_cohomology(cfull(1, 9, 1))
-    # so does one whose factors are built by calling the class
-    direct = SmashAtom(ElementaryComplex("moore", 3, 2, 1),
-                       ElementaryComplex("moore", 3, 2, 1))
+    # so is one whose factors are built by calling the class
+    direct, _ = decompose_pair(ElementaryComplex("moore", 3, 2, 1),
+                               ElementaryComplex("moore", 3, 2, 1))
     assert steenrod.mod2_cohomology(direct) is \
         steenrod.mod2_cohomology(cfull(1, 8, 1))
-    monkeypatch.setattr(steenrod, "wedge", None)
+    # no lone summand is wedged again: steenrod has no wedge to call
+    assert not hasattr(steenrod, "wedge")
     atoms = [smash_atom(cbot(1, 5), cbot(2, 5)),
              SmashAtom(moore(2, 2, 3), ceta(5), 3)]
     for c in WIDE_PIECES + atoms:
