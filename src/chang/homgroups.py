@@ -184,28 +184,29 @@ _COMPARE = {"<=": operator.le, ">=": operator.ge, "!=": operator.ne,
             "=": operator.eq, "<": operator.lt, ">": operator.gt}
 
 
-def _comparison(text: str):
+def _comparison(text: str, expr):
     m = re.fullmatch(r"(.*?)(<=|>=|!=|=|<|>)(.*)", text)
     if not m:
         raise InputError(f"bad predicate {text.strip()!r}")
     op = _COMPARE[m[2]]
-    a, b = _read_expression(m[1], _TABLE), _read_expression(m[3], _TABLE)
+    a, b = expr(m[1]), expr(m[3])
     return lambda env: op(a(env), b(env))
 
 
-def _predicate(text: str):
+def _predicate(text: str, expr):
     """A WHEN field: '|' of '&' of comparisons; '-' always holds."""
     if text in ("-", ""):
         return lambda env: True
-    clauses = [[_comparison(t) for t in c.split("&")] for c in text.split("|")]
+    clauses = [[_comparison(t, expr) for t in c.split("&")]
+               for c in text.split("|")]
     return lambda env: any(all(t(env) for t in c) for c in clauses)
 
 
-def _order(text: str):
+def _order(text: str, expr):
     """An order: Z (0), or an expression whose value must be at least 1."""
     if text == "Z":
         return lambda env: 0
-    value = _read_expression(text, _TABLE)
+    value = expr(text)
 
     def order(env):
         q = value(env)
@@ -215,7 +216,7 @@ def _order(text: str):
     return order
 
 
-def _group(text: str):
+def _group(text: str, expr):
     """A GROUP field such as "Z + Z/2^(ts+1)": its cyclic orders (0 = Z)."""
     if text == "0":
         return lambda env: ()
@@ -223,18 +224,18 @@ def _group(text: str):
     for f in factors:
         if f != "Z" and not f.startswith("Z/"):
             raise InputError(f"cyclic factor {f!r} is neither Z nor Z/n")
-    orders = [_order(f.removeprefix("Z/")) for f in factors]
+    orders = [_order(f.removeprefix("Z/"), expr) for f in factors]
     return lambda env: tuple(q(env) for q in orders)
 
 
-def _generators(text: str) -> tuple:
+def _generators(text: str, expr) -> tuple:
     """A GENS field: (name, order) for each comma-separated name:order."""
     gens = []
     for item in _split_top(text, ",") if text else ():
         if ":" not in item:
             raise InputError(f"generator {item.strip()!r} has no order")
         name, order = item.rsplit(":", 1)
-        gens.append((name.strip(), _order(order.strip())))
+        gens.append((name.strip(), _order(order.strip(), expr)))
     return tuple(gens)
 
 
@@ -284,13 +285,22 @@ def _read_table(path: str, parse) -> list:
 @lru_cache(maxsize=1)
 def load_table() -> dict[tuple[str, str, str, int], list[_Record]]:
     """The hom table, its fields compiled once, with the records under each
-    (kind, src, tgt, off) in file order."""
+    (kind, src, tgt, off) in file order.  Each distinct expression text is
+    compiled once per load, and a malformed one fails on each line it is on."""
+    compiled: dict[str, Callable] = {}
+
+    def expr(text: str) -> Callable:
+        text = text.strip()
+        if text not in compiled:
+            compiled[text] = _read_expression(text, _TABLE)
+        return compiled[text]
+
     def record(parts, where):
         parts += [""] * (8 - len(parts))
         kind, src, tgt, off, when, group, gens = parts[:7]
         return (kind, src, tgt, integer(off)), _Record(
-            _predicate(when), _group(group), _generators(gens),
-            integer(parts[7]) if parts[7] else 3,
+            _predicate(when, expr), _group(group, expr),
+            _generators(gens, expr), integer(parts[7]) if parts[7] else 3,
             parts[8] if len(parts) > 8 else "", where)
     table: dict = {}
     for key, rec in _read_table(_table_path("hom_tables.txt"), record):
@@ -340,23 +350,30 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts + [text[start:]]
 
 
+def _hom_record(source: Summand, target: Summand):
+    """(record, cyclic orders, generators) of [source, target] as
+    `_lookup` gives them, at any bottom dimension: the stable range is
+    `hom_group`'s check."""
+    cs, ct = _classify(source), _classify(target)
+    if cs is None or ct is None:
+        raise UntabulatedHom(f"[{source}, {target}]: untabulated summand shape")
+    (skind, senv), (tkind, tenv) = cs, ct
+    off = source.bottom - target.bottom
+    env = {"sr": senv["r"], "ss": senv["s"], "tr": tenv["r"], "ts": tenv["s"]}
+    found = _lookup(("hom", skind, tkind, off), env)
+    if found[0] is None:
+        raise UntabulatedHom(
+            f"[{source}, {target}] (offset {off}) is not tabulated")
+    return found
+
+
 def hom_group(source: Summand, target: Summand) -> HomGroupDescriptor:
     """Tabulated [source, target] in the stable range."""
     for c in (source, target):
         if getattr(c, "kind", None) == "point":
             return HomGroupDescriptor((), (), (), str(source), str(target), 0,
                                       "a point kills every hom group")
-    cs, ct = _classify(source), _classify(target)
-    if cs is None or ct is None:
-        raise UntabulatedHom(f"[{source}, {target}]: untabulated summand shape")
-    skind, senv = cs
-    tkind, tenv = ct
-    off = source.bottom - target.bottom
-    env = {"sr": senv["r"], "ss": senv["s"], "tr": tenv["r"], "ts": tenv["s"]}
-    rec, cyclic, gens = _lookup(("hom", skind, tkind, off), env)
-    if rec is None:
-        raise UntabulatedHom(
-            f"[{source}, {target}] (offset {off}) is not tabulated")
+    rec, cyclic, gens = _hom_record(source, target)
     if target.bottom < rec.stable_from:
         raise UntabulatedHom(
             f"[{source}, {target}]: below the stable range of the table "

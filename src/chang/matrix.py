@@ -34,8 +34,8 @@ from .arith import MAX_DIGITS, integer, power, prime_powers
 from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, _FrozenRecord, ceta, cfull, moore,
                         piece, sphere, suspend, wedge)
-from .errors import ChangError, InputError, UnknownComposition
-from .homgroups import (_Values, _read_expression, _read_table,
+from .errors import ChangError, InputError, UnknownComposition, UntabulatedHom
+from .homgroups import (_Values, _hom_record, _read_expression, _read_table,
                         _table_path)
 from .homology import GradedAbelianGroup
 
@@ -55,13 +55,16 @@ _ETA_FAMILY = {"eta", "ieta", "etaq", "ietaq", "ietaetaq", "etaeta",
                "ietaeta", "etaetaq", "eta_w1", "1_w_eta", "lambda11",
                "etamix", "xiM", "etaS", "xi", "rhoM", "irho"}
 
+# display names, with the exponents of the Moore ends substituted for
+# {sr} and {tr} as in the hom table's generator names
 _DISPLAY = {"eta": "η", "ieta": "iη", "etaq": "ηq",
             "ietaq": "iηq", "ietaetaq": "iηηq",
             "etaeta": "ηη", "ietaeta": "iηη",
             "etaetaq": "ηηq", "B": "B(χ)",
             "eta_w1": "η∧1", "1_w_eta": "1∧η",
             "lambda11": "λ11", "rho": "ϱ", "irho": "iϱ",
-            "i": "i", "q": "q"}
+            "etamix": "η_{tr}^{sr}", "xiM": "ξ_{tr}^{sr}", "xi": "ξ_{tr}",
+            "etaS": "η^{sr}", "rhoM": "ρ_{tr}"}
 
 
 # --- coefficients: Z[k,k2,e,e2] with bit^2 = bit ---------------------------
@@ -187,20 +190,8 @@ def _moore_exp(c: Summand) -> int | None:
 
 
 def _gen_display(name: str, src: Summand, tgt: Summand) -> str:
-    if name in _DISPLAY:
-        return _DISPLAY[name]
-    se, te = _moore_exp(src), _moore_exp(tgt)
-    if name == "etamix":
-        return f"η_{te}^{se}"
-    if name == "xiM":
-        return f"ξ_{te}^{se}"
-    if name == "xi":
-        return f"ξ_{te}"
-    if name == "etaS":
-        return f"η^{se}"
-    if name == "rhoM":
-        return f"ρ_{te}"
-    return name
+    return _DISPLAY.get(name, name).format(sr=_moore_exp(src),
+                                           tr=_moore_exp(tgt))
 
 
 class FormalMorphism(_FrozenRecord):
@@ -237,7 +228,8 @@ class FormalMorphism(_FrozenRecord):
 # --- the relation table -----------------------------------------------------
 
 class RelationTable:
-    """Composition fragment, generator orders and basis rewrites."""
+    """Composition fragment and basis rewrites, read from relations.txt, and
+    generator orders, read from the hom table (`homgroups`)."""
 
     def __init__(self, compose_rules: dict[tuple[str, str], tuple] ):
         self.compose_rules = compose_rules
@@ -251,45 +243,30 @@ class RelationTable:
             return (parts[1], parts[2]), _parse_terms(parts[3])
         return cls(dict(_read_table(_table_path("relations.txt"), rule)))
 
-    # generator order in [src, tgt]; 0 means no reduction applies
     def order(self, gen: str, src: Summand, tgt: Summand) -> int:
-        se, te = _moore_exp(src), _moore_exp(tgt)
+        """The order of gen in [src, tgt]; 0 means no reduction applies.
+        A 2-primary order is read from the hom table, under gen's display
+        name (B(χ) for the identity of a Moore space), at any dimension;
+        an eta-family name it does not list has order 2.  The table does
+        not state the orders of iq, of a map with an odd-prime Moore end
+        and of the identity of a four-cell complex."""
         # the orders p^r of the Moore ends; a sphere end adds nothing
         orders = [c.p ** c.r for c in (src, tgt) if _moore_exp(c)]
-        if gen == "iq":         # q, then i: order gcd(p^r, p'^t)
+        if gen == "iq":         # q, then i
             return gcd(*orders)
-        if gen in _ETA_FAMILY and any(o % 2 for o in orders):
-            # an odd-prime Moore end cuts the order the generator has
-            # between spheres (24 for iϱ, else 2) to the gcd with its p^r
-            return gcd(24 if gen == "irho" else 2, *orders)
-        if gen == "id":
-            if isinstance(src, ElementaryComplex):
-                if src.kind == "moore":
-                    if src.p != 2:
-                        return src.p ** src.r
-                    return 4 if src.r == 1 else 2 ** src.r
-                if src.kind == "cfull":
-                    return 2 ** (max(src.r, src.s) + 1)
-            return 0
-        if gen == "B":
-            if se == te == 1:
-                return 4
-            return 2 ** min(se, te)
-        if gen == "rho":
-            return 24
-        if gen == "irho":
-            return 4 if (te or 1) > 1 else 2
-        if gen == "etamix":
-            return 4 if se == 1 and (te or 0) > 1 else 2
-        if gen == "xiM":
-            return 4 if te == 1 and (se or 0) > 1 else 2
-        if gen == "etaS":
-            return 4 if se == 1 else 2
-        if gen == "xi":
-            return 4 if te == 1 else 2
-        if gen in _ETA_FAMILY:
-            return 2
-        return 0
+        if any(o % 2 for o in orders):
+            # 24 for iϱ, 2 for the rest of the eta family, else Z
+            return gcd(24 if gen == "irho" else 2 if gen in _ETA_FAMILY
+                       else 0, *orders)
+        if gen == "id" and getattr(src, "kind", None) == "cfull":
+            return 2 ** (max(src.r, src.s) + 1)
+        name = _gen_display("B" if gen == "id" and orders else gen, src, tgt)
+        try:
+            gens = _hom_record(src, tgt)[2]
+        except UntabulatedHom:
+            gens = ()
+        return next((o for n, o, _ in gens if n == name),
+                    2 if gen in _ETA_FAMILY else 0)
 
     def rewrite(self, gen: str, coef: Coef, src: Summand,
                 tgt: Summand) -> tuple[Coef, str]:
@@ -795,7 +772,8 @@ def _special_cone(r: Summand, c: Summand,
                   e: FormalMorphism) -> list[Summand] | None:
     """Name the cone of a 1x1 block that is not the cells of a single
     family: c.id on a sphere or a 2-primary Moore space, the atom
-    M(2^r,3)^Ceta(5), or c.i with c prime to the Moore space's prime."""
+    M(2^r,3)^Ceta(5), or c.i and c.q with c prime to the Moore space's
+    prime."""
     name = e.terms[0][1] if len(e.terms) == 1 else None
     cv = _const_of(e, name)
     if cv is None:
@@ -812,10 +790,14 @@ def _special_cone(r: Summand, c: Summand,
             if 0 < a < r.r:
                 return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
         return None
-    if name == "i" and c.kind == "sphere" and r.kind == "moore" \
-            and c.dim == r.dim:
-        # the cone has H_d = Z/gcd(c, p^r)
-        return [sphere(r.dim + 1)] if gcd(cv, r.p) == 1 else None
+    if name in ("i", "q"):
+        # c.i from S(d) into M(p^r,d), or c.q from it onto S(d+1): the cone
+        # has H_d or H_(d+1) = Z/gcd(c, p^r) beside H_(d+1) = Z
+        m, s = (r, c) if name == "i" else (c, r)
+        if m.kind == "moore" and s.kind == "sphere" \
+                and s.dim == m.dim + (name == "q") and gcd(cv, m.p) == 1:
+            return [sphere(m.dim + 1)]
+        return None
     if cv % 2 == 0:
         return None
     if name in ("eta_w1", "1_w_eta") or (name == "lambda11" and r.r == 1):

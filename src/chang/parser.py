@@ -209,6 +209,8 @@ def check_cells(e: Expr) -> None:
 
 
 def print_expression(e: Expr) -> str:
+    """The spelling of e that `parse_expression` reads back.  As in
+    `_fold`, a level of nesting costs one frame here."""
     if e.head == "point":
         return "*"
     if e.head in _ATOMS:
@@ -218,15 +220,14 @@ def print_expression(e: Expr) -> str:
         return f"susp({e.args[0]},{print_expression(e.kids[0])})"
     if e.head == "dual":
         return f"D({print_expression(e.kids[0])})"
-    if e.head == "smash":
-        parts = []
-        for kid in e.kids:
-            s = print_expression(kid)
-            parts.append(f"({s})" if kid.head == "wedge" else s)
-        return "^".join(parts)
-    if e.head == "wedge":
-        return " v ".join(print_expression(k) for k in e.kids)
-    raise ValueError(f"unknown node {e.head!r}")
+    if e.head not in ("smash", "wedge"):
+        raise ValueError(f"unknown node {e.head!r}")
+    parts = []
+    for kid in e.kids:
+        s = print_expression(kid)
+        parts.append(f"({s})" if e.head == "smash" and kid.head == "wedge"
+                     else s)
+    return ("^" if e.head == "smash" else " v ").join(parts)
 
 
 def _atom_params(e: Expr) -> tuple[str, dict[str, int]]:

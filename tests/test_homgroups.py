@@ -200,7 +200,7 @@ _GENERATOR_SHAPES = {
     "etaS": ("M", "S", 1), "etaetaq": ("M", "S", 1), "ieta": ("S", "M", 1),
     "xi": ("S", "M", 2), "ietaeta": ("S", "M", 2), "rhoM": ("S", "M", 3),
     "irho": ("S", "M", 3), "eta": ("S", "S", 1), "etaeta": ("S", "S", 2),
-    "rho": ("S", "S", 3)}
+    "rho": ("S", "S", 3), "i": ("S", "M", 0), "q": ("M", "S", -1)}
 
 
 # the exponents of each kind of end: none for a sphere, 1..4 for a Moore space
@@ -227,6 +227,31 @@ def test_relation_table_orders_agree_with_the_hom_table():
                 differ.append((gen, str(src), str(tgt)))
     assert differ == []
     assert compared >= 105
+
+
+def test_relation_table_orders_follow_a_replaced_hom_table(tmp_path,
+                                                          monkeypatch):
+    # the hom table is the one source of the 2-primary generator orders, so
+    # a table set by CHANG_TABLE_PATH moves them too
+    import importlib.resources as resources
+    from chang import homgroups
+    from chang.matrix import default_table, parse_morphism
+    src = resources.files("chang").joinpath("data", "hom_tables.txt")
+    text = src.read_text(encoding="utf-8").replace(
+        "hom; S; M2; 1; -; Z/2; iη:2; 3;", "hom; S; M2; 1; -; Z/4; iη:4; 3;")
+    (tmp_path / "hom_tables.txt").write_text(text, encoding="utf-8")
+    ends = sphere(8), moore(2, 2, 7)
+    assert default_table().order("ieta", *ends) == 2
+    assert parse_morphism("6*ieta", *ends).is_zero()
+    monkeypatch.setenv("CHANG_TABLE_PATH", str(tmp_path))
+    homgroups.load_table.cache_clear()
+    try:
+        assert default_table().order("ieta", *ends) == 4
+        assert parse_morphism("6*ieta", *ends).spell() == "2iη"
+    finally:
+        monkeypatch.delenv("CHANG_TABLE_PATH")
+        homgroups.load_table.cache_clear()
+    assert default_table().order("ieta", *ends) == 2
 
 
 # pi_0..pi_3 of the stable stems as cyclic orders, 0 for Z (Toda,
@@ -257,7 +282,7 @@ def _forced(r, t, k):
 
 
 # the offsets at which the hom table has Moore records
-_MOORE_OFFSETS = {("S", "M"): (1, 2, 3), ("M", "S"): (0, 1),
+_MOORE_OFFSETS = {("S", "M"): (0, 1, 2, 3), ("M", "S"): (-1, 0, 1),
                   ("M", "M"): (0, 1)}
 
 
@@ -285,9 +310,9 @@ def test_moore_rows_agree_with_exact_sequences(r, t, k):
 
 
 def test_moore_lookups_cover_the_tabulated_moore_rows():
-    # 12 of [S, M], 8 of [M, S] and the 16 of [M, M] at offset 0; at
+    # 16 of [S, M], 12 of [M, S] and the 16 of [M, M] at offset 0; at
     # offset 1 the extension [S^(n+2), M(2^t,n)] leaves [M, M] open
-    assert len(_moore_lookups()) == 36
+    assert len(_moore_lookups()) == 44
     for (sk, tk), offsets in _MOORE_OFFSETS.items():
         for r, t, k in product(_EXPONENTS[sk], _EXPONENTS[tk], range(-2, 4)):
             try:
@@ -414,7 +439,12 @@ def test_reader_cases(text, table, literal):
 
 
 def test_table_fields_compile_with_the_environment():
-    from chang.homgroups import _generators, _group, _predicate
+    from functools import partial
+    from chang.homgroups import (_TABLE, _generators, _group, _predicate,
+                                 _read_expression)
+    expr = lambda text: _read_expression(text, _TABLE)
+    _predicate, _group, _generators = (
+        partial(f, expr=expr) for f in (_predicate, _group, _generators))
     env = {"sr": 2, "ss": 3, "tr": 1, "ts": 2}
     assert _predicate("sr>1 & tr=1 | ss<0")(env)
     assert not _predicate("sr>=3 | tr!=1")(env)

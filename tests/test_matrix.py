@@ -433,14 +433,42 @@ def test_unit_cancellation_names_the_first_missing_rule_by_rows():
 
 def test_multiples_of_i_into_moore_spaces_name_only_their_cone():
     # the cone of c.i: S(7) -> M(p^r,7) has H_7 = Z/gcd(c, p^r) and H_8 = Z,
-    # so it is S(8) exactly when c is prime to p
+    # and the cone of c.q: M(p^r,7) -> S(8) has H_8 = Z + Z/gcd(c, p^r), so
+    # each is S(8) exactly when c is prime to p
     for p, r, c in product((2, 3, 5), (1, 2), range(1, 10)):
-        M = M_of([moore(p, r, 7)], [sphere(7)], {(0, 0): f"{c}*i"})
-        rep = split_cone(M)
-        if not rep.residual:
-            assert integral_homology(rep.pieces) == homology_of_cone(M), \
-                (p, r, c)
-        assert (rep.pieces == wedge(sphere(8))) == (gcd(c, p) == 1), (p, r, c)
+        for rows, cols, gen in (([moore(p, r, 7)], [sphere(7)], "i"),
+                                ([sphere(8)], [moore(p, r, 7)], "q")):
+            M = M_of(rows, cols, {(0, 0): f"{c}*{gen}"})
+            rep = split_cone(M)
+            if not rep.residual:
+                assert integral_homology(rep.pieces) == \
+                    homology_of_cone(M), (p, r, c, gen)
+            assert (rep.pieces == wedge(sphere(8))) == (gcd(c, p) == 1), \
+                (p, r, c, gen)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_null_multiples_of_i_and_q_and_q_itself_split(p, tmp_path):
+    # p.i into M(p,6) and p^2.q out of M(p^2,6) are null, and the cone of q
+    # is S(7): reduce --auto names every cone, with the homology of the
+    # chain complex of the literal as written
+    from chang.cli import run_command
+    from chang.parser import lower, parse_expression
+    for row, col, c, gen, want in (
+            (moore(p, 1, 6), sphere(6), p, "i", f"S(7) v M({p}^1,6)"),
+            (sphere(7), moore(p, 2, 6), p * p, "q", f"S(7) v M({p}^2,7)"),
+            (sphere(7), moore(p, 2, 6), 1, "q", "S(7)")):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": [str(row)], "cols": [str(col)],
+                                    "entries": [[1, 1, f"{c}*{gen}"]]}),
+                        encoding="utf-8")
+        code, out = run_command(["reduce", str(path), "--auto"])
+        assert code == 0 and "residual" not in out, (c, gen)
+        assert f"splits off: {want}\n" in out, (c, gen)
+        raw = MorphismMatrix((row,), (col,), ((FormalMorphism(
+            col, row, ((Coef(c), gen),)),),))
+        assert homology_of_cone(raw) == \
+            integral_homology(lower(parse_expression(want))), (c, gen)
 
 
 def test_split_cone_refuses_smash_atom_summands():

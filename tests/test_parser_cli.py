@@ -438,6 +438,19 @@ def test_mixed_nesting_at_the_bound_ends_cleanly():
             assert run_command(argv)[0] == code, (head, argv[0])
 
 
+def test_mixed_nesting_in_a_matrix_row_ends_cleanly(tmp_path, capsys):
+    # reduce spells a row that is no piece in its error message: at the
+    # nesting bound that still ends in the typed error, never a
+    # RecursionError
+    from chang.cli import run_command
+    row = "D(S(3) v S(3)^" * 200 + "S(3)" + ")" * 200
+    path = tmp_path / "deep.matrix.json"
+    path.write_text(json.dumps({"rows": [row], "cols": ["S(3)"]}),
+                    encoding="utf-8")
+    assert run_command(["reduce", str(path)])[0] == 2
+    assert capsys.readouterr().err.endswith(" is not an elementary piece\n")
+
+
 def test_expression_nesting_at_the_bound_still_reads():
     from chang.homgroups import _TABLE, _read_expression
     from chang.matrix import Coef, _parse_terms
