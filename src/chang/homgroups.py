@@ -286,7 +286,7 @@ def _read_table(path: str, parse) -> list:
 def load_table() -> dict[tuple[str, str, str, int], list[_Record]]:
     """The hom table, its fields compiled once, with the records under each
     (kind, src, tgt, off) in file order.  Each distinct expression text is
-    compiled once per load, and a malformed one fails on each line it is on."""
+    compiled once per load; a malformed one fails on the first line with it."""
     compiled: dict[str, Callable] = {}
 
     def expr(text: str) -> Callable:
