@@ -9,10 +9,10 @@ lines of a grid: its rows, or the rows of its transpose.  `apply_step` runs
 the six step kinds through them; `split_cone` cancels a unit with the same
 compose-add move on rows, then drops the unit's row and column.
 The mapping cone is built once as a cell complex (cells, integral boundary,
-eta attachments).  `homology_of_cone` reads its boundary, and `split_cone`
-names a block by matching the complex against the cells, boundary and eta
-pairs of each `complexes.FAMILIES` entry; only the few cones that are not
-the cells of a single family are written out here.
+eta attachments).  `homology_of_cone` reads its boundary.  `split_cone`
+names a block whose cone lies in two adjacent degrees by that homology;
+any other by the cells, boundary and eta pairs of a `complexes.FAMILIES`
+entry, or as one of the few cones with hidden eta written out here.
 Each term is spelled once, by `spell`: printed with Greek bits and display
 names, or as the ASCII literal that `parse_morphism` reads back, which is
 what `matrix_to_json` writes.
@@ -273,9 +273,9 @@ class RelationTable:
         """Rewrite a term into the canonical basis of [src, tgt]."""
         se, te = _moore_exp(src), _moore_exp(tgt)
         two_primary = se and te and src.p == tgt.p == 2
-        if gen == "B" and not two_primary:
-            raise InputError("B maps between 2-primary Moore spaces, "
-                             f"not {src} -> {tgt}")
+        if gen == "B" and not (two_primary and src.dim == tgt.dim):
+            raise InputError("B maps between 2-primary Moore spaces of one "
+                             f"dimension, not {src} -> {tgt}")
         if not two_primary:     # the rewrites below are 2-primary facts
             return coef, gen
         same_dim = src.dim == tgt.dim
@@ -370,6 +370,10 @@ def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
 def parse_morphism(text: str, source: Summand,
                    target: Summand) -> FormalMorphism:
     m = FormalMorphism(source, target, _parse_terms(text))
+    for _, gen in m.terms:      # a name that spells a Moore end's exponent
+        for key, end in (("{sr}", source), ("{tr}", target)):
+            if key in _DISPLAY.get(gen, "") and not _moore_exp(end):
+                raise InputError(f"{gen!r} needs a Moore space, not {end}")
     return default_table().normalize(m)
 
 
@@ -590,7 +594,7 @@ class _Cone(_FrozenRecord):
 
 def _cone(rows, cols, grid) -> _Cone:
     """The cone of the map whose entry grid[i][j] maps cols[j] to rows[i].
-    Raises InputError when a term's integral chain map is unknown."""
+    Raises InputError when a term's chain map is unknown or ill-typed."""
     dims: list[int] = []
     first: list[int] = []               # each piece's first cell
     boundary: dict[tuple[int, int], int] = {}
@@ -623,15 +627,22 @@ def _cone(rows, cols, grid) -> _Cone:
                         f"a degree-carrying generator in entry ({i+1},{j+1})")
                 for (a, b), v in cmat.items():
                     key = (c0 + a, r0 + b)
+                    if dims[key[0]] != dims[key[1]] + 1:
+                        raise InputError(f"{gen!r} from {cols[j]} to {rows[i]}"
+                                         " does not lower a cell by one degree")
                     boundary[key] = boundary.get(key, 0) + c * v
     return _Cone(tuple(dims), {e: v for e, v in boundary.items() if v},
                  frozenset(eta), whole)
 
 
 def homology_of_cone(M: MorphismMatrix) -> GradedAbelianGroup:
-    """Homology of the mapping cone, from its cellular chain complex: one
-    Smith normal form per degree."""
-    cone = _cone(M.rows, M.cols, M.entries)
+    """Homology of the mapping cone, from its cellular chain complex."""
+    return _cone_homology(_cone(M.rows, M.cols, M.entries))
+
+
+def _cone_homology(cone: _Cone) -> GradedAbelianGroup:
+    """The homology of a cone's chain complex: one Smith normal form per
+    degree."""
     by_dim: dict[int, list[int]] = {}
     for n, d in enumerate(cone.dims):
         by_dim.setdefault(d, []).append(n)
@@ -770,33 +781,19 @@ def _family_piece(cone: _Cone) -> ElementaryComplex | None:
 
 def _special_cone(r: Summand, c: Summand,
                   e: FormalMorphism) -> list[Summand] | None:
-    """Name the cone of a 1x1 block that is not the cells of a single
-    family: c.id on a sphere or a 2-primary Moore space, the atom
-    M(2^r,3)^Ceta(5), or c.i and c.q with c prime to the Moore space's
-    prime."""
+    """Name the cone of a 1x1 block that spans three degrees and carries eta
+    that its integral chains do not show: c.id on a 2-primary Moore space,
+    or the atom M(2^r,3)^Ceta(5)."""
     name = e.terms[0][1] if len(e.terms) == 1 else None
     cv = _const_of(e, name)
     if cv is None:
         return None
-    if name == "id" and r == c:
-        if r.kind == "sphere":
-            # a degree map's cone is a Moore space, split into its primary
-            # pieces
-            return [moore(p, k, r.dim) for p, k in prime_powers(abs(cv))]
-        if r.kind == "moore" and r.p == 2:
-            if r.r == 1 and cv % 4 == 2:
-                return [cfull(1, r.dim + 2, 1)]
-            a = _v2(cv)
-            if 0 < a < r.r:
-                return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
-        return None
-    if name in ("i", "q"):
-        # c.i from S(d) into M(p^r,d), or c.q from it onto S(d+1): the cone
-        # has H_d or H_(d+1) = Z/gcd(c, p^r) beside H_(d+1) = Z
-        m, s = (r, c) if name == "i" else (c, r)
-        if m.kind == "moore" and s.kind == "sphere" \
-                and s.dim == m.dim + (name == "q") and gcd(cv, m.p) == 1:
-            return [sphere(m.dim + 1)]
+    if name == "id" and r == c and r.kind == "moore" and r.p == 2:
+        if r.r == 1 and cv % 4 == 2:
+            return [cfull(1, r.dim + 2, 1)]
+        a = _v2(cv)
+        if 0 < a < r.r:
+            return [moore(2, a, r.dim), moore(2, a, r.dim + 1)]
         return None
     if cv % 2 == 0:
         return None
@@ -808,16 +805,24 @@ def _special_cone(r: Summand, c: Summand,
 
 
 def _recognize_block(rows, cols, grid) -> list[Summand] | None:
-    """Name the cone of one connected block: as the piece whose FAMILIES
-    entry has its cell structure, or by `_special_cone`."""
+    """Name the cone of one connected block.  A cone whose cells lie in two
+    adjacent degrees d, d+1, with no eta pair, is the wedge its homology
+    names: S(d) for each Z and M(p^k,d) for each Z/p^k in H_d, and S(d+1)
+    for each Z in H_(d+1).  Any other cone is named by `_special_cone`, or
+    as the piece whose FAMILIES entry has its cell structure."""
     if len(rows) == len(cols) == 1:
         named = _special_cone(rows[0], cols[0], grid[0][0])
         if named is not None:
             return named
     try:
         cone = _cone(rows, cols, grid)
-    except InputError:          # the integral boundary is unknown
+    except InputError:          # the integral boundary is unknown or ill-typed
         return None
+    d = min(cone.dims)
+    if cone.whole and not cone.eta and set(cone.dims) == {d, d + 1}:
+        h = _cone_homology(cone)
+        return [sphere(d + 1)] * h.dim(d + 1) + [
+            moore(*prime_powers(q)[0], d) if q else sphere(d) for q in h[d]]
     piece = _family_piece(cone) if cone.whole else None
     return None if piece is None else [piece]
 

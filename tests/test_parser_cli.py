@@ -274,6 +274,8 @@ _DOCS = {
                      "entries": [[1, 1, "B"]]},
     "bodd.json": {"rows": ["M(3^2,6)"], "cols": ["M(3,6)"],
                   "entries": [[1, 1, "2*B"]]},
+    "bdim.json": {"rows": ["M(2^2,7)"], "cols": ["M(2,8)"],
+                  "entries": [[1, 1, "B"]]},
     "tables/relations.txt": "compose; eta\n",
     "tables/hom_tables.txt": "# kind; src; tgt; off\n"
                              "hom; S; S; x; -; Z; id:Z; 3;\n",
@@ -409,9 +411,14 @@ CHANGED_ROWS = [
     _row(["pi", "4", "S(4)"], 2, "error: hom_tables.txt line 1: nesting "
          "deeper than 200 at offset 200", setup=_hom_tables("deep")),
     _row(["reduce", "bsphere.json"], 2, "error: matrix entry [1, 1, 'B']: "
-         "B maps between 2-primary Moore spaces, not S(3) -> S(3)"),
+         "B maps between 2-primary Moore spaces of one dimension, not S(3) "
+         "-> S(3)"),
     _row(["reduce", "bodd.json"], 2, "error: matrix entry [1, 1, '2*B']: "
-         "B maps between 2-primary Moore spaces, not M(3^1,6) -> M(3^2,6)"),
+         "B maps between 2-primary Moore spaces of one dimension, not "
+         "M(3^1,6) -> M(3^2,6)"),
+    _row(["reduce", "bdim.json"], 2, "error: matrix entry [1, 1, 'B']: "
+         "B maps between 2-primary Moore spaces of one dimension, not "
+         "M(2^1,8) -> M(2^2,7)"),
 ]
 
 
