@@ -567,7 +567,7 @@ def test_seeded_sweep_of_degree_and_inclusion_maps():
             render_matrix(M)
         try:
             rep = split_cone(M)
-        except UnknownComposition:      # no rule for i o q
+        except UnknownComposition:      # the table has no rule for iq o i
             unknown += 1
             continue
         assert reduce(GradedAbelianGroup.direct_sum,
