@@ -64,7 +64,7 @@ class UntabulatedHom(OutsideTables, LookupError):
 
 
 class UnknownComposition(OutsideTables):
-    """The relation table has no rule for this generator pair."""
+    """Neither the relation table nor the letters decide this pair."""
 
 
 class VerificationFailure(ChangError):

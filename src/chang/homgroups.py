@@ -309,15 +309,12 @@ def load_table() -> dict[tuple[str, str, str, int], list[_Record]]:
 
 
 def _lookup(key: tuple[str, str, str, int], env: dict[str, int]):
-    """The first record under key whose WHEN holds at env, with its cyclic
-    orders and its generators there; (None, (), ()) if there is none."""
+    """The first record under key whose WHEN holds at env, or None."""
     for rec in load_table().get(key, ()):
         with _located(rec.where):
             if rec.when(env):
-                return rec, rec.group(env), tuple(
-                    (_subst(name, env), order(env), rec.note)
-                    for name, order in rec.gens)
-    return None, (), ()
+                return rec
+    return None
 
 
 def _classify(c: Summand) -> tuple[str, dict[str, int]] | None:
@@ -351,8 +348,8 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 def _hom_record(source: Summand, target: Summand):
-    """(record, cyclic orders, generators) of [source, target] as
-    `_lookup` gives them, at any bottom dimension: the stable range is
+    """(record, exponent environment) of [source, target], the record as
+    `_lookup` finds it, at any bottom dimension: the stable range is
     `hom_group`'s check."""
     cs, ct = _classify(source), _classify(target)
     if cs is None or ct is None:
@@ -360,11 +357,11 @@ def _hom_record(source: Summand, target: Summand):
     (skind, senv), (tkind, tenv) = cs, ct
     off = source.bottom - target.bottom
     env = {"sr": senv["r"], "ss": senv["s"], "tr": tenv["r"], "ts": tenv["s"]}
-    found = _lookup(("hom", skind, tkind, off), env)
-    if found[0] is None:
+    rec = _lookup(("hom", skind, tkind, off), env)
+    if rec is None:
         raise UntabulatedHom(
             f"[{source}, {target}] (offset {off}) is not tabulated")
-    return found
+    return rec, env
 
 
 def hom_group(source: Summand, target: Summand) -> HomGroupDescriptor:
@@ -373,7 +370,11 @@ def hom_group(source: Summand, target: Summand) -> HomGroupDescriptor:
         if getattr(c, "kind", None) == "point":
             return HomGroupDescriptor((), (), (), str(source), str(target), 0,
                                       "a point kills every hom group")
-    rec, cyclic, gens = _hom_record(source, target)
+    rec, env = _hom_record(source, target)
+    with _located(rec.where):
+        cyclic = rec.group(env)
+        gens = tuple((_subst(name, env), order(env), rec.note)
+                     for name, order in rec.gens)
     if target.bottom < rec.stable_from:
         raise UntabulatedHom(
             f"[{source}, {target}]: below the stable range of the table "
@@ -413,8 +414,9 @@ def pi9_smash_extension(r: int, s: int, rp: int, sp: int
     """(sub, quotient) of the extension presenting the degree-9 homotopy of
     a four-cell smash four-cell product, where tabulated."""
     env = {"sr": r, "ss": s, "tr": rp, "ts": sp}
-    rec, cyclic, _ = _lookup(("ses", "Cfull", "Cfull", 3), env)
+    rec = _lookup(("ses", "Cfull", "Cfull", 3), env)
     if rec is not None:
-        return cyclic, (2, 2)
+        with _located(rec.where):
+            return rec.group(env), (2, 2)
     raise UntabulatedHom(
         f"pi_9 extension for parameters ({r},{s},{rp},{sp}) is not tabulated")

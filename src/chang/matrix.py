@@ -10,14 +10,14 @@ the six step kinds through them; `split_cone` cancels a unit with the same
 compose-add move on rows, then drops the unit's row and column.
 The mapping cone is built once as a cell complex (cells, integral boundary,
 eta attachments).  `homology_of_cone` reads its boundary.  `split_cone`
-names a block whose cone lies in two adjacent degrees by that homology;
-any other by the cells, boundary and eta pairs of a `complexes.FAMILIES`
-entry, or as one of the few cones with hidden eta written out here.
+names a block by that homology when its cells span fewer than 2p - 2
+degrees (two at p = 2); any other by the cells, boundary and eta pairs of a
+`complexes.FAMILIES` entry, or as one of the few cones with hidden eta.
 Each term is spelled once, by `spell`: printed with Greek bits and display
 names, or as the ASCII literal that `parse_morphism` reads back, which is
 what `matrix_to_json` writes.
-Composition is resolved through a deliberately partial relation table:
-anything it does not know raises UnknownComposition instead of guessing.
+Composition goes by the letters of words (i, q, eta, rho) and a partial
+relation table; a pair neither decides is an UnknownComposition, not a guess.
 Morphisms, matrices, steps and reports are frozen records
 (`complexes._FrozenRecord`), equal only to records of their own class: a
 step is changed by building it anew, as `inverse_step` does.
@@ -35,8 +35,8 @@ from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
                         WedgeComplex, _FrozenRecord, ceta, cfull, moore,
                         piece, sphere, suspend, wedge)
 from .errors import ChangError, InputError, UnknownComposition, UntabulatedHom
-from .homgroups import (_Values, _hom_record, _read_expression, _read_table,
-                        _table_path)
+from .homgroups import (_Values, _hom_record, _located, _read_expression,
+                        _read_table, _table_path)
 from .homology import GradedAbelianGroup
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
@@ -55,14 +55,15 @@ _ETA_FAMILY = {"eta", "ieta", "etaq", "ietaq", "ietaetaq", "etaeta",
                "ietaeta", "etaetaq", "eta_w1", "1_w_eta", "lambda11",
                "etamix", "xiM", "etaS", "xi", "rhoM", "irho"}
 
-# display names, with the exponents of the Moore ends substituted for
-# {sr} and {tr} as in the hom table's generator names
-_DISPLAY = {"eta": "η", "ieta": "iη", "etaq": "ηq",
-            "ietaq": "iηq", "ietaetaq": "iηηq",
-            "etaeta": "ηη", "ietaeta": "iηη",
-            "etaetaq": "ηηq", "B": "B(χ)",
-            "eta_w1": "η∧1", "1_w_eta": "1∧η",
-            "lambda11": "λ11", "rho": "ϱ", "irho": "iϱ",
+# the words: composites of the letters i (bottom-cell inclusion), q
+# (top-cell pinch), eta and rho, the first letter applied last
+_WORDS = frozenset({"i", "q", "iq", "eta", "ieta", "etaq", "ietaq", "etaeta",
+                    "ietaeta", "etaetaq", "ietaetaq", "rho", "irho"})
+_ETA_SMASH = ("eta_w1", "1_w_eta")      # η∧1 and 1∧η: η on each cell
+
+# the display names of the other generators, with {sr} and {tr} standing
+# for the exponents of the Moore ends, as in the hom table's generator names
+_DISPLAY = {"B": "B(χ)", "eta_w1": "η∧1", "1_w_eta": "1∧η", "lambda11": "λ11",
             "etamix": "η_{tr}^{sr}", "xiM": "ξ_{tr}^{sr}", "xi": "ξ_{tr}",
             "etaS": "η^{sr}", "rhoM": "ρ_{tr}"}
 
@@ -189,9 +190,34 @@ def _moore_exp(c: Summand) -> int | None:
     return None
 
 
+def _template(name: str) -> str:
+    """A generator's display name before its ends' exponents fill {sr}
+    and {tr}: a word's is its letters, with η for eta and ϱ for rho."""
+    if name in _WORDS:
+        return name.replace("eta", "η").replace("rho", "ϱ")
+    return _DISPLAY.get(name, name)
+
+
 def _gen_display(name: str, src: Summand, tgt: Summand) -> str:
-    return _DISPLAY.get(name, name).format(sr=_moore_exp(src),
-                                           tr=_moore_exp(tgt))
+    return _template(name).format(sr=_moore_exp(src), tr=_moore_exp(tgt))
+
+
+def _by_letters(f: str, g: str) -> tuple[tuple[Coef, str], ...] | None:
+    """The terms of f o g that the letters decide, or None.  The words law:
+    f o g is the word f+g, or 0 when f ends in q and g starts with i.  The
+    η∧1 law: η∧1 and 1∧η are η on each cell, ieta after a word that starts
+    with i and etaq before one that ends in q."""
+    if f in _ETA_SMASH and g in _WORDS and g.startswith("i"):
+        word = "ieta" + g[1:]
+    elif g in _ETA_SMASH and f in _WORDS and f.endswith("q"):
+        word = f[:-1] + "etaq"
+    elif f in _WORDS and g in _WORDS:
+        if f.endswith("q") and g.startswith("i"):
+            return ()
+        word = f + g
+    else:
+        return None
+    return ((Coef(1), word),) if word in _WORDS else None
 
 
 class FormalMorphism(_FrozenRecord):
@@ -228,8 +254,8 @@ class FormalMorphism(_FrozenRecord):
 # --- the relation table -----------------------------------------------------
 
 class RelationTable:
-    """Composition fragment and basis rewrites, read from relations.txt, and
-    generator orders, read from the hom table (`homgroups`)."""
+    """Compositions the letters do not decide and basis rewrites, read from
+    relations.txt, and generator orders, read from the hom table."""
 
     def __init__(self, compose_rules: dict[tuple[str, str], tuple] ):
         self.compose_rules = compose_rules
@@ -260,13 +286,14 @@ class RelationTable:
                        else 0, *orders)
         if gen == "id" and getattr(src, "kind", None) == "cfull":
             return 2 ** (max(src.r, src.s) + 1)
-        name = _gen_display("B" if gen == "id" and orders else gen, src, tgt)
+        name = _template("B" if gen == "id" and orders else gen)
+        default = 2 if gen in _ETA_FAMILY else 0
         try:
-            gens = _hom_record(src, tgt)[2]
+            rec, env = _hom_record(src, tgt)
         except UntabulatedHom:
-            gens = ()
-        return next((o for n, o, _ in gens if n == name),
-                    2 if gen in _ETA_FAMILY else 0)
+            return default
+        with _located(rec.where):
+            return next((o(env) for n, o in rec.gens if n == name), default)
 
     def rewrite(self, gen: str, coef: Coef, src: Summand,
                 tgt: Summand) -> tuple[Coef, str]:
@@ -303,22 +330,21 @@ class RelationTable:
         return FormalMorphism(m.source, m.target, tuple(out))
 
     def compose(self, f: FormalMorphism, g: FormalMorphism) -> FormalMorphism:
-        """f o g (so target(g) = source(f)), bilinear over the table."""
+        """f o g (so target(g) = source(f)), bilinear over the table, and
+        over the letters (`_by_letters`) for the pairs it does not list."""
         if g.target != f.source:
             raise InputError(f"cannot compose: {g.target} != {f.source}")
         terms: list[tuple[Coef, str]] = []
         for cf, gf in f.terms:
             for cg, gg in g.terms:
-                c = cf * cg
-                if gf == "id":
-                    terms.append((c, gg))
-                elif gg == "id":
-                    terms.append((c, gf))
-                elif (gf, gg) in self.compose_rules:
-                    for cr, gr in self.compose_rules[(gf, gg)]:
-                        terms.append((c * cr, gr))
+                if "id" in (gf, gg):
+                    rule = ((Coef(1), gg if gf == "id" else gf),)
                 else:
+                    rule = self.compose_rules.get((gf, gg),
+                                                  _by_letters(gf, gg))
+                if rule is None:
                     raise UnknownComposition(f"no rule for {gf!r} o {gg!r}")
+                terms += [(cf * cg * cr, gr) for cr, gr in rule]
         return self.normalize(FormalMorphism(g.source, f.target, tuple(terms)))
 
 
@@ -372,7 +398,7 @@ def parse_morphism(text: str, source: Summand,
     m = FormalMorphism(source, target, _parse_terms(text))
     for _, gen in m.terms:      # a name that spells a Moore end's exponent
         for key, end in (("{sr}", source), ("{tr}", target)):
-            if key in _DISPLAY.get(gen, "") and not _moore_exp(end):
+            if key in _template(gen) and not _moore_exp(end):
                 raise InputError(f"{gen!r} needs a Moore space, not {end}")
     return default_table().normalize(m)
 
@@ -805,11 +831,12 @@ def _special_cone(r: Summand, c: Summand,
 
 
 def _recognize_block(rows, cols, grid) -> list[Summand] | None:
-    """Name the cone of one connected block.  A cone whose cells lie in two
-    adjacent degrees d, d+1, with no eta pair, is the wedge its homology
-    names: S(d) for each Z and M(p^k,d) for each Z/p^k in H_d, and S(d+1)
-    for each Z in H_(d+1).  Any other cone is named by `_special_cone`, or
-    as the piece whose FAMILIES entry has its cell structure."""
+    """Name the cone of one connected block.  A cone with integral chains
+    and no eta pair is the wedge its homology names, S(k) for each Z and
+    M(p^e,k) for each Z/p^e in H_k, when its cells span fewer than 2p - 2
+    degrees, p the least prime of its Moore pieces or 2 (the first odd
+    p-primary stem is 2p - 3).  Any other cone is named by `_special_cone`,
+    or as the piece whose FAMILIES entry has its cell structure."""
     if len(rows) == len(cols) == 1:
         named = _special_cone(rows[0], cols[0], grid[0][0])
         if named is not None:
@@ -818,11 +845,12 @@ def _recognize_block(rows, cols, grid) -> list[Summand] | None:
         cone = _cone(rows, cols, grid)
     except InputError:          # the integral boundary is unknown or ill-typed
         return None
-    d = min(cone.dims)
-    if cone.whole and not cone.eta and set(cone.dims) == {d, d + 1}:
+    p = min((c.p for c in rows + cols if c.kind == "moore"), default=2)
+    if cone.whole and not cone.eta and \
+            max(cone.dims) - min(cone.dims) < 2 * p - 2:
         h = _cone_homology(cone)
-        return [sphere(d + 1)] * h.dim(d + 1) + [
-            moore(*prime_powers(q)[0], d) if q else sphere(d) for q in h[d]]
+        return [moore(*prime_powers(q)[0], k) if q else sphere(k)
+                for k in h.degrees() for q in h[k]]
     piece = _family_piece(cone) if cone.whole else None
     return None if piece is None else [piece]
 

@@ -52,8 +52,76 @@ def test_compose_relations():
     etaS = parse_morphism("etaS", moore(2, 3, 8), s7)
     i = parse_morphism("i", s8, moore(2, 3, 8))
     assert t.compose(etaS, i) == parse_morphism("eta", s8, s7)
+    # ieta o eta is the word ietaeta; eta o eta o eta is no word
+    assert t.compose(ieta, parse_morphism("eta", sphere(9), s8)) == \
+        parse_morphism("ietaeta", sphere(9), m7)
     with pytest.raises(UnknownComposition):
-        t.compose(ieta, parse_morphism("eta", sphere(9), s8))
+        t.compose(parse_morphism("etaeta", s7, sphere(5)), eta)
+
+
+# the rules relations.txt stated before the letters decided them, as
+# (g, f, g o f); each is a case of the words law or of the η∧1 law
+_LETTER_RULES = [
+    ("q", "eta_w1", "etaq"), ("q", "1_w_eta", "etaq"),
+    ("eta_w1", "i", "ieta"), ("1_w_eta", "i", "ieta"),
+    ("eta_w1", "ietaq", "ietaetaq"), ("1_w_eta", "ietaq", "ietaetaq"),
+    ("q", "i", "0"), ("q", "ieta", "0"), ("q", "ietaq", "0"),
+    ("etaq", "i", "0"), ("etaq", "ieta", "0"), ("etaq", "ietaq", "0"),
+    ("ietaq", "i", "0"), ("ietaq", "ieta", "0"), ("ietaq", "ietaq", "0"),
+    ("ietaetaq", "i", "0"), ("ietaetaq", "ietaq", "0"),
+    ("eta", "eta", "etaeta"),
+    ("ietaq", "eta_w1", "ietaetaq"), ("ietaq", "1_w_eta", "ietaetaq"),
+    ("etaq", "eta_w1", "etaetaq"), ("etaq", "1_w_eta", "etaetaq")]
+
+
+def _word_type(gen):
+    """(source is a Moore space, target is one, target dimension minus
+    source dimension) of a word, or of η∧1 and 1∧η: i maps S(n) to M(n),
+    q maps M(n) to S(n+1), eta lowers a sphere by one and rho by three."""
+    if gen in ("eta_w1", "1_w_eta"):
+        return True, True, -1
+    shift = gen.count("q") - gen.count("eta") - 3 * gen.count("rho")
+    return gen.endswith("q"), gen.startswith("i"), shift
+
+
+def _typed_rules():
+    """(g, f, g o f, source, middle, target) for each old rule, at every
+    2-primary Moore exponent 1..3 of each end; η∧1 keeps its exponent."""
+    out = []
+    for g, f, gf in _LETTER_RULES:
+        (s_m, m_m, fshift), (_, t_m, gshift) = _word_type(f), _word_type(g)
+        dims = (9, 9 + fshift, 9 + fshift + gshift)
+        for exps in product(*[(1, 2, 3) if m else (0,)
+                              for m in (s_m, m_m, t_m)]):
+            if any(h in ("eta_w1", "1_w_eta") and exps[a] != exps[a + 1]
+                   for a, h in ((0, f), (1, g))):
+                continue
+            ends = [moore(2, e, d) if e else sphere(d)
+                    for e, d in zip(exps, dims)]
+            out.append((g, f, gf, *ends))
+    return out
+
+
+def test_the_letters_decide_every_rule_they_replaced():
+    # the terms are composed as written: normalising first could rewrite
+    # them (ietaq on M(2^1,n) is 2) so that no rule applies
+    t = default_table()
+    cases = _typed_rules()
+    assert len(cases) == 166
+    for g, f, gf, src, mid, tgt in cases:
+        got = t.compose(FormalMorphism(mid, tgt, ((Coef(1), g),)),
+                        FormalMorphism(src, mid, ((Coef(1), f),)))
+        assert got == parse_morphism(gf, src, tgt), (g, f, src, mid, tgt)
+
+
+def test_relations_table_states_only_what_the_letters_do_not_decide():
+    from chang.matrix import _WORDS, _by_letters
+    rules = default_table().compose_rules
+    assert set(rules) == {("eta_w1", "B"), ("1_w_eta", "B"), ("etaS", "i"),
+                          ("q", "xi"), ("q", "rhoM"), ("lambda11", "iq")}
+    for g, f in rules:
+        assert _by_letters(g, f) is None, (g, f)
+        assert not {g, f} <= _WORDS, (g, f)
 
 
 def test_normalization_basis_rewrites():
@@ -285,7 +353,7 @@ def test_matrix_json_roundtrip():
             pass
     for M in seen:
         assert matrix_from_json(json.dumps(matrix_to_json(M))) == M
-    assert len(seen) == 2281
+    assert len(seen) == 2295
     # the corpus spells bits and coefficients of more than one term
     coefs = {c for M in seen for line in M.entries for e in line
              for c, _ in e.terms}
@@ -406,8 +474,9 @@ def test_unit_cancellation_in_split_cone():
     # an undetermined bit leaves the eta edge open
     (["S(5)"], ["S(5)", "M(2^3,5)"], {(0, 0): "2^2", (0, 1): "k*etaq"},
      "*", 1),
-    # on M(3^2,7), whose identity has order 9, 3 is no unit and 2 is one
-    (["M(3^2,7)"], ["M(3^2,7)"], {(0, 0): "3"}, "*", 1),
+    # on M(3^2,7), whose identity has order 9, 3 is no unit and 2 is one;
+    # the cone of 3 spans three degrees, fewer than 2p - 2 = 4
+    (["M(3^2,7)"], ["M(3^2,7)"], {(0, 0): "3"}, "M(3^1,7) v M(3^1,8)", 0),
     (["M(3^2,7)"], ["M(3^2,7)"], {(0, 0): "2"}, "*", 0),
     # a cone in two adjacent degrees is the wedge its Smith form names:
     # [[0, -3], [4, 5]] has determinant 12, and (-4, 3, 3) leaves Z^2
@@ -426,15 +495,25 @@ def test_split_cone_names_blocks(rows, cols, entries, pieces, residual):
 
 
 def test_unit_cancellation_names_the_first_missing_rule_by_rows():
-    # two corrections have no rule: eta o rho in row 2, i o eta in row 3;
-    # the cancellation works row by row, so the row-2 rule is the one named
-    M = M_of([sphere(7), sphere(6), moore(2, 1, 7)],
+    # two corrections have no rule: eta o rho in row 2, etaeta o eta in
+    # row 3; the cancellation works row by row, so the row-2 rule is named
+    M = M_of([sphere(7), sphere(6), sphere(5)],
              [sphere(7), sphere(8), sphere(10)],
              {(0, 0): "1", (0, 1): "eta", (0, 2): "rho", (1, 0): "eta",
-              (2, 0): "i"})
+              (2, 0): "etaeta"})
     with pytest.raises(UnknownComposition) as err:
         split_cone(M)
     assert str(err.value) == "no rule for 'eta' o 'rho'"
+
+
+def test_unit_cancellation_composes_iq_after_i():
+    # cancelling the unit 118 composes 2^3iq with 122i, and iq o i = 0 by
+    # the letters; the cone has H_8 = Z + Z/125
+    M = M_of([moore(5, 3, 8), moore(5, 3, 7)], [moore(5, 3, 7), sphere(7)],
+             {(0, 0): "2^3*iq", (1, 0): "118", (1, 1): "122*i"})
+    rep = split_cone(M)
+    assert (str(rep.pieces), rep.residual) == ("S(8) v M(5^3,8)", ())
+    assert integral_homology(rep.pieces) == homology_of_cone(M)
 
 
 def test_multiples_of_i_into_moore_spaces_name_only_their_cone():
@@ -553,7 +632,7 @@ def test_seeded_sweep_of_degree_and_inclusion_maps():
     import random
     from functools import reduce
     rng = random.Random(27)
-    two_degree = null = unknown = 0
+    two_degree = null = 0
     for _ in range(4000):
         rows = rng.sample(_SWEEP_POOL, rng.randint(1, 2))
         cols = rng.sample(_SWEEP_POOL, rng.randint(1, 2))
@@ -565,11 +644,7 @@ def test_seeded_sweep_of_degree_and_inclusion_maps():
         h = homology_of_cone(M)
         assert homology_of_cone(MorphismMatrix(rows, cols, raw)) == h, \
             render_matrix(M)
-        try:
-            rep = split_cone(M)
-        except UnknownComposition:      # the table has no rule for iq o i
-            unknown += 1
-            continue
+        rep = split_cone(M)
         assert reduce(GradedAbelianGroup.direct_sum,
                       map(homology_of_cone, rep.residual),
                       integral_homology(rep.pieces)) == h, render_matrix(M)
@@ -577,8 +652,75 @@ def test_seeded_sweep_of_degree_and_inclusion_maps():
             assert rep.pieces == wedge(*rows, suspend(wedge(*cols), 1))
             null += 1
         assert not any(map(_is_two_degree, rep.residual)), render_matrix(M)
+        # a cone of spheres and odd-prime Moore spaces is named
+        assert all(any(c.p == 2 for c in R.rows + R.cols)
+                   for R in rep.residual), render_matrix(M)
         two_degree += _is_two_degree(M)
-    assert (two_degree, null, unknown) == (435, 3097, 1)
+    assert (two_degree, null) == (435, 3097)
+
+
+_WORD_NAMES = ("i", "q", "iq", "eta", "ieta", "etaq", "ietaq", "etaeta",
+               "ietaeta", "etaetaq", "ietaetaq", "rho", "irho")
+_WORDS_BY_TYPE: dict = {}
+for _w in _WORD_NAMES:
+    _WORDS_BY_TYPE.setdefault(_word_type(_w), []).append(_w)
+
+
+def _word_entry(rng, src, tgt):
+    """A random integer combination of the words that fit src -> tgt, or
+    a multiple of the identity where src is tgt."""
+    gens = ["id"] if src == tgt else _WORDS_BY_TYPE.get(
+        (src.kind == "moore", tgt.kind == "moore", tgt.dim - src.dim), [])
+    terms = [(Coef(rng.randint(-3, 3)), g) for g in gens]
+    return FormalMorphism(src, tgt,
+                          tuple((c, g) for c, g in terms if not c.is_zero()))
+
+
+def test_seeded_sweep_of_word_entries_and_their_moves():
+    # matrices of 2-3 rows and columns over two pieces each, with entries
+    # that combine words, eta family included; a random compose-add or
+    # scale-add move and its inverse give the matrix back, and the move
+    # keeps the cone's homology.  A move fails only where a composite is
+    # no word: ietaeta o eta, or a pair with the etamix that 2-primary
+    # basis rewrites leave
+    import random
+    import re
+    rng = random.Random(28)
+    dims = (5, 6, 7, 8)
+    pool = [sphere(d) for d in dims] + [
+        moore(p, r, d) for p in (2, 3, 5) for r in (1, 2) for d in dims]
+    moves = unknown = 0
+    for _ in range(1500):
+        rows = rng.choices(rng.sample(pool, 2), k=rng.randint(2, 3))
+        cols = rng.choices(rng.sample(pool, 2), k=rng.randint(2, 3))
+        M = M_of(rows, cols, {(i, j): _word_entry(rng, c, r)
+                              for i, r in enumerate(rows)
+                              for j, c in enumerate(cols)})
+        kind = rng.choice((RowCompose, ColCompose, ScaleAddRow, ScaleAddCol))
+        heads = rows if kind in (RowCompose, ScaleAddRow) else cols
+        m, n = rng.sample(range(1, len(heads) + 1), 2)
+        a, b = heads[m - 1], heads[n - 1]
+        if kind is RowCompose:
+            step = RowCompose(_word_entry(rng, a, b), m, n)
+        elif kind is ColCompose:
+            step = ColCompose(m, _word_entry(rng, b, a), n)
+        elif a == b:
+            step = kind(rng.choice((-2, -1, 1, 2, 3)), m, n)
+        else:
+            continue
+        try:
+            N = apply_step(M, step)
+        except UnknownComposition as exc:
+            f, g = re.match(r"no rule for '(\w+)' o '(\w+)'",
+                            str(exc)).groups()
+            assert f + g not in _WORD_NAMES and "qi" not in f + g, str(exc)
+            unknown += 1
+            continue
+        assert apply_step(N, inverse_step(step)) == M, (step, render_matrix(M))
+        assert homology_of_cone(N) == homology_of_cone(M), \
+            (step, render_matrix(M))
+        moves += 1
+    assert (moves, unknown) == (1147, 4)
 
 
 def test_split_cone_refuses_smash_atom_summands():
