@@ -245,6 +245,7 @@ class _Record(_FrozenRecord):
     gens: tuple             # (name with {sr}... to substitute, order)
     stable_from: int
     note: str
+    rels: str               # NAME = literal, ..., read by `matrix`
     where: str              # file and line, for errors met at lookup
 
 
@@ -296,12 +297,12 @@ def load_table() -> dict[tuple[str, str, str, int], list[_Record]]:
         return compiled[text]
 
     def record(parts, where):
-        parts += [""] * (8 - len(parts))
-        kind, src, tgt, off, when, group, gens = parts[:7]
+        parts += [""] * (10 - len(parts))
+        kind, src, tgt, off, when, group, gens, stable, note, rels = parts[:10]
         return (kind, src, tgt, integer(off)), _Record(
             _predicate(when, expr), _group(group, expr),
-            _generators(gens, expr), integer(parts[7]) if parts[7] else 3,
-            parts[8] if len(parts) > 8 else "", where)
+            _generators(gens, expr), integer(stable) if stable else 3, note,
+            rels, where)
     table: dict = {}
     for key, rec in _read_table(_table_path("hom_tables.txt"), record):
         table.setdefault(key, []).append(rec)

@@ -16,8 +16,9 @@ degrees (two at p = 2); any other by the cells, boundary and eta pairs of a
 Each term is spelled once, by `spell`: printed with Greek bits and display
 names, or as the ASCII literal that `parse_morphism` reads back, which is
 what `matrix_to_json` writes.
+Terms are written in the basis of their hom record, by its RELS field.
 Composition goes by the letters of words (i, q, eta, rho) and a partial
-relation table; a pair neither decides is an UnknownComposition, not a guess.
+relation table, else by the exponent of its hom group (`_kills`), not a guess.
 Morphisms, matrices, steps and reports are frozen records
 (`complexes._FrozenRecord`), equal only to records of their own class: a
 step is changed by building it anew, as `inverse_step` does.
@@ -26,7 +27,7 @@ step is changed by building it anew, as `inverse_step` does.
 from __future__ import annotations
 
 import json
-from math import gcd
+from math import gcd, lcm
 from functools import lru_cache
 from itertools import permutations
 
@@ -36,7 +37,7 @@ from .complexes import (FAMILIES, ElementaryComplex, SmashAtom, Summand,
                         piece, sphere, suspend, wedge)
 from .errors import ChangError, InputError, UnknownComposition, UntabulatedHom
 from .homgroups import (_Values, _hom_record, _located, _read_expression,
-                        _read_table, _table_path)
+                        _read_table, _table_path, load_table)
 from .homology import GradedAbelianGroup
 
 __all__ = ["Coef", "FormalMorphism", "MorphismMatrix", "RelationTable",
@@ -66,6 +67,7 @@ _ETA_SMASH = ("eta_w1", "1_w_eta")      # η∧1 and 1∧η: η on each cell
 _DISPLAY = {"B": "B(χ)", "eta_w1": "η∧1", "1_w_eta": "1∧η", "lambda11": "λ11",
             "etamix": "η_{tr}^{sr}", "xiM": "ξ_{tr}^{sr}", "xi": "ξ_{tr}",
             "etaS": "η^{sr}", "rhoM": "ρ_{tr}"}
+_NAMES = _WORDS | _DISPLAY.keys() | {"id"}       # every generator name
 
 
 # --- coefficients: Z[k,k2,e,e2] with bit^2 = bit ---------------------------
@@ -253,9 +255,39 @@ class FormalMorphism(_FrozenRecord):
 
 # --- the relation table -----------------------------------------------------
 
+# η∧1, 1∧η and λ11 have order 2 in [M(2^r,n+1), M(2^t,n)], though its record
+# does not list them: no source yet writes them in that record's ξ, η basis
+_UNPLACED = frozenset({"eta_w1", "1_w_eta", "lambda11"})
+# the ends whose hom records name their generators as matrix entries do;
+# a Chang-complex record has its own names (i_Mi, q_η, ...)
+_MATRIX_SPELLED = frozenset({"sphere", "moore"})
+
+
+def _record(src: Summand, tgt: Summand):
+    """(record, exponent environment) of [src, tgt]; (None, None) if none."""
+    try:
+        return _hom_record(src, tgt)
+    except UntabulatedHom:
+        return None, None
+
+
+@lru_cache(maxsize=None)
+def _relations(rels: str, where: str) -> dict[str, tuple]:
+    """The RELS field of the record at where: each name it does not list,
+    as terms in the names it lists."""
+    out = {}
+    with _located(where):
+        for item in rels.split(",") if rels else ():
+            name, eq, text = item.partition("=")
+            if not eq or name.strip() not in _NAMES:
+                raise InputError(f"expected generator = literal, got {item!r}")
+            out[name.strip()] = _parse_terms(text)
+    return out
+
+
 class RelationTable:
-    """Compositions the letters do not decide and basis rewrites, read from
-    relations.txt, and generator orders, read from the hom table."""
+    """Compositions the letters do not decide, read from relations.txt;
+    generator orders and basis relations, read from the hom table."""
 
     def __init__(self, compose_rules: dict[tuple[str, str], tuple] ):
         self.compose_rules = compose_rules
@@ -267,15 +299,21 @@ class RelationTable:
                 raise InputError("expected 4 fields separated by ';', "
                                  f"got {len(parts)}")
             return (parts[1], parts[2]), _parse_terms(parts[3])
-        return cls(dict(_read_table(_table_path("relations.txt"), rule)))
+        table = cls(dict(_read_table(_table_path("relations.txt"), rule)))
+        for recs in load_table().values():  # a malformed RELS fails here
+            for rec in recs:
+                _relations(rec.rels, rec.where)
+        return table
 
-    def order(self, gen: str, src: Summand, tgt: Summand) -> int:
-        """The order of gen in [src, tgt]; 0 means no reduction applies.
-        A 2-primary order is read from the hom table, under gen's display
-        name (B(χ) for the identity of a Moore space), at any dimension;
-        an eta-family name it does not list has order 2.  The table does
-        not state the orders of iq, of a map with an odd-prime Moore end
-        and of the identity of a four-cell complex."""
+    def order(self, gen: str, src: Summand, tgt: Summand, found=None) -> int:
+        """The order of gen in [src, tgt], 0 for Z, as found, the `_record`
+        of the ends (looked up if not given), lists it under gen's display
+        name (B(χ) for a Moore identity).  A name the record of spheres and
+        Moore spaces does not list is an InputError, save `_UNPLACED`; a
+        Chang-complex record has names of its own, so there an unlisted
+        eta-family name has order 2 and any other Z.  The table does not
+        state the orders of iq, of a map with an odd-prime Moore end and of
+        the identity of a four-cell complex."""
         # the orders p^r of the Moore ends; a sphere end adds nothing
         orders = [c.p ** c.r for c in (src, tgt) if _moore_exp(c)]
         if gen == "iq":         # q, then i
@@ -286,52 +324,53 @@ class RelationTable:
                        else 0, *orders)
         if gen == "id" and getattr(src, "kind", None) == "cfull":
             return 2 ** (max(src.r, src.s) + 1)
-        name = _template("B" if gen == "id" and orders else gen)
-        default = 2 if gen in _ETA_FAMILY else 0
-        try:
-            rec, env = _hom_record(src, tgt)
-        except UntabulatedHom:
-            return default
-        with _located(rec.where):
-            return next((o(env) for n, o in rec.gens if n == name), default)
-
-    def rewrite(self, gen: str, coef: Coef, src: Summand,
-                tgt: Summand) -> tuple[Coef, str]:
-        """Rewrite a term into the canonical basis of [src, tgt]."""
-        se, te = _moore_exp(src), _moore_exp(tgt)
-        two_primary = se and te and src.p == tgt.p == 2
-        if gen == "B" and not (two_primary and src.dim == tgt.dim):
-            raise InputError("B maps between 2-primary Moore spaces of one "
-                             f"dimension, not {src} -> {tgt}")
-        if not two_primary:     # the rewrites below are 2-primary facts
-            return coef, gen
-        same_dim = src.dim == tgt.dim
-        if same_dim and gen == "B" and se == te:
-            return coef, "id"
-        if same_dim and se == te == 1 and gen == "ietaq":
-            return coef.scale(2), "id"
-        if src.dim == tgt.dim + 1 and gen == "ietaetaq":
-            if se > 1 and te == 1:
-                return coef.scale(2), "xiM"
-            if se == 1 and te > 1:
-                return coef.scale(2), "etamix"
-        return coef, gen
+        rec, env = found or _record(src, tgt)
+        if rec is not None:
+            name = _template("B" if gen == "id" and orders else gen)
+            with _located(rec.where):
+                order = next((o(env) for n, o in rec.gens if n == name), None)
+            if order is not None:
+                return order
+            kinds = {getattr(c, "kind", None) for c in (src, tgt)}
+            if gen not in _UNPLACED and kinds <= _MATRIX_SPELLED:
+                raise InputError(f"{gen!r} is no generator of [{src}, {tgt}]")
+        return 2 if gen in _ETA_FAMILY else 0
 
     def normalize(self, m: FormalMorphism) -> FormalMorphism:
+        """m in the basis of [source, target]: its terms rewritten by the
+        RELS of the hom record of its ends, summed and reduced by the orders
+        that record gives.  B, which maps between 2-primary Moore spaces of
+        one dimension, is the identity at equal exponents."""
+        if not m.terms:
+            return m
+        src, tgt = m.source, m.target
+        found = rec, _ = _record(src, tgt)
+        rels = _relations(rec.rels, rec.where) if rec else {}
+        if any(g == "B" for _, g in m.terms):
+            if not (_moore_exp(src) and _moore_exp(tgt) and src.p == tgt.p
+                    == 2 and src.dim == tgt.dim):
+                raise InputError("B maps between 2-primary Moore spaces of "
+                                 f"one dimension, not {src} -> {tgt}")
+            if src.r == tgt.r:
+                rels = {**rels, "B": ((Coef(1), "id"),)}
         acc: dict[str, Coef] = {}
         for coef, gen in m.terms:
-            c2, g2 = self.rewrite(gen, coef, m.source, m.target)
-            acc[g2] = acc.get(g2, Coef(0)) + c2
+            if gen not in rels:
+                acc[gen] = acc.get(gen, Coef(0)) + coef
+            for c, g in rels.get(gen, ()):
+                acc[g] = acc.get(g, Coef(0)) + coef * c
         out = []
         for gen in sorted(acc):
-            c = acc[gen].reduce_mod(self.order(gen, m.source, m.target))
+            c = acc[gen].reduce_mod(self.order(gen, src, tgt, found))
             if not c.is_zero():
                 out.append((c, gen))
-        return FormalMorphism(m.source, m.target, tuple(out))
+        return FormalMorphism(src, tgt, tuple(out))
 
     def compose(self, f: FormalMorphism, g: FormalMorphism) -> FormalMorphism:
         """f o g (so target(g) = source(f)), bilinear over the table, and
-        over the letters (`_by_letters`) for the pairs it does not list."""
+        over the letters (`_by_letters`) for the pairs it does not list.  A
+        pair neither decides is 0 where its coefficient `_kills` the group,
+        else an UnknownComposition."""
         if g.target != f.source:
             raise InputError(f"cannot compose: {g.target} != {f.source}")
         terms: list[tuple[Coef, str]] = []
@@ -342,10 +381,21 @@ class RelationTable:
                 else:
                     rule = self.compose_rules.get((gf, gg),
                                                   _by_letters(gf, gg))
-                if rule is None:
+                if rule is None and not _kills(cf * cg, g.source, f.target):
                     raise UnknownComposition(f"no rule for {gf!r} o {gg!r}")
-                terms += [(cf * cg * cr, gr) for cr, gr in rule]
+                terms += [(cf * cg * cr, gr) for cr, gr in rule or ()]
         return self.normalize(FormalMorphism(g.source, f.target, tuple(terms)))
+
+
+def _kills(c: Coef, src: Summand, tgt: Summand) -> bool:
+    """Whether c is an integer that the exponent of the tabulated [src, tgt]
+    divides: the lcm of its cyclic orders, none where one is Z."""
+    n, (rec, env) = c.const_value(), _record(src, tgt)
+    if n is None or rec is None:
+        return False
+    with _located(rec.where):
+        orders = rec.group(env)
+    return 0 not in orders and n % lcm(*orders) == 0
 
 
 @lru_cache(maxsize=1)
@@ -390,6 +440,9 @@ _LITERAL = _Values(
 def _parse_terms(text: str) -> tuple[tuple[Coef, str], ...]:
     """Parse a morphism literal into (coefficient, generator) terms."""
     value = _read_expression(text, _LITERAL)
+    for gen in value:
+        if gen not in _NAMES:
+            raise InputError(f"unknown generator {gen!r}")
     return tuple((c, g) for g, c in value.items() if not c.is_zero())
 
 
